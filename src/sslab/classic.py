@@ -10,8 +10,6 @@ import heapq
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     CapacityError,
     Instance,
@@ -22,7 +20,7 @@ from .core import (
     verified_outcome,
 )
 from .numeric import random_prime
-from .oracle import ENUM_LIMIT, _dense_sums, _fits_int64
+from .oracle import ENUM_LIMIT, _dense_sums, _sorted_join, _sum_table, _table_dtype
 
 
 def _fresh_cost() -> dict:
@@ -69,59 +67,22 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     if n > 2 * ENUM_LIMIT:
         raise CapacityError(f"n={n} exceeds the half-enumeration limit of {2 * ENUM_LIMIT}")
     k = (n + 1) // 2
-    left_ws = instance.weights[:k]
-    right_ws = instance.weights[k:]
     cost = _fresh_cost()
     cost["sums_enumerated"] = (1 << k) + (1 << (n - k))
-    if _fits_int64(instance.weights, t):
-        left = _dense_sums(left_ws)
-        uniq, first = np.unique(left, return_index=True)  # first index = smallest left mask
-        right = _dense_sums(right_ws)
-        need = np.int64(t) - right
-        pos = np.searchsorted(uniq, need)
-        pos_ok = np.minimum(pos, uniq.size - 1)
-        valid = (pos < uniq.size) & (uniq[pos_ok] == need)
-        hits = np.flatnonzero(valid)
-        cost["dict_lookups"] = int(right.size)
-        cost["pairs_checked"] = int(hits.size)
-        if hits.size == 0:
-            return SolverOutcome(cost=cost)
-        combined = (hits.astype(np.int64) << k) | first[pos[hits]].astype(np.int64)
-        return verified_outcome(instance, int(combined.min()), cost)
-    table: dict = {}
-    s_acc = [0]
-    for i, w in enumerate(left_ws):
-        s_acc += [s + w for s in s_acc]
-    for m, s in enumerate(s_acc):
-        table.setdefault(s, m)
-    best = None
-    r_acc = [0]
-    for w in right_ws:
-        r_acc += [s + w for s in r_acc]
-    for m, s in enumerate(r_acc):
-        cost["dict_lookups"] += 1
-        lm = table.get(t - s)
-        if lm is not None:
-            cost["pairs_checked"] += 1
-            cand = (m << k) | lm
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    dtype = _table_dtype(instance.weights, t, mask_bits=n)
+    left = _sum_table(instance.weights, range(k), dtype)
+    right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
+    hits, r_mask, l_row = _sorted_join(left.sums, right, t)
+    cost["dict_lookups"] = int(right.size)
+    cost["pairs_checked"] = hits
+    if not hits:
         return SolverOutcome(cost=cost)
-    return verified_outcome(instance, best, cost)
+    # the right mask holds the high bits, so the first right hit gives the smallest witness
+    return verified_outcome(instance, (r_mask << k) | int(left.masks[l_row]), cost)
 
 
 # ---------------------------------------------------------------------------
 # four-way split, priority-queue merged half-sum streams
-
-def _quarter_sums(weights: Sequence[int], indices: Sequence[int]) -> list[tuple[int, int]]:
-    out = [(0, 0)]
-    for i in indices:
-        w = weights[i]
-        bit = 1 << i
-        out += [(s + w, m | bit) for s, m in out]
-    return out
-
 
 class _HalfStream:
     """Merged stream of a+b over two quarter lists, nondecreasing (sign=+1) or nonincreasing."""
@@ -171,8 +132,10 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     bounds = [0]
     for sz in sizes:
         bounds.append(bounds[-1] + sz)
-    quarters = [
-        _quarter_sums(instance.weights, range(bounds[i], bounds[i + 1])) for i in range(4)
+    dtype = _table_dtype(instance.weights)
+    quarters = [  # (sum, mask) for every subset of items lo..hi-1, in mask order
+        [(s, m << lo) for m, s in enumerate(_dense_sums(instance.weights[lo:hi], dtype).tolist())]
+        for lo, hi in zip(bounds, bounds[1:])
     ]
     retained_base = sum(len(qt) for qt in quarters)
     cost = _fresh_cost()

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict
 from itertools import combinations
@@ -33,7 +32,7 @@ from .core import (
     read_instance,
     write_instance,
 )
-from .dispatch import classify, solve_auto, solve_large_bin, solve_small_bin
+from .dispatch import classify, measured_gamma, solve_auto, solve_large_bin, solve_small_bin
 from .hashing import ReductionNotApplicable, reduce_bitlength
 from .oracle import distinct_sums, max_bin
 from .structured import solve_few_sums, solve_many_sums
@@ -82,12 +81,6 @@ def _parse_m(spec: str, n: int) -> int:
     return mask_from_indices(indices)
 
 
-def _measured_gamma(instance: Instance, m_mask: int) -> float:
-    m = bin(m_mask).count("1")
-    ds = distinct_sums(instance, m_mask)
-    return min(1.0, math.log2(max(ds, 1)) / m)
-
-
 def _run_solver(args, instance: Instance):
     rng = RandomSource(args.seed)
     alg = args.alg
@@ -102,7 +95,7 @@ def _run_solver(args, instance: Instance):
         return modular_sampler(instance, args.sigma, rng, budget)
     if alg in ("repr", "fewsums"):
         m_mask = _parse_m(args.M, instance.n)
-        gamma = args.gamma if args.gamma is not None else _measured_gamma(instance, m_mask)
+        gamma = args.gamma if args.gamma is not None else measured_gamma(instance, m_mask)
         if alg == "fewsums":
             return solve_few_sums(instance, m_mask, gamma)
         return solve_many_sums(instance, m_mask, gamma, rng, step_budget=args.budget)

@@ -8,7 +8,6 @@ pair with |A| = |w(2^[n])| (one representative per distinct sum) and
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -16,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapacityError, Instance, memory_limit_bytes
-from .oracle import ENUM_LIMIT, all_subset_sums, enumerate_histogram
+from .core import CapacityError, Instance
+from .oracle import ENUM_LIMIT, _block_table, _run_starts, all_subset_sums
 
 _UDCP_PAIR_CAP = 1 << 26
 _TERNARY_LIMIT = 20
@@ -48,6 +47,11 @@ def _spread(masks: Sequence[int], n: int) -> np.ndarray:
     return out
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
 def check_udcp(pair: UdcpPair) -> bool:
     """Whether |A + B| = |A| * |B| with componentwise integer sums in {0,1,2}^n."""
     na, nb = len(pair.a_masks), len(pair.b_masks)
@@ -60,12 +64,9 @@ def check_udcp(pair: UdcpPair) -> bool:
     a = _spread(pair.a_masks, pair.n)
     b = _spread(pair.b_masks, pair.n)
     block = max(1, (1 << 22) // max(1, nb))
-    uniques = []
-    for i in range(0, na, block):
-        sums = (a[i : i + block, None] + b[None, :]).ravel()
-        uniques.append(np.unique(sums))
-    merged = np.unique(np.concatenate(uniques))
-    return int(merged.size) == na * nb
+    parts = [_distinct((a[i : i + block, None] + b[None, :]).ravel()) for i in range(0, na, block)]
+    return int(_distinct(np.concatenate(parts)).size) == na * nb
+
 
 
 def udcp_from_instance(instance: Instance, oracle_limit: int = ENUM_LIMIT) -> UdcpPair:
@@ -75,29 +76,18 @@ def udcp_from_instance(instance: Instance, oracle_limit: int = ENUM_LIMIT) -> Ud
     n = instance.n
     if n < 1 or n > oracle_limit:
         raise CapacityError(f"extraction enumerates 2^{n}, outside [2, 2^{oracle_limit}]")
-    sums = all_subset_sums(instance)
-    if isinstance(sums, np.ndarray):
-        uniq, first, counts = np.unique(sums, return_index=True, return_counts=True)
-        a_masks = tuple(int(m) for m in first)  # first occurrence = smallest mask
-        modal = uniq[int(np.argmax(counts))]    # argmax takes the first max = smallest sum
-        b_masks = tuple(int(m) for m in np.flatnonzero(sums == modal))
-    else:
-        first_seen: dict = {}
-        hist: Counter = Counter()
-        for m, s in enumerate(sums):
-            hist[s] += 1
-            first_seen.setdefault(s, m)
-        beta = max(hist.values())
-        modal = min(s for s, c in hist.items() if c == beta)
-        a_masks = tuple(first_seen[s] for s in sorted(first_seen))
-        b_masks = tuple(m for m, s in enumerate(sums) if s == modal)
-    return UdcpPair(a_masks=a_masks, b_masks=b_masks, n=n)
+    table = _block_table(instance)
+    modal = table.sums[int(np.argmax(table.counts))]  # first maximum = smallest modal sum
+    b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask
+    return UdcpPair(
+        a_masks=tuple(int(m) for m in table.masks), b_masks=tuple(int(m) for m in b_masks), n=n
+    )
 
 
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     """Exact squared l2 norm of the bin histogram: sum over sums of count^2."""
-    hist = enumerate_histogram(instance, subset_mask)
-    return hist.l2_squared()
+    counts = _block_table(instance, subset_mask).counts
+    return int(np.dot(counts, counts))  # at most 4^ENUM_LIMIT, inside int64
 
 
 def _ternary_half(weights: Sequence[int]) -> dict:

@@ -254,7 +254,8 @@ def gen_super_increasing(n: int) -> Instance:
 
 # ---------------------------------------------------------------------------
 # instance text format:
-#   optional '#' comment lines; then three data lines: n, the n weights, t
+#   three data lines: n, the n weights, t; '#' comment lines and blank lines
+#   are ignored, so for n = 0 only n and t remain
 
 def write_instance(instance: Instance, dest) -> None:
     if isinstance(dest, (str, os.PathLike)):
@@ -271,23 +272,22 @@ def read_instance(src) -> Instance:
     if isinstance(src, (str, os.PathLike)):
         with open(src) as fh:
             return read_instance(fh)
-    lines = [ln.rstrip("\n") for ln in src if not ln.lstrip().startswith("#")]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if len(lines) != 3:
-        raise ValueError(f"malformed instance: expected 3 data lines, got {len(lines)}")
+    lines = [ln for ln in src if ln.strip() and not ln.lstrip().startswith("#")]
     try:
-        n = int(lines[0].strip())
-    except ValueError:
+        n = int(lines[0])
+    except (IndexError, ValueError):
         raise ValueError("malformed instance: first data line must be the item count") from None
-    tokens = lines[1].split()
     if n < 0:
         raise ValueError("malformed instance: negative item count")
+    expected = 3 if n else 2  # the weights line of n = 0 is blank
+    if len(lines) != expected:
+        raise ValueError(f"malformed instance: expected {expected} data lines, got {len(lines)}")
+    tokens = lines[1].split() if n else []
     if len(tokens) != n:
         raise ValueError(f"malformed instance: expected {n} weights, got {len(tokens)}")
     try:
         weights = tuple(int(tok) for tok in tokens)
-        target = int(lines[2].strip())
+        target = int(lines[-1])
     except ValueError:
         raise ValueError("malformed instance: weights and target must be integers") from None
     return Instance(weights, target)

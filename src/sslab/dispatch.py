@@ -26,8 +26,8 @@ from .core import (
 )
 from .hashing import ReductionNotApplicable, output_bound, reduce_bitlength
 from .classic import bellman_dp, meet_in_middle
-from .oracle import ENUM_LIMIT, brute_solve, distinct_sums, max_bin, sumset_with_witness
-from .structured import solve_few_sums, solve_many_sums
+from .oracle import ENUM_LIMIT, _block_table, brute_solve, distinct_sums
+from .structured import _split_join, solve_few_sums, solve_many_sums
 
 # exact constants used by the exponent accounting
 _C_ENTROPY_QUARTER = Fraction(8113, 10000)   # h(1/4) <= 0.8113
@@ -65,33 +65,12 @@ def solve_partition_join(
     instance: Instance, epsilon: float, meter: StepMeter | None = None
 ) -> SolverOutcome:
     """Exact join when every block is sum-poor: |w(2^L)| is bounded by the
-    product of per-block counts, so both dictionaries stay small. The decision
+    product of per-block counts, so both sum tables stay small. The decision
     is exact for any instance; only the runtime claim needs the promise.
     """
-    n = instance.n
-    blocks = partition_blocks(n, epsilon)
-    left: list[int] = []
-    for b in blocks[: len(blocks) // 2]:
-        left += b
-    left_set = set(left)
-    right = [i for i in range(n) if i not in left_set]
-    l_sums, l_masks = sumset_with_witness(instance.weights, left)
-    r_sums, r_masks = sumset_with_witness(instance.weights, right)
-    if meter:
-        meter.add(len(l_sums) + len(r_sums))
-    cost = {
-        "sums_enumerated": len(l_sums) + len(r_sums),
-        "dict_lookups": len(r_sums),
-        "pairs_checked": 0,
-    }
-    t = instance.target
-    table = {int(s): int(m) for s, m in zip(l_sums, l_masks)}
-    for s, m in zip(r_sums, r_masks):
-        lm = table.get(t - int(s))
-        if lm is not None:
-            cost["pairs_checked"] += 1
-            return verified_outcome(instance, lm | int(m), cost, branch="join")
-    return SolverOutcome(cost=cost, branch="join")
+    blocks = partition_blocks(instance.n, epsilon)
+    left = [i for block in blocks[: len(blocks) // 2] for i in block]
+    return _split_join(instance, left, meter=meter, branch="join")
 
 
 def solve_small_bin(
@@ -165,6 +144,14 @@ def solve_small_bin(
     return sub
 
 
+def measured_gamma(instance: Instance, m_mask: int) -> float:
+    """log2 |w(2^M)| / |M|, the sum-richness exponent of block M (0.0 for empty M)."""
+    m = m_mask.bit_count()
+    if m == 0:
+        return 0.0
+    return min(1.0, math.log2(distinct_sums(instance, m_mask)) / m)
+
+
 def solve_large_bin(instance: Instance) -> SolverOutcome:
     """Exact driver for instances promised a huge bin, beta(w) >= 2^(0.661 n):
     take the half with fewer distinct sums as M (gamma measured, not promised)
@@ -172,16 +159,13 @@ def solve_large_bin(instance: Instance) -> SolverOutcome:
     """
     n = instance.n
     half = n // 2
-    first = mask_from_indices(range(half))
-    second = mask_from_indices(range(half, n))
-    ds_first = distinct_sums(instance, first)
-    if n % 2 == 0 and half:
-        ds_second = distinct_sums(instance, second)
-        m_mask, ds = (first, ds_first) if ds_first <= ds_second else (second, ds_second)
-    else:
-        m_mask, ds = first, ds_first  # odd n: M sized floor(n/2) by convention
-    m = max(1, half)
-    gamma = min(1.0, math.log2(max(ds, 1)) / m) if half else 0.0
+    m_mask = mask_from_indices(range(half))
+    gamma = measured_gamma(instance, m_mask)
+    if n % 2 == 0 and half:  # odd n: M is the first floor(n/2) items by convention
+        second = mask_from_indices(range(half, n))
+        gamma_second = measured_gamma(instance, second)
+        if gamma_second < gamma:  # equal sizes, so fewer distinct sums
+            m_mask, gamma = second, gamma_second
     out = solve_few_sums(instance, m_mask, gamma)
     out.branch = "few-sums"
     out.cost["measured_gamma"] = gamma
@@ -213,8 +197,9 @@ def classify(instance: Instance, oracle_limit: int = ENUM_LIMIT) -> RegimeReport
         raise ValueError("classification needs n >= 1")
     if n > oracle_limit:
         raise CapacityError(f"classification enumerates 2^{n}, above {oracle_limit}")
-    beta = max_bin(instance)
-    ds = distinct_sums(instance)
+    table = _block_table(instance)
+    beta = int(table.counts.max())
+    ds = int(table.sums.size)
     try:
         dens = density(instance)
     except ValueError:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CapacityError, Instance, RandomSource
 from .numeric import random_prime
-from .oracle import ENUM_LIMIT, all_subset_sums, _fits_int64
+from .oracle import ENUM_LIMIT, _block_table, all_subset_sums
 
 
 class ReductionNotApplicable(RuntimeError):
@@ -93,14 +93,8 @@ class ReductionReport:
 
 
 def _sums_and_bins(instance: Instance):
-    sums = all_subset_sums(instance)
-    if isinstance(sums, np.ndarray):
-        _, counts = np.unique(sums, return_counts=True)
-        return sums, int(counts.size), int(counts.max())
-    from collections import Counter
-
-    hist = Counter(sums)
-    return sums, len(hist), max(hist.values())
+    table = _block_table(instance)
+    return all_subset_sums(instance), int(table.sums.size), int(table.counts.max())
 
 
 def check_reduction_properties(
@@ -113,18 +107,7 @@ def check_reduction_properties(
     reduced = record.reduced
     o_sums, o_distinct, o_beta = _sums_and_bins(original)
     r_sums, r_distinct, r_beta = _sums_and_bins(reduced)
-    if isinstance(o_sums, np.ndarray) and isinstance(r_sums, np.ndarray) and _fits_int64(
-        (), original.target, reduced.target
-    ):
-        p2 = bool(
-            np.array_equal(o_sums == np.int64(original.target), r_sums == np.int64(reduced.target))
-        )
-    else:
-        o_list = o_sums.tolist() if isinstance(o_sums, np.ndarray) else o_sums
-        r_list = r_sums.tolist() if isinstance(r_sums, np.ndarray) else r_sums
-        p2 = all(
-            (a == original.target) == (b == reduced.target) for a, b in zip(o_list, r_list)
-        )
+    p2 = bool(np.array_equal(o_sums == original.target, r_sums == reduced.target))
     p3 = o_distinct <= 2 * r_distinct and r_distinct <= n * o_distinct
     p4 = None
     if record.B >= 5 * o_distinct * o_distinct:

@@ -4,7 +4,7 @@ Sum-rich M (many distinct sums): split the solution's M-part between two
 modularly filtered lists so each candidate is found many times, and filter
 with a random prime whose size matches the surplus of representations.
 Sum-poor M (few distinct sums): both join halves have small deduplicated
-sum sets, so an exact dictionary join is already cheap.
+sum sets, so an exact sorted join is already cheap.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     verified_outcome,
 )
 from .numeric import h2, random_prime
-from .oracle import distinct_sums, sumset_with_witness
+from .oracle import _sorted_join, distinct_sums, sumset_with_witness
 
 _ITER_WORK_CAP = 1 << 26  # per-iteration enumeration guard
 
@@ -346,21 +346,33 @@ def solve_few_sums(instance: Instance, m_mask: int, gamma: float) -> SolverOutco
     mu = m / n if n else 0.0
     rest = [i for i in range(n) if not (m_mask >> i) & 1]
     ell = min(max(_ceil_frac((1.0 - mu * (1.0 - gamma)) / 2.0 * n), 0), len(rest))
-    left = rest[:ell]
+    return _split_join(instance, rest[:ell])
+
+
+def _split_join(
+    instance: Instance, left: list[int], meter: StepMeter | None = None, branch: str | None = None
+) -> SolverOutcome:
+    """Exact join of the deduplicated sums over `left` and over the other items.
+
+    The first right sum (ascending) that meets a left sum wins, with the
+    smallest mask on each side.
+    """
     left_set = set(left)
-    right = [i for i in range(n) if i not in left_set]
+    right = [i for i in range(instance.n) if i not in left_set]
     l_sums, l_masks = sumset_with_witness(instance.weights, left)
     r_sums, r_masks = sumset_with_witness(instance.weights, right)
+    if meter:
+        meter.add(len(l_sums) + len(r_sums))
     cost = {
         "sums_enumerated": len(l_sums) + len(r_sums),
         "dict_lookups": len(r_sums),
         "pairs_checked": 0,
     }
     t = instance.target
-    table = {int(s): int(mk) for s, mk in zip(l_sums, l_masks)}
-    for s, mk in zip(r_sums, r_masks):
-        lm = table.get(t - int(s))
-        if lm is not None:
-            cost["pairs_checked"] += 1
-            return verified_outcome(instance, lm | int(mk), cost)
-    return SolverOutcome(cost=cost)
+    if t <= instance.total():  # no pair sums higher, and t stays inside the tables' dtype
+        hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
+        if hits:
+            cost["pairs_checked"] = 1
+            mask = int(l_masks[l_row]) | int(r_masks[r_row])
+            return verified_outcome(instance, mask, cost, branch=branch)
+    return SolverOutcome(cost=cost, branch=branch)

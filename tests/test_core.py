@@ -145,10 +145,25 @@ def test_read_instance_rejects_malformed(tmp_path):
 
 
 def test_read_instance_allows_comments(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("# weights below\n3\n1 2 3\n# target\n4\n")
-    inst = read_instance(path)
-    assert inst == Instance(weights=(1, 2, 3), target=4)
+    texts = [
+        "# weights below\n3\n1 2 3\n# target\n4\n",
+        "3\n\n1 2 3\n4\n",        # blank line in the middle
+        "\n3\n1 2 3\n4\n",        # leading blank line
+        "3\n1 2 3\n  \n4\n\n",    # whitespace-only and trailing blank lines
+    ]
+    for k, content in enumerate(texts):
+        path = tmp_path / f"c{k}.txt"
+        path.write_text(content)
+        assert read_instance(path) == Instance(weights=(1, 2, 3), target=4)
+    # n = 0: the blank weights line that write_instance emits may be absent
+    for k, content in enumerate(["0\n0\n", "0\n\n0\n", "# empty\n0\n7\n"]):
+        path = tmp_path / f"z{k}.txt"
+        path.write_text(content)
+        assert read_instance(path) == Instance(weights=(), target=0 if k < 2 else 7)
+    empty = Instance(weights=(), target=0)
+    path = tmp_path / "empty.txt"
+    write_instance(empty, path)
+    assert read_instance(path) == empty
 
 
 def test_step_meter_budget():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sslab import (
+    Instance,
     RandomSource,
     brute_solve,
     classify,
@@ -160,6 +161,18 @@ def test_solve_large_bin_matches_brute():
         assert got.branch == "few-sums"
         if got.found:
             assert mask_sum(inst.weights, got.witness) == inst.target
+
+
+def test_solve_large_bin_beyond_enum_limit():
+    # the few-sums join's right side has 27+ items, but only n+1 distinct sums
+    for n in (40, 44):
+        weights = gen_all_equal(n, value=3).weights
+        for k in (0, 7, n // 2, n):
+            yes = solve_large_bin(Instance(weights=weights, target=3 * k))
+            assert yes.found and yes.witness.bit_count() == k
+            assert mask_sum(weights, yes.witness) == 3 * k
+            no = solve_large_bin(Instance(weights=weights, target=3 * k + 1))
+            assert not no.found and not no.exhausted
 
 
 def test_solve_auto_planted_and_no_instance():

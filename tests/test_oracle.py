@@ -12,6 +12,7 @@ from sslab import (
     distinct_sums,
     enumerate_histogram,
     gen_random_density,
+    gen_super_increasing,
     mask_from_indices,
     mask_sum,
     max_bin,
@@ -24,6 +25,35 @@ def _python_histogram(weights, indices):
     for picks in product((0, 1), repeat=len(indices)):
         hist[sum(w for b, w in zip(picks, (weights[i] for i in indices)) if b)] += 1
     return dict(hist)
+
+
+def _python_smallest_masks(weights, indices):
+    """sum -> smallest mask over the subsets of `indices` reaching it."""
+    best = {}
+    for picks in product((0, 1), repeat=len(indices)):
+        mask = sum(1 << i for b, i in zip(picks, indices) if b)
+        s = mask_sum(weights, mask)
+        best[s] = min(best.get(s, mask), mask)
+    return best
+
+
+def _table_cases():
+    """(weights, indices) that need merge steps after the 12 densely enumerated
+    items, sums at or past 2^62, masks past bit 62, or several of these."""
+    rng = RandomSource(16)
+    small = tuple(rng.randint(1, 300) for _ in range(15))
+    big = tuple((1 << 62) + rng.randint(0, 50) for _ in range(14))
+    huge = tuple(rng.randint(1, 1 << 90) for _ in range(8))
+    wide = tuple(rng.randint(1, 40) for _ in range(70))
+    wide_big = tuple((1 << 63) + w for w in wide)
+    return [
+        (small, list(range(15))),
+        (big, list(range(14))),
+        (huge, [0, 2, 3, 5, 7]),
+        (wide, [0, 63, 69]),
+        (wide, [1, 5, 30, 41, 47, 52, 58, 61, 62, 64, 65, 66, 68, 69]),
+        (wide_big, [0, 40, 63, 69]),
+    ]
 
 
 def test_frozen_histogram_1133():
@@ -76,6 +106,14 @@ def test_big_weight_fallback_agrees():
     assert dict(folded) == small_hist.entries
     assert popcounts == Counter(enumerate_histogram(
         Instance(weights=(1,) * 10, target=1)).entries)
+    # sums at or past 2^62 and masks past bit 62 take object arrays; both merge past 12 items
+    for weights, indices in _table_cases():
+        inst = Instance(weights=weights, target=1)
+        subset = mask_from_indices(indices)
+        expect = _python_histogram(weights, indices)
+        assert enumerate_histogram(inst, subset).entries == expect
+        assert max_bin(inst, subset) == max(expect.values())
+        assert distinct_sums(inst, subset) == len(expect)
 
 
 def test_brute_solve_frozen_example():
@@ -140,9 +178,28 @@ def test_sumset_with_witness_properties():
         for s, m in zip(sums, masks):
             assert int(m) & ~allowed == 0
             assert mask_sum(inst.weights, int(m)) == int(s)
+        smallest = _python_smallest_masks(inst.weights, indices)
+        assert [int(m) for m in masks] == [smallest[int(s)] for s in sums]
+    for weights, indices in _table_cases():
+        sums, masks = sumset_with_witness(weights, indices)
+        smallest = _python_smallest_masks(weights, indices)
+        assert [int(s) for s in sums] == sorted(smallest)
+        assert [int(m) for m in masks] == [smallest[s] for s in sorted(smallest)]
+
+
+def test_tables_refuse_over_memory_limit(monkeypatch):
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    with pytest.raises(CapacityError):
+        enumerate_histogram(gen_super_increasing(20))
+    with pytest.raises(CapacityError):
+        sumset_with_witness(gen_super_increasing(30).weights, range(30))
 
 
 def test_sumset_witness_prefers_smallest_mask():
     sums, masks = sumset_with_witness((1, 1), [0, 1])
     assert list(sums) == [0, 1, 2]
     assert list(masks) == [0, 1, 3]  # sum 1 witnessed by item 0, not item 1
+    # past ENUM_LIMIT: 40 equal weights have only 41 distinct sums, so no refusal
+    sums, masks = sumset_with_witness((3,) * 40, range(40))
+    assert [int(s) for s in sums] == [3 * k for k in range(41)]
+    assert [int(m) for m in masks] == [(1 << k) - 1 for k in range(41)]
