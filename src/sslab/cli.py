@@ -121,7 +121,7 @@ def _outcome_json(alg: str, instance: Instance, out) -> dict:
         "exhausted": out.exhausted,
     }
     if alg == "repr" and out.iterations:
-        obj["iterations"] = [dict(rec) for rec in out.iterations]
+        obj["iterations"] = out.iterations
     return obj
 
 

@@ -127,9 +127,11 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 def _check_table_bytes(rows: int, dtype) -> None:
-    # sums and masks (an object entry also holds its Python int) plus int64 counts
+    # the table: sums and masks (an object entry also holds its Python int) and
+    # int64 counts; and the merge's peak on top of it: four more 8-byte arrays,
+    # the sort order, the run starts, the rows they pick and the reordered masks
     width = 8 if dtype is np.int64 else 40
-    if rows * (2 * width + 8) > memory_limit_bytes():
+    if rows * (2 * width + 8 + 4 * 8) > memory_limit_bytes():
         raise CapacityError(f"a subset-sum table of {rows} rows exceeds the memory limit")
 
 
@@ -141,8 +143,9 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     Each sort is followed by a run-length pass that folds equal sums into one
     row. Items go in ascending index order and the sort is stable, so the
     smaller mask leads each run and every sum keeps its smallest mask. The
-    memory limit is checked before every doubling. Arrays are rebound as soon
-    as they are replaced, which keeps the peak memory down.
+    memory limit is checked before every doubling, against the merge's peak
+    (56 bytes a row for int64, about 120 for Python ints). Arrays are rebound
+    as soon as they are replaced, which keeps the peak memory down.
     """
     idx = sorted(indices)
     rest = iter(idx[_DENSE_BITS:])

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -193,6 +194,25 @@ def test_tables_refuse_over_memory_limit(monkeypatch):
         enumerate_histogram(gen_super_increasing(20))
     with pytest.raises(CapacityError):
         sumset_with_witness(gen_super_increasing(30).weights, range(30))
+
+
+def test_table_check_counts_merge_peak(monkeypatch):
+    # 2^18 distinct sums: the table is 6 MB (24 bytes a row), but the last
+    # merge peaks at 14 MB (56 bytes a row), so 10 MB must refuse it
+    inst = gen_super_increasing(18)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "10")
+    with pytest.raises(CapacityError):
+        distinct_sums(inst)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "15")
+    assert distinct_sums(inst) == 1 << 18
+    # the charge covers what the merge really allocates
+    tracemalloc.start()
+    try:
+        distinct_sums(gen_super_increasing(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * (1 << 16) + (64 << 10)
 
 
 def test_sumset_witness_prefers_smallest_mask():

@@ -7,6 +7,7 @@ from sslab import (
     CapacityError,
     Instance,
     RandomSource,
+    StepMeter,
     brute_solve,
     build_filtered_list,
     derive_params,
@@ -15,6 +16,7 @@ from sslab import (
     gen_all_equal,
     gen_random_density,
     mask_from_indices,
+    mask_indices,
     mask_sum,
     representation_attempt,
     solve_few_sums,
@@ -92,6 +94,53 @@ def test_build_filtered_list_exact():
             assert set(got) == expect
 
 
+def _reference_filtered(instance, side_mask, m_mask, s_i, p, residue, dict_size):
+    """The filtered list as a plain triple loop: the scan half outermost, the
+    s_i-subsets of M next, the dictionary half's residue bucket innermost."""
+    ws = instance.weights
+    side = mask_indices(side_mask)
+    m_idx = mask_indices(m_mask)
+    if dict_size is None:
+        dict_size = round((len(side) + math.log2(max(1, math.comb(len(m_idx), s_i)))) / 2.0)
+    dict_size = min(max(dict_size, 0), len(side))
+
+    def subsets(indices):
+        out = [(0, 0)]
+        for i in indices:
+            out += [(m | 1 << i, s + ws[i]) for m, s in out]
+        return out
+
+    buckets = {}
+    for m, s in subsets(side[:dict_size]):
+        buckets.setdefault(s % p, []).append((m, s))
+    combos = [(sum(1 << i for i in c), sum(ws[i] for i in c)) for c in combinations(m_idx, s_i)]
+    out = []
+    for y_mask, y_sum in subsets(side[dict_size:]):
+        for c_mask, c_sum in combos:
+            for d_mask, d_sum in buckets.get((residue - y_sum - c_sum) % p, ()):
+                out.append((y_mask | c_mask | d_mask, y_sum + c_sum + d_sum))
+    return out
+
+
+def test_build_filtered_list_order():
+    # the first-hit witness of an attempt depends on this exact order
+    inst = gen_random_density(10, 1.0, RandomSource(70))
+    m_mask = mask_from_indices([0, 1, 2, 3])
+    side = mask_from_indices([4, 5, 6, 7, 8])
+    for p, residue in ((3, 1), (5, 7), (13, 4)):
+        for s_i in (0, 2, 4):
+            for dict_size in (None, 0, 2, 5):
+                want = _reference_filtered(inst, side, m_mask, s_i, p, residue, dict_size)
+                meter = StepMeter()
+                got = build_filtered_list(inst, side, m_mask, s_i, p, residue,
+                                          dict_size=dict_size, meter=meter)
+                assert got == want
+                k = dict_size if dict_size is not None else round(
+                    (5 + math.log2(math.comb(4, s_i))) / 2.0)
+                combos = math.comb(4, s_i)
+                assert meter.count == (1 << k) + (1 << (5 - k)) * (1 + combos) + combos + len(want)
+
+
 def test_build_filtered_list_validation():
     inst = gen_random_density(10, 1.0, RandomSource(54))
     m_mask = mask_from_indices([0, 1])
@@ -131,6 +180,55 @@ def test_representation_attempt_finds_planted_split():
             assert mask_sum(inst.weights, got) == target
             found += 1
     assert found >= 8  # each draw succeeds with constant probability
+
+
+def test_representation_attempt_standalone_matches_solve(monkeypatch):
+    # attempts that share one solve's tables give the records, steps and RNG
+    # stream of attempts that each build their own
+    inst = rich_no_instance(12, 6, 12, seed=71)
+    m_mask = mask_from_indices(range(6))
+    solve_rng = RandomSource(72)
+    out = solve_many_sums(inst, m_mask, 1.0, solve_rng, passes=2)
+    assert not out.found and not out.exhausted
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "0")  # no room: every table is rebuilt per use
+    unkept = solve_many_sums(inst, m_mask, 1.0, RandomSource(72), passes=2)
+    assert (unkept.iterations, unkept.cost) == (out.iterations, out.cost)
+    rng, meter, records = RandomSource(72), StepMeter(), []
+    for _ in range(2):
+        for s in range(3, 7):
+            for target in (inst.target, inst.total() - inst.target):
+                assert representation_attempt(inst, m_mask, 1.0, s, target, rng,
+                                              meter=meter, records=records) is None
+    assert records == out.iterations
+    assert meter.count == out.cost["steps"]
+    assert rng.randrange(1 << 30) == solve_rng.randrange(1 << 30)
+
+
+def test_solve_many_sums_reports_sums_enumerated():
+    inst, _ = rich_planted(12, 6, 12, seed=56)
+    out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(57))
+    assert out.found
+    listed = sum(r["size_left"] + r["size_right"] for r in out.iterations)
+    assert out.cost["sums_enumerated"] == listed > 0
+
+
+def test_records_carry_clamps():
+    inst, _ = rich_planted(12, 6, 12, seed=73)
+    m_mask = mask_from_indices(range(6))
+    for gamma, s, clamped in ((0.5, 3, True), (1.0, 3, False), (1.0, 6, False)):
+        # pi = gamma - 1 + s/|M|, so gamma = 0.5 with s = |M|/2 asks for 2^0 < 3
+        assert (2.0 ** ((gamma - 1.0 + s / 6) * 6) < 3.0) == clamped
+        records = []
+        representation_attempt(inst, m_mask, gamma, s, inst.target, RandomSource(74),
+                               records=records)
+        assert records and all(r["clamped_prime"] is clamped for r in records)
+        for r in records:
+            par = derive_params(12, m_mask, gamma, s, r["s1"], rng=RandomSource(74))
+            assert (r["p"], r["t_l"]) == (par.p, par.t_l)
+            assert r["clamped_left"] is par.clamped_left
+        assert derive_params(12, m_mask, gamma, s, 0, rng=RandomSource(74)).clamped_prime is clamped
+        if s == 6:  # s1 = 0 wants ell = ceil(0.75 n) = 9 of the 6 items outside M
+            assert records[0]["clamped_left"]
 
 
 def test_solve_many_sums_requires_rich_block():
@@ -181,6 +279,12 @@ def test_solve_many_sums_budget_exhaustion():
                           step_budget=50)
     assert out.exhausted and not out.found
     assert out.cost["steps"] <= 50 + 64  # one batched add may overshoot
+    # the meter stops at the first charge past the budget; under 32 that is
+    # the first list's dictionary half (2^5 subsets), charged on its own
+    for budget, steps in ((10, 32), (50, 65), (500, 501)):
+        out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(63),
+                              step_budget=budget)
+        assert out.exhausted and out.cost["steps"] == steps
 
 
 def test_solve_few_sums_frozen_example():
