@@ -15,16 +15,13 @@ from .core import (
     Instance,
     RandomSource,
     SolverOutcome,
+    _fresh_cost,
     mask_sum,
     memory_limit_bytes,
     verified_outcome,
 )
 from .numeric import random_prime
 from .oracle import ENUM_LIMIT, _dense_sums, _sorted_join, _sum_table, _table_dtype
-
-
-def _fresh_cost() -> dict:
-    return {"sums_enumerated": 0, "pairs_checked": 0, "dict_lookups": 0, "samples_drawn": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +68,12 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     cost["sums_enumerated"] = (1 << k) + (1 << (n - k))
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
     left = _sum_table(instance.weights, range(k), dtype)
+    # the dense right half and the join's arrays peak at 41 bytes a right row
+    # (about 120 with Python ints), next to the left table's 24 (88) bytes a row
+    wide = dtype is object
+    peak = (1 << (n - k)) * (120 if wide else 41) + left.sums.size * (88 if wide else 24)
+    if peak > memory_limit_bytes():
+        raise CapacityError(f"the meet-in-the-middle join at n={n} exceeds the memory limit")
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask, l_row = _sorted_join(left.sums, right, t)
     cost["dict_lookups"] = int(right.size)
@@ -132,6 +135,9 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     bounds = [0]
     for sz in sizes:
         bounds.append(bounds[-1] + sz)
+    # quarter lists of (sum, mask) tuples and the two heaps: about 140 bytes a quarter row
+    if sum(1 << sz for sz in sizes) * 140 > memory_limit_bytes():
+        raise CapacityError(f"the quarter lists at n={n} exceed the memory limit")
     dtype = _table_dtype(instance.weights)
     quarters = [  # (sum, mask) for every subset of items lo..hi-1, in mask order
         [(s, m << lo) for m, s in enumerate(_dense_sums(instance.weights[lo:hi], dtype).tolist())]

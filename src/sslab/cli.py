@@ -176,10 +176,11 @@ def _cmd_hash(args) -> int:
     instance = read_instance(args.file)
     rng = RandomSource(args.seed)
     record = reduce_bitlength(instance, args.B, rng)
+    p, r = record.chain[-1]
     obj = {
         "B": record.B,
-        "p": record.p,
-        "r": record.shift,
+        "p": p,
+        "r": r,
         "rounds": record.rounds,
         "chain": [[p, r] for p, r in record.chain],
     }
@@ -319,6 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    solver = argparse.ArgumentParser(add_help=False)  # the flags of _run_solver
+    solver.add_argument("--alg", choices=_ALGS, required=True)
+    solver.add_argument("--seed", type=int, default=0)
+    solver.add_argument("--budget", type=int, default=None)
+    solver.add_argument("--sigma", type=float, default=0.5, help="sampler residue exponent")
+    solver.add_argument("--M", default="auto", help="comma-separated indices or 'auto'")
+    solver.add_argument("--gamma", type=float, default=None, help="sum-richness exponent of M")
+    solver.add_argument("--epsilon", type=float, default=None, help="small-bin promise margin")
+
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--kind", choices=_GEN_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -337,15 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("solve", help="run one solver on an instance file")
+    p = sub.add_parser("solve", parents=[solver], help="run one solver on an instance file")
     p.add_argument("file")
-    p.add_argument("--alg", choices=_ALGS, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=0.5, help="sampler residue exponent")
-    p.add_argument("--M", default="auto", help="comma-separated indices or 'auto'")
-    p.add_argument("--gamma", type=float, default=None, help="sum-richness exponent of M")
-    p.add_argument("--epsilon", type=float, default=None, help="small-bin promise margin")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("hash", help="reduce an instance's bit length")
@@ -362,19 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="sweep n for one algorithm, counters to CSV")
-    p.add_argument("--alg", choices=_ALGS, required=True)
+    p = sub.add_parser("bench", parents=[solver], help="sweep n for one algorithm, counters to CSV")
     p.add_argument("--n-from", dest="n_from", type=int, required=True)
     p.add_argument("--n-to", dest="n_to", type=int, required=True)
     p.add_argument("--kind", choices=_GEN_KINDS, default="density")
     p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", required=True, help="output CSV path")
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--M", default="auto")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CapacityError, Instance
-from .oracle import ENUM_LIMIT, _block_table, _run_starts, all_subset_sums
+from .oracle import _block_table, _run_starts, all_subset_sums
 
 _UDCP_PAIR_CAP = 1 << 26
 _TERNARY_LIMIT = 20
@@ -69,13 +69,13 @@ def check_udcp(pair: UdcpPair) -> bool:
 
 
 
-def udcp_from_instance(instance: Instance, oracle_limit: int = ENUM_LIMIT) -> UdcpPair:
+def udcp_from_instance(instance: Instance) -> UdcpPair:
     """Extract (A, B): lexicographically-smallest mask per distinct sum, and the
     modal bin's masks (smallest modal sum on ties). |A| = |w(2^[n])|, |B| = beta.
     """
     n = instance.n
-    if n < 1 or n > oracle_limit:
-        raise CapacityError(f"extraction enumerates 2^{n}, outside [2, 2^{oracle_limit}]")
+    if n < 1:
+        raise CapacityError("extraction needs n >= 1")
     table = _block_table(instance)
     modal = table.sums[int(np.argmax(table.counts))]  # first maximum = smallest modal sum
     b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask

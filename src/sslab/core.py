@@ -138,7 +138,6 @@ class SolverOutcome:
 
     witness: int | None = None
     cost: dict = field(default_factory=dict)
-    verified: bool = False
     branch: str | None = None
     exhausted: bool = False
     iterations: list = field(default_factory=list)
@@ -148,11 +147,15 @@ class SolverOutcome:
         return self.witness is not None
 
 
+def _fresh_cost() -> dict:
+    return {"sums_enumerated": 0, "pairs_checked": 0, "dict_lookups": 0, "samples_drawn": 0}
+
+
 def verified_outcome(instance: Instance, mask: int, cost: dict, **kw) -> SolverOutcome:
     # construction sites guarantee the sum; this is the last-line exactness check
     if mask_sum(instance.weights, mask) != instance.target:
         raise RuntimeError("internal error: candidate witness failed exact verification")
-    return SolverOutcome(witness=mask, cost=cost, verified=True, **kw)
+    return SolverOutcome(witness=mask, cost=cost, **kw)
 
 
 # ---------------------------------------------------------------------------

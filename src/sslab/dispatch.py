@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .core import (
     BudgetExhausted,
-    CapacityError,
     Instance,
     RandomSource,
     SolverOutcome,
@@ -26,7 +25,7 @@ from .core import (
 )
 from .hashing import ReductionNotApplicable, output_bound, reduce_bitlength
 from .classic import bellman_dp, meet_in_middle
-from .oracle import ENUM_LIMIT, _block_table, brute_solve, distinct_sums
+from .oracle import _block_table, brute_solve, distinct_sums
 from .structured import _split_join, solve_few_sums, solve_many_sums
 
 # exact constants used by the exponent accounting
@@ -188,15 +187,13 @@ class RegimeReport:
     sums_vs_bin_holds: bool       # many_sums implies beta <= 2^(0.4996 n)
 
 
-def classify(instance: Instance, oracle_limit: int = ENUM_LIMIT) -> RegimeReport:
+def classify(instance: Instance) -> RegimeReport:
     """Measure beta and |w(2^[n])| and evaluate the regime thresholds exactly
     (integer powers, no floating-point exponent compares).
     """
     n = instance.n
     if n < 1:
         raise ValueError("classification needs n >= 1")
-    if n > oracle_limit:
-        raise CapacityError(f"classification enumerates 2^{n}, above {oracle_limit}")
     table = _block_table(instance)
     beta = int(table.counts.max())
     ds = int(table.sums.size)

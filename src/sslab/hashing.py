@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, Instance, RandomSource
+from .core import Instance, RandomSource
 from .numeric import random_prime
-from .oracle import ENUM_LIMIT, _block_table, all_subset_sums
+from .oracle import _block_table, all_subset_sums
 
 
 class ReductionNotApplicable(RuntimeError):
@@ -27,8 +27,6 @@ class ReductionRecord:
     """One applied reduction: the reduced instance plus everything needed to replay it."""
 
     reduced: Instance
-    p: int           # prime of the final round
-    shift: int       # r of the final round
     B: int
     rounds: int
     chain: tuple     # ((p, r), ...) for every round, first to last
@@ -76,8 +74,7 @@ def reduce_bitlength(instance: Instance, B: int, rng: RandomSource) -> Reduction
             "bit-length reduction failed to reach its output bound after 4 rounds"
         )
     return ReductionRecord(
-        reduced=cur, p=chain[-1][0], shift=chain[-1][1], B=B,
-        rounds=len(chain), chain=tuple(chain),
+        reduced=cur, B=B, rounds=len(chain), chain=tuple(chain),
     )
 
 
@@ -97,13 +94,9 @@ def _sums_and_bins(instance: Instance):
     return all_subset_sums(instance), int(table.sums.size), int(table.counts.max())
 
 
-def check_reduction_properties(
-    original: Instance, record: ReductionRecord, oracle_limit: int = ENUM_LIMIT
-) -> ReductionReport:
+def check_reduction_properties(original: Instance, record: ReductionRecord) -> ReductionReport:
     """Exhaustively compare solution sets, distinct-sum counts and bin sizes."""
     n = original.n
-    if n > oracle_limit:
-        raise CapacityError(f"property check enumerates 2^{n}, above the limit {oracle_limit}")
     reduced = record.reduced
     o_sums, o_distinct, o_beta = _sums_and_bins(original)
     r_sums, r_distinct, r_beta = _sums_and_bins(reduced)

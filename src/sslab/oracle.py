@@ -19,8 +19,10 @@ from .core import (
     CapacityError,
     Instance,
     SolverOutcome,
+    _fresh_cost,
     full_mask,
     mask_indices,
+    mask_sum,
     memory_limit_bytes,
     verified_outcome,
 )
@@ -62,16 +64,13 @@ def _check_enum_limit(k: int) -> None:
         raise CapacityError(f"enumeration over {k} coordinates exceeds the limit of {ENUM_LIMIT}")
 
 
-def _fits_int64(weights: Sequence[int], *extra: int) -> bool:
-    return sum(weights) < _INT64_SAFE and all(0 <= x < _INT64_SAFE for x in extra)
-
-
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
     """np.int64 when every subset sum of `weights`, every `extra` value (a
     target) and every mask below bit `mask_bits` stays under 2^62; object
     (Python ints) otherwise. Sums, masks, joins and targets follow this one choice.
     """
-    return np.int64 if mask_bits <= 62 and _fits_int64(weights, *extra) else object
+    fits = mask_bits <= 62 and sum(weights) < _INT64_SAFE and all(0 <= x < _INT64_SAFE for x in extra)
+    return np.int64 if fits else object
 
 
 def _dense_sums(weights: Sequence[int], dtype=np.int64) -> np.ndarray:
@@ -80,37 +79,6 @@ def _dense_sums(weights: Sequence[int], dtype=np.int64) -> np.ndarray:
     for j, w in enumerate(weights):
         arr[1 << j : 2 << j] = arr[: 1 << j] + w
     return arr
-
-
-def _iter_blocks(weights: Sequence[int]):
-    """Yield (high_mask, base_sum, low_sums) covering all 2^k masks as high<<b | low."""
-    k = len(weights)
-    b = min(k, _BLOCK_BITS)
-    low = _dense_sums(weights[:b])
-    high_ws = weights[b:]
-    for hm in range(1 << len(high_ws)):
-        base = 0
-        m, j = hm, 0
-        while m:
-            if m & 1:
-                base += high_ws[j]
-            m >>= 1
-            j += 1
-        yield hm, base, low
-
-
-def _iter_gray(weights: Sequence[int]):
-    """Pure-python streaming (mask, sum) over all subsets, Gray-code order."""
-    mask, s = 0, 0
-    yield 0, 0
-    for k in range(1, 1 << len(weights)):
-        bit = (k & -k).bit_length() - 1
-        mask ^= 1 << bit
-        if (mask >> bit) & 1:
-            s += weights[bit]
-        else:
-            s -= weights[bit]
-        yield mask, s
 
 
 class SumTable(NamedTuple):
@@ -223,27 +191,21 @@ def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.nd
 
 
 def brute_solve(instance: Instance) -> SolverOutcome:
-    """Reference solver: scan all 2^n subsets, return the smallest witness mask or none."""
+    """Reference solver: scan all 2^n subsets in ascending mask order, in
+    blocks of 2^_BLOCK_BITS dense sums, and return the smallest witness mask or none."""
     _check_enum_limit(instance.n)
-    ws = list(instance.weights)
-    t = instance.target
-    cost = {"sums_enumerated": 0, "pairs_checked": 0, "dict_lookups": 0, "samples_drawn": 0}
+    ws, t = instance.weights, instance.target
+    cost = _fresh_cost()
     if t > sum(ws):
         return SolverOutcome(cost=cost)
-    if _fits_int64(ws, t):
-        b = min(len(ws), _BLOCK_BITS)
-        for hm, base, low in _iter_blocks(ws):
-            hits = np.flatnonzero(low == np.int64(t - base))
-            if hits.size:
-                mask = (hm << b) | int(hits[0])
-                cost["sums_enumerated"] += int(hits[0]) + 1
-                return verified_outcome(instance, mask, cost)
-            cost["sums_enumerated"] += low.size
-        return SolverOutcome(cost=cost)
-    for mask, s in _iter_gray(ws):
-        cost["sums_enumerated"] += 1
-        if s == t:
-            return verified_outcome(instance, mask, cost)
+    b = min(len(ws), _BLOCK_BITS)
+    low = _dense_sums(ws[:b], _table_dtype(ws, t))  # index = mask of the low b items
+    for high in range(1 << (len(ws) - b)):
+        hits = np.flatnonzero(low == t - mask_sum(ws[b:], high))
+        if hits.size:
+            cost["sums_enumerated"] += int(hits[0]) + 1
+            return verified_outcome(instance, (high << b) | int(hits[0]), cost)
+        cost["sums_enumerated"] += low.size
     return SolverOutcome(cost=cost)
 
 

@@ -97,26 +97,11 @@ def _draw_modulus(pi: float, m: int, rng: RandomSource) -> tuple[int, int, bool]
 
 
 def derive_params(
-    n: int,
-    m_mask: int,
-    gamma: float,
-    s: int,
-    s1: int,
-    rng: RandomSource | None = None,
-    modulus: tuple[int, int] | None = None,
+    n: int, m_mask: int, gamma: float, s: int, s1: int, rng: RandomSource
 ) -> ReprParams:
-    """Compute (sigma, pi, lambda, L/R split, prime filter) for one (s, s1) pair.
-
-    One (target, s) attempt draws the prime and residue once and shares them
-    among its s1 iterations; pass them back via `modulus` for another s1.
-    """
+    """Compute (sigma, pi, lambda, L/R split, prime filter) for one (s, s1) pair."""
     fields = _split_fields(n, m_mask, gamma, s, s1)
-    if modulus is not None:
-        (p, t_l), clamped_prime = modulus, False
-    elif rng is None:
-        raise ValueError("either rng or modulus is required")
-    else:
-        p, t_l, clamped_prime = _draw_modulus(fields["pi"], m_mask.bit_count(), rng)
+    p, t_l, clamped_prime = _draw_modulus(fields["pi"], m_mask.bit_count(), rng)
     return ReprParams(**fields, p=p, t_l=t_l, clamped_prime=clamped_prime)
 
 
@@ -307,21 +292,18 @@ def representation_attempt(
     return None
 
 
-def _predicted_attempt_steps(n: int, m: int, gamma: float) -> float:
-    """Expected-work prediction (beta-independent terms) for one (target, s) attempt."""
-    mu = m / n
+def _predicted_attempt_steps(tables: _AttemptTables) -> float:
+    """Expected-work prediction (beta-independent terms) for one (target, s) attempt,
+    over the side sizes and C(|M|, s_i) of the attempts' own splits."""
+    n, m, gamma = tables.instance.n, len(tables.m_indices), tables.gamma
     total = 0.0
     for s in range(math.ceil(m / 2), m + 1):
-        sigma = s / m
-        pi_exp = (gamma - 1.0 + sigma) * m
         for s1 in range(0, s // 2 + 1):
-            lam = (1.0 - mu) / 2.0 + (h2(sigma / 2.0) - h2(s1 / m)) * mu
-            ell = min(max(_ceil_frac(lam * n), 0), n - m)
-            w_l = (2.0 ** ell) * math.comb(m, s1)
-            w_r = (2.0 ** (n - m - ell)) * math.comb(m, s - s1)
-            total += math.sqrt(w_l) + w_l / (2.0 ** pi_exp)
-            total += math.sqrt(w_r) + w_r / (2.0 ** pi_exp)
-            total += 2.0 ** (mu * (1.5 - gamma) * n)
+            pi, _, *lists = tables.split(s, s1)
+            for side, _, n_combos, _ in lists:
+                work = (2.0 ** len(side)) * n_combos
+                total += math.sqrt(work) + work / (2.0 ** (pi * m))
+            total += 2.0 ** (m / n * (1.5 - gamma) * n)
     return total
 
 
@@ -352,10 +334,10 @@ def solve_many_sums(
         raise ValueError("M is not sum-rich enough: |w(2^M)| < 2^(gamma |M|)")
     if passes is None:
         passes = n * n
-    if step_budget is None:
-        step_budget = 64 * n * n * math.ceil(_predicted_attempt_steps(n, m, gamma))
-    meter = StepMeter(step_budget)
     tables = _AttemptTables(instance, m_mask, gamma)
+    if step_budget is None:
+        step_budget = 64 * n * n * math.ceil(_predicted_attempt_steps(tables))
+    meter = StepMeter(step_budget)
     total = instance.total()
     t = instance.target
     cost = {"sums_enumerated": 0, "pairs_scanned": 0, "attempts": 0, "steps": 0}

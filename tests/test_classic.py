@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -82,6 +83,45 @@ def test_schroeppel_shamir_frozen_and_peak():
     out = schroeppel_shamir(eq)
     assert out.found
     assert out.cost["peak_retained_sums"] <= 8 * 2 ** (12 / 4)
+
+
+def _traced(fn, *args):
+    """fn(*args), or the CapacityError it raised, and the traced memory peak meanwhile."""
+    tracemalloc.start()
+    try:
+        try:
+            out = fn(*args)
+        except CapacityError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_meet_in_middle_memory_cap(monkeypatch):
+    # all-equal halves keep the left table at n/2 + 1 rows, so the dense right
+    # half and the join decide: 41 bytes a right row, 10.7 MB at n = 36
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "8")
+    out, peak = _traced(meet_in_middle, gen_all_equal(36))
+    assert isinstance(out, CapacityError)
+    assert peak < 8 * (1 << 18)  # below the dense right half alone: refused before it
+    # the charge covers what the solve really allocates
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "3")
+    out, peak = _traced(meet_in_middle, gen_all_equal(32))
+    assert out.found
+    assert peak <= 41 * (1 << 16) + (64 << 10)
+
+
+def test_schroeppel_shamir_memory_cap(monkeypatch):
+    # four quarter lists of 2^11 rows at 140 bytes a row exceed 1 MB
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    out, peak = _traced(schroeppel_shamir, gen_all_equal(44))
+    assert isinstance(out, CapacityError)
+    assert peak < 8 * (1 << 11)  # below one quarter's dense sums: refused before them
+    # the charge covers what the solve really allocates
+    out, peak = _traced(schroeppel_shamir, gen_all_equal(24))
+    assert out.found
+    assert peak <= 140 * 4 * (1 << 6)
 
 
 def test_residue_count_table_exact():

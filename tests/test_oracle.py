@@ -121,7 +121,7 @@ def test_brute_solve_frozen_example():
     inst = Instance(weights=(1, 2, 4, 8, 16, 32, 64, 128), target=170)
     out = brute_solve(inst)
     assert out.found and out.witness == 0xAA
-    assert out.verified
+    assert mask_sum(inst.weights, out.witness) == inst.target
 
 
 def test_brute_solve_decisions():
@@ -140,6 +140,9 @@ def test_brute_solve_min_mask_witness():
     inst = Instance(weights=(1, 1, 2), target=2)
     # both {0,1} (mask 3) and {2} (mask 4) hit the target; smaller mask wins
     assert brute_solve(inst).witness == 3
+    # the same on Python ints: {0,2} (mask 5) beats {1,2} (mask 6)
+    big = Instance(weights=(2**63, 2**63, 2**63 + 5), target=2**64 + 5)
+    assert brute_solve(big).witness == 5
 
 
 def test_brute_solve_short_circuits():

@@ -23,6 +23,7 @@ from sslab import (
     solve_many_sums,
 )
 from sslab.numeric import is_prime
+from sslab.structured import _AttemptTables, _predicted_attempt_steps
 
 from _corpus import rich_no_instance, rich_planted
 
@@ -45,12 +46,6 @@ def test_derive_params_partitions_items():
     assert par.left_mask & par.right_mask == 0
     assert par.left_mask & m_mask == 0 and par.right_mask & m_mask == 0
     assert par.left_mask | par.right_mask | m_mask == full_mask(12)
-
-
-def test_derive_params_fixed_modulus():
-    m_mask = mask_from_indices(range(4))
-    par = derive_params(10, m_mask, 1.0, 3, 1, modulus=(17, 5))
-    assert par.p == 17 and par.t_l == 5
 
 
 def test_derive_params_validation():
@@ -285,6 +280,14 @@ def test_solve_many_sums_budget_exhaustion():
         out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(63),
                               step_budget=budget)
         assert out.exhausted and out.cost["steps"] == steps
+
+
+def test_default_step_budget_prediction():
+    # pins the per-attempt prediction behind solve_many_sums' default step budget
+    for (n, m, gamma), steps in (((16, 8, 1.0), 1586), ((17, 8, 0.5), 15643),
+                                 ((24, 4, 0.997), 13288)):
+        tables = _AttemptTables(gen_all_equal(n), mask_from_indices(range(m)), gamma)
+        assert math.ceil(_predicted_attempt_steps(tables)) == steps
 
 
 def test_solve_few_sums_frozen_example():
