@@ -11,11 +11,12 @@ import math
 from typing import Sequence
 
 from .core import (
+    CLASSIC_COUNTERS,
     CapacityError,
     Instance,
     RandomSource,
     SolverOutcome,
-    _fresh_cost,
+    StepMeter,
     mask_sum,
     memory_limit_bytes,
     verified_outcome,
@@ -42,17 +43,17 @@ def bellman_dp(instance: Instance) -> SolverOutcome:
         if w <= t:
             reach |= (reach << w) & window
         snaps.append(reach)
-    cost = _fresh_cost()
-    cost["sums_enumerated"] = n * (t + 1)
+    meter = StepMeter(keys=CLASSIC_COUNTERS)
+    meter.add(n * (t + 1), "sums_enumerated")
     if not (reach >> t) & 1:
-        return SolverOutcome(cost=cost)
+        return SolverOutcome(cost=meter.cost)
     mask, s = 0, t
     for i in range(n, 0, -1):
         if (snaps[i - 1] >> s) & 1:
             continue  # reachable without item i-1
         mask |= 1 << (i - 1)
         s -= instance.weights[i - 1]
-    return verified_outcome(instance, mask, cost)
+    return verified_outcome(instance, mask, meter.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +65,8 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     if n > 2 * ENUM_LIMIT:
         raise CapacityError(f"n={n} exceeds the half-enumeration limit of {2 * ENUM_LIMIT}")
     k = (n + 1) // 2
-    cost = _fresh_cost()
-    cost["sums_enumerated"] = (1 << k) + (1 << (n - k))
+    meter = StepMeter(keys=CLASSIC_COUNTERS)
+    meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
     left = _sum_table(instance.weights, range(k), dtype)
     # the dense right half and the join's arrays peak at 41 bytes a right row
@@ -76,12 +77,12 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
         raise CapacityError(f"the meet-in-the-middle join at n={n} exceeds the memory limit")
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask, l_row = _sorted_join(left.sums, right, t)
-    cost["dict_lookups"] = int(right.size)
-    cost["pairs_checked"] = hits
+    meter.counters["dict_lookups"] = int(right.size)
+    meter.counters["pairs_checked"] = hits
     if not hits:
-        return SolverOutcome(cost=cost)
+        return SolverOutcome(cost=meter.cost)
     # the right mask holds the high bits, so the first right hit gives the smallest witness
-    return verified_outcome(instance, (r_mask << k) | int(left.masks[l_row]), cost)
+    return verified_outcome(instance, (r_mask << k) | int(left.masks[l_row]), meter.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +145,8 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
         for lo, hi in zip(bounds, bounds[1:])
     ]
     retained_base = sum(len(qt) for qt in quarters)
-    cost = _fresh_cost()
-    cost["sums_enumerated"] = retained_base
+    meter = StepMeter(keys=CLASSIC_COUNTERS)
+    meter.add(retained_base, "sums_enumerated")
     left = _HalfStream(quarters[0], quarters[1], +1)
     right = _HalfStream(quarters[2], quarters[3], -1)
     peak = retained_base + len(left) + len(right)
@@ -159,14 +160,14 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
         elif total > t:
             rg = right.pop_group()
         else:
-            cost["pairs_checked"] += 1
-            cost["sums_enumerated"] += left.pops + right.pops
-            cost["peak_retained_sums"] = peak
-            mask = min(lg[1]) | min(rg[1])  # disjoint bit ranges: minimum combines per side
-            return verified_outcome(instance, mask, cost)
-    cost["sums_enumerated"] += left.pops + right.pops
-    cost["peak_retained_sums"] = peak
-    return SolverOutcome(cost=cost)
+            break
+    meter.add(left.pops + right.pops, "sums_enumerated")
+    meter.counters["peak_retained_sums"] = peak
+    if lg is None or rg is None:
+        return SolverOutcome(cost=meter.cost)
+    meter.counters["pairs_checked"] = 1
+    mask = min(lg[1]) | min(rg[1])  # disjoint bit ranges: minimum combines per side
+    return verified_outcome(instance, mask, meter.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +229,13 @@ def modular_sampler(
     bits = math.ceil((1.0 - sigma) * n / 2.0)
     q = random_prime(max(3, 1 << bits), rng)
     rows = residue_count_table(instance.weights, q)
-    cost = _fresh_cost()
-    cost["table_cells"] = (n + 1) * q
+    meter = StepMeter(keys=CLASSIC_COUNTERS)
+    meter.add((n + 1) * q, "table_cells")
     if rows[n][t % q] == 0:
-        return SolverOutcome(cost=cost)  # no subset even matches mod q: exact no
+        return SolverOutcome(cost=meter.cost)  # no subset even matches mod q: exact no
     for _ in range(budget):
-        cost["samples_drawn"] += 1
+        meter.add(1, "samples_drawn")
         mask = sample_subset_in_class(rows, instance.weights, q, t % q, rng)
         if mask_sum(instance.weights, mask) == t:
-            return verified_outcome(instance, mask, cost)
-    return SolverOutcome(cost=cost, exhausted=True)
+            return verified_outcome(instance, mask, meter.cost)
+    return SolverOutcome(cost=meter.cost, exhausted=True)

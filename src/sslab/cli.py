@@ -255,7 +255,10 @@ def _check_one(check: str, name: str, instance: Instance, violations: list) -> b
                 return True
         return True
     # sumsvsbin
-    report = classify(instance)
+    try:
+        report = classify(instance)
+    except CapacityError:  # past the enumeration or the memory limit
+        return False
     if not report.sums_vs_bin_holds:
         violations.append({
             "check": check, "instance": name,

@@ -11,6 +11,7 @@ import io
 import math
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,19 +30,36 @@ def memory_limit_bytes() -> int:
     return int(os.environ.get("SSLAB_MEM_LIMIT_MB", "512")) << 20
 
 
+# the counters every classic exact solver and sampler reports
+CLASSIC_COUNTERS = ("sums_enumerated", "pairs_checked", "dict_lookups", "samples_drawn")
+
+
 class StepMeter:
-    """Counts abstract work units; raises BudgetExhausted once past the limit."""
+    """The work of one solve: `count` abstract steps, checked against `limit`,
+    and named `counters` beside them. `cost`, what a SolverOutcome reports, is
+    the counters plus the steps. A counter that is not work (a number of
+    attempts, a peak) is written to `counters` directly and charges nothing.
+    """
 
-    __slots__ = ("count", "limit")
+    __slots__ = ("count", "limit", "counters")
 
-    def __init__(self, limit: int | None = None):
+    def __init__(self, limit: int | None = None, keys: Sequence[str] = ()):
         self.count = 0
         self.limit = limit
+        self.counters = dict.fromkeys(keys, 0)
 
-    def add(self, k: int = 1) -> None:
+    def add(self, k: int = 1, key: str | None = None) -> None:
+        """Charge k steps, also counted under `key` when given; raises
+        BudgetExhausted once the count passes the limit."""
+        if key is not None:
+            self.counters[key] = self.counters.get(key, 0) + k
         self.count += k
         if self.limit is not None and self.count > self.limit:
             raise BudgetExhausted
+
+    @property
+    def cost(self) -> dict:
+        return {**self.counters, "steps": self.count}
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +163,6 @@ class SolverOutcome:
     @property
     def found(self) -> bool:
         return self.witness is not None
-
-
-def _fresh_cost() -> dict:
-    return {"sums_enumerated": 0, "pairs_checked": 0, "dict_lookups": 0, "samples_drawn": 0}
 
 
 def verified_outcome(instance: Instance, mask: int, cost: dict, **kw) -> SolverOutcome:
@@ -270,6 +284,16 @@ def write_instance(instance: Instance, dest) -> None:
     dest.write(f"{instance.target}\n")
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(token: str) -> int:
+    """An optional sign and ASCII digits: int() alone also takes `1_000` and `١٢`."""
+    if not _INTEGER.fullmatch(token.strip()):
+        raise ValueError(token)
+    return int(token)
+
+
 def read_instance(src) -> Instance:
     """Parse the text format; rejects malformed counts and non-integer tokens."""
     if isinstance(src, (str, os.PathLike)):
@@ -277,7 +301,7 @@ def read_instance(src) -> Instance:
             return read_instance(fh)
     lines = [ln for ln in src if ln.strip() and not ln.lstrip().startswith("#")]
     try:
-        n = int(lines[0])
+        n = _parse_int(lines[0])
     except (IndexError, ValueError):
         raise ValueError("malformed instance: first data line must be the item count") from None
     if n < 0:
@@ -289,8 +313,8 @@ def read_instance(src) -> Instance:
     if len(tokens) != n:
         raise ValueError(f"malformed instance: expected {n} weights, got {len(tokens)}")
     try:
-        weights = tuple(int(tok) for tok in tokens)
-        target = int(lines[-1])
+        weights = tuple(_parse_int(tok) for tok in tokens)
+        target = _parse_int(lines[-1])
     except ValueError:
         raise ValueError("malformed instance: weights and target must be integers") from None
     return Instance(weights, target)

@@ -26,7 +26,7 @@ from .core import (
 from .hashing import ReductionNotApplicable, output_bound, reduce_bitlength
 from .classic import bellman_dp, meet_in_middle
 from .oracle import _block_table, brute_solve, distinct_sums
-from .structured import _split_join, solve_few_sums, solve_many_sums
+from .structured import _many_sums, _split_join, solve_few_sums
 
 # exact constants used by the exponent accounting
 _C_ENTROPY_QUARTER = Fraction(8113, 10000)   # h(1/4) <= 0.8113
@@ -106,41 +106,23 @@ def solve_small_bin(
     gamma = 1.0 - epsilon / 2.0
     mu = 1.5 * epsilon
     meter = StepMeter(step_budget)
-    blocks = partition_blocks(n, epsilon)
-    rich_block = None
     try:
-        for block in blocks:
+        for block in partition_blocks(n, epsilon):
             m_mask = mask_from_indices(block)
             count = distinct_sums(work, m_mask)
             meter.add(count)
             # threshold exponent >= gamma*|M_i| so the representation pre holds
             if math.log2(count) >= gamma * max(len(block), mu * n) - 1e-9:
-                rich_block = m_mask
+                out = _many_sums(work, m_mask, gamma, rng, meter)
+                out.branch = "representation"
                 break
-        if rich_block is not None:
-            sub = solve_many_sums(
-                work, rich_block, gamma, rng,
-                step_budget=(None if step_budget is None else step_budget - meter.count),
-            )
-            sub.branch = "representation"
         else:
-            sub = solve_partition_join(work, epsilon, meter=meter)
-            sub.cost["steps"] = meter.count
-    except BudgetExhausted:
-        return SolverOutcome(
-            cost={"steps": meter.count}, exhausted=True,
-            branch="representation" if rich_block is not None else "join",
-        )
-    if sub.witness is not None and hashed:
-        if mask_sum(instance.weights, sub.witness) != instance.target:
-            # the reduction introduced a spurious solution; report none
-            sub = SolverOutcome(cost=sub.cost, branch=sub.branch, iterations=sub.iterations)
-        else:
-            sub = verified_outcome(
-                instance, sub.witness, sub.cost,
-                branch=sub.branch, iterations=sub.iterations,
-            )
-    return sub
+            out = solve_partition_join(work, epsilon, meter=meter)
+    except BudgetExhausted:  # the block scan or the join: _many_sums catches its own
+        return SolverOutcome(cost=meter.cost, exhausted=True, branch="join")
+    if hashed and out.witness is not None and mask_sum(instance.weights, out.witness) != instance.target:
+        out.witness = None  # the reduction introduced a spurious solution
+    return out
 
 
 def measured_gamma(instance: Instance, m_mask: int) -> float:
@@ -240,15 +222,16 @@ def solve_auto(
         out.branch = "dp"
         return out
     B = 10 * (1 << math.ceil(0.997 * n))
-    cost = {"reductions": 0, "sums_enumerated": 0}
+    meter = StepMeter(keys=("reductions", "sums_enumerated"))
+    meter.add(step1.cost["steps"])
     for _ in range(n * n):
         try:
             record = reduce_bitlength(instance, B, rng)
         except ReductionNotApplicable:  # pragma: no cover - target checked above
             break
-        cost["reductions"] += 1
+        meter.counters["reductions"] += 1
         sub = meet_in_middle(record.reduced)
-        cost["sums_enumerated"] += sub.cost["sums_enumerated"]
+        meter.add(sub.cost["sums_enumerated"], "sums_enumerated")
         if sub.witness is not None and mask_sum(instance.weights, sub.witness) == instance.target:
-            return verified_outcome(instance, sub.witness, cost, branch="hash+mim")
-    return SolverOutcome(cost=cost, branch="hash+mim")
+            return verified_outcome(instance, sub.witness, meter.cost, branch="hash+mim")
+    return SolverOutcome(cost=meter.cost, branch="hash+mim")

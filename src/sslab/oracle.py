@@ -10,16 +10,18 @@ object arrays of Python ints. `_table_dtype` alone makes that choice.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
+    CLASSIC_COUNTERS,
     CapacityError,
     Instance,
     SolverOutcome,
-    _fresh_cost,
+    StepMeter,
     full_mask,
     mask_indices,
     mask_sum,
@@ -192,21 +194,29 @@ def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.nd
 
 def brute_solve(instance: Instance) -> SolverOutcome:
     """Reference solver: scan all 2^n subsets in ascending mask order, in
-    blocks of 2^_BLOCK_BITS dense sums, and return the smallest witness mask or none."""
+    blocks of dense sums, and return the smallest witness mask or none. A block
+    has at most 2^_BLOCK_BITS rows and, with the scan's temporaries, fits the
+    memory limit; only a limit below a one-item block is refused."""
     _check_enum_limit(instance.n)
     ws, t = instance.weights, instance.target
-    cost = _fresh_cost()
+    meter = StepMeter(keys=CLASSIC_COUNTERS)
     if t > sum(ws):
-        return SolverOutcome(cost=cost)
-    b = min(len(ws), _BLOCK_BITS)
-    low = _dense_sums(ws[:b], _table_dtype(ws, t))  # index = mask of the low b items
+        return SolverOutcome(cost=meter.cost)
+    dtype = _table_dtype(ws, t)
+    # a row peaks at 12 bytes with int64 (the sum, half a row of the doubling's
+    # temporary, the match flag); a Python int row holds 16 bytes plus the int
+    row_bytes = 12 if dtype is np.int64 else 16 + sys.getsizeof(sum(ws))
+    b = min(len(ws), _BLOCK_BITS, (memory_limit_bytes() // row_bytes).bit_length() - 1)
+    if b < min(len(ws), 1):
+        raise CapacityError("a one-item block of the brute-force scan exceeds the memory limit")
+    low = _dense_sums(ws[:b], dtype)  # index = mask of the low b items
     for high in range(1 << (len(ws) - b)):
         hits = np.flatnonzero(low == t - mask_sum(ws[b:], high))
         if hits.size:
-            cost["sums_enumerated"] += int(hits[0]) + 1
-            return verified_outcome(instance, (high << b) | int(hits[0]), cost)
-        cost["sums_enumerated"] += low.size
-    return SolverOutcome(cost=cost)
+            meter.add(int(hits[0]) + 1, "sums_enumerated")
+            return verified_outcome(instance, (high << b) | int(hits[0]), meter.cost)
+        meter.add(low.size, "sums_enumerated")
+    return SolverOutcome(cost=meter.cost)
 
 
 def sumset_with_witness(weights: Sequence[int], indices: Sequence[int]):

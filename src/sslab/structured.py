@@ -131,15 +131,14 @@ def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tu
     return _enumerate_side(weights, side[:dict_size]), len(scan), len(combos), product
 
 
-def _filter(table: tuple, p: int, residue: int, meter: StepMeter | None) -> list[tuple[int, int]]:
+def _filter(table: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
     """Each product entry of `table` joined with each dictionary entry that
     completes it to `residue` mod p, in product order, then dictionary order.
     The meter is charged as if the enumerations were made here."""
     dict_items, n_scan, n_combos, product = table
-    if meter:
-        meter.add(len(dict_items))
-        meter.add(n_scan)
-        meter.add(n_combos)
+    meter.add(len(dict_items))
+    meter.add(n_scan)
+    meter.add(n_combos)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for entry in dict_items:
         buckets.setdefault(entry[1] % p, []).append(entry)
@@ -150,8 +149,7 @@ def _filter(table: tuple, p: int, residue: int, meter: StepMeter | None) -> list
         if hits:
             for d_mask, d_sum in hits:
                 out.append((y_mask | d_mask, y_sum + d_sum))
-    if meter:
-        meter.add(n_scan * n_combos + len(out))
+    meter.add(n_scan * n_combos + len(out))
     return out
 
 
@@ -185,7 +183,7 @@ def build_filtered_list(
     dict_size = min(max(dict_size, 0), len(side))
     _check_work_cap(side, n_combos, dict_size, p)
     table = _side_table(instance.weights, side, m_indices, s_i, dict_size)
-    return _filter(table, p, residue % p, meter)
+    return _filter(table, p, residue % p, StepMeter() if meter is None else meter)
 
 
 class _AttemptTables:
@@ -217,8 +215,7 @@ class _AttemptTables:
             self._splits[s, s1] = (f["pi"], f["clamped_left"], *lists)
         return self._splits[s, s1]
 
-    def filtered(self, shape: tuple, p: int, residue: int,
-                 meter: StepMeter | None) -> list[tuple[int, int]]:
+    def filtered(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
         """build_filtered_list for a list of `split`, on the kept enumerations."""
         side, s_i, n_combos, dict_size = shape
         _check_work_cap(side, n_combos, dict_size, p)
@@ -246,10 +243,14 @@ def representation_attempt(
     """One full filtered-join attempt at `target`: fresh (p, t_L), all s1 splits.
 
     Returns a mask with w(mask) = target, or None. Iterations whose enumeration
-    would blow the work cap are skipped and recorded, not fatal. `tables`
-    carries the (p, t_L)-independent enumerations from one attempt of a solve
-    to the next; without it the attempt builds its own.
+    would blow the work cap are skipped and recorded, not fatal. `meter` counts
+    the lists' entries as `sums_enumerated` and the candidate pairs as
+    `pairs_scanned`. `tables` carries the (p, t_L)-independent enumerations
+    from one attempt of a solve to the next. Without a meter, records or
+    tables the attempt makes its own.
     """
+    meter = StepMeter() if meter is None else meter
+    records = [] if records is None else records
     if tables is None:
         tables = _AttemptTables(instance, m_mask, gamma)
     ws = instance.weights
@@ -266,29 +267,24 @@ def representation_attempt(
             right_list = tables.filtered(right, p, (target - t_l) % p, meter)
         except CapacityError:
             rec["skipped"] = True
-            if records is not None:
-                records.append(rec)
+            records.append(rec)
             continue
         rec["size_left"] = len(left_list)
         rec["size_right"] = len(right_list)
         by_sum: dict[int, list[int]] = {}
         for m, sm in left_list:
             by_sum.setdefault(sm, []).append(m)
-        if meter:
-            meter.add(len(left_list) + len(right_list))
+        meter.add(len(left_list) + len(right_list), "sums_enumerated")
         for t_mask, t_sum in right_list:
             for s_mask in by_sum.get(target - t_sum, ()):
                 rec["pairs_scanned"] += 1
-                if meter:
-                    meter.add()
+                meter.add(1, "pairs_scanned")
                 if s_mask & t_mask == 0:
                     cand = s_mask | t_mask
                     if mask_sum(ws, cand) == target:
-                        if records is not None:
-                            records.append(rec)
+                        records.append(rec)
                         return cand
-        if records is not None:
-            records.append(rec)
+        records.append(rec)
     return None
 
 
@@ -322,9 +318,17 @@ def solve_many_sums(
     one `_AttemptTables`, which lives for this call only.
     Witnesses are exact; 'none' may be a false negative.
     """
+    return _many_sums(instance, m_mask, gamma, rng, StepMeter(step_budget), passes)
+
+
+def _many_sums(
+    instance: Instance, m_mask: int, gamma: float, rng: RandomSource,
+    meter: StepMeter, passes: int | None = None,
+) -> SolverOutcome:
+    """solve_many_sums on `meter`, which may already hold a caller's steps. A
+    meter without a limit gets the default budget on top of those steps."""
     n = instance.n
-    m_indices = mask_indices(m_mask)
-    m = len(m_indices)
+    m = m_mask.bit_count()
     if m < 1 or 2 * m > n:
         raise ValueError("need 1 <= |M| <= n/2")
     if not 0.0 <= gamma <= 1.0:
@@ -335,27 +339,19 @@ def solve_many_sums(
     if passes is None:
         passes = n * n
     tables = _AttemptTables(instance, m_mask, gamma)
-    if step_budget is None:
-        step_budget = 64 * n * n * math.ceil(_predicted_attempt_steps(tables))
-    meter = StepMeter(step_budget)
+    if meter.limit is None:
+        meter.limit = meter.count + 64 * n * n * math.ceil(_predicted_attempt_steps(tables))
+    meter.counters.update(sums_enumerated=0, pairs_scanned=0, attempts=0)
     total = instance.total()
     t = instance.target
-    cost = {"sums_enumerated": 0, "pairs_scanned": 0, "attempts": 0, "steps": 0}
     iterations: list = []
-
-    def tally() -> dict:
-        cost["steps"] = meter.count
-        cost["pairs_scanned"] = sum(r["pairs_scanned"] for r in iterations)
-        cost["sums_enumerated"] = sum(r["size_left"] + r["size_right"] for r in iterations)
-        return cost
-
     try:
         for _ in range(passes):
             for s in range(math.ceil(m / 2), m + 1):
                 for target in (t, total - t):
                     if target < 0 or target > total:
                         continue
-                    cost["attempts"] += 1
+                    meter.counters["attempts"] += 1
                     wit = representation_attempt(
                         instance, m_mask, gamma, s, target, rng,
                         meter=meter, records=iterations, tables=tables,
@@ -363,10 +359,10 @@ def solve_many_sums(
                     if wit is not None:
                         if target != t:
                             wit = full_mask(n) ^ wit
-                        return verified_outcome(instance, wit, tally(), iterations=iterations)
+                        return verified_outcome(instance, wit, meter.cost, iterations=iterations)
     except BudgetExhausted:
-        return SolverOutcome(cost=tally(), exhausted=True, iterations=iterations)
-    return SolverOutcome(cost=tally(), iterations=iterations)
+        return SolverOutcome(cost=meter.cost, exhausted=True, iterations=iterations)
+    return SolverOutcome(cost=meter.cost, iterations=iterations)
 
 
 def solve_few_sums(instance: Instance, m_mask: int, gamma: float) -> SolverOutcome:
@@ -399,18 +395,14 @@ def _split_join(
     right = [i for i in range(instance.n) if i not in left_set]
     l_sums, l_masks = sumset_with_witness(instance.weights, left)
     r_sums, r_masks = sumset_with_witness(instance.weights, right)
-    if meter:
-        meter.add(len(l_sums) + len(r_sums))
-    cost = {
-        "sums_enumerated": len(l_sums) + len(r_sums),
-        "dict_lookups": len(r_sums),
-        "pairs_checked": 0,
-    }
+    meter = StepMeter() if meter is None else meter
+    meter.add(len(l_sums) + len(r_sums), "sums_enumerated")
+    meter.counters.update(dict_lookups=len(r_sums), pairs_checked=0)
     t = instance.target
     if t <= instance.total():  # no pair sums higher, and t stays inside the tables' dtype
         hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
         if hits:
-            cost["pairs_checked"] = 1
+            meter.counters["pairs_checked"] = 1
             mask = int(l_masks[l_row]) | int(r_masks[r_row])
-            return verified_outcome(instance, mask, cost, branch=branch)
-    return SolverOutcome(cost=cost, branch=branch)
+            return verified_outcome(instance, mask, meter.cost, branch=branch)
+    return SolverOutcome(cost=meter.cost, branch=branch)

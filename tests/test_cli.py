@@ -137,6 +137,15 @@ def test_verify_single_file(tmp_path, capsys):
     assert all(rec["violations"] == 0 for rec in lines)
 
 
+def test_verify_skips_what_classify_refuses(tmp_path, capsys):
+    # 27 items exceed the enumeration limit: skipped like the other checks' sizes
+    path = tmp_path / "i.txt"
+    write_instance(Instance(weights=(1,) * 27, target=13), path)
+    code, lines, _ = _run(capsys, "verify", str(path), "--checks", "sumsvsbin")
+    assert code == 0
+    assert lines == [{"check": "sumsvsbin", "instances": 0, "violations": 0}]
+
+
 def test_verify_unknown_check_is_domain_error(capsys):
     code, _, err = _run(capsys, "verify", "--checks", "bogus")
     assert code == 1

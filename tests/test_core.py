@@ -136,6 +136,8 @@ def test_read_instance_rejects_malformed(tmp_path):
         "-1\n\n0\n",            # negative n
         "2\n1 -2\n3\n",         # negative weight
         "x\n1 2\n3\n",          # non-integer n
+        "2\n1_000 2\n1002\n",   # digit separator
+        "2\n\u0661\u0662 2\n14\n",  # non-ASCII digits
     ]
     for k, content in enumerate(bad):
         path = tmp_path / f"bad{k}.txt"

@@ -153,6 +153,28 @@ def test_brute_solve_short_circuits():
     assert zero.found and zero.witness == 0
 
 
+def test_brute_solve_memory_cap(monkeypatch):
+    # at 1 MB the scan's blocks shrink from 2^20 rows (12 MB of int64, 52 MB of
+    # 70-bit Python ints) to what fits; the witness and the count stay the same
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    rng = RandomSource(40)
+    for bits in (30, 70):
+        weights = tuple(rng.getrandbits(bits) | 1 for _ in range(22))
+        inst = Instance(weights, sum(weights))  # only the last mask hits
+        tracemalloc.start()
+        try:
+            out = brute_solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.witness == (1 << 22) - 1
+        assert out.cost["sums_enumerated"] == 1 << 22
+        assert peak < 1 << 20
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "0")  # not even a one-item block fits
+    with pytest.raises(CapacityError):
+        brute_solve(Instance((1, 2), 3))
+
+
 def test_all_subset_sums_indexing():
     inst = Instance(weights=(5, 9, 21), target=1)
     sums = all_subset_sums(inst)
