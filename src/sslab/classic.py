@@ -6,9 +6,11 @@ summation before it is reported.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     CLASSIC_COUNTERS,
@@ -21,8 +23,8 @@ from .core import (
     memory_limit_bytes,
     verified_outcome,
 )
-from .numeric import random_prime
-from .oracle import ENUM_LIMIT, _dense_sums, _sorted_join, _sum_table, _table_dtype
+from .numeric import is_prime, random_prime
+from .oracle import ENUM_LIMIT, SumTable, _dense_sums, _sorted_join, _sum_table, _table_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -86,88 +88,88 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
 
 
 # ---------------------------------------------------------------------------
-# four-way split, priority-queue merged half-sum streams
+# four-way split, modular chunks of pair sums
 
-class _HalfStream:
-    """Merged stream of a+b over two quarter lists, nondecreasing (sign=+1) or nonincreasing."""
+def _pair_side(a: SumTable, b: SumTable, a_key, b_key, modulus: int) -> tuple:
+    """Pairs (a-row, b-row) keyed by (a_key + b_key) mod M: (a, b in key order, a's keys,
+    bound), bound[x] = #b-keys < x with b's keys listed twice, then plus M, so ranges wrap."""
+    b_key = (b_key % modulus).astype(np.int64)
+    order = np.argsort(b_key, kind="stable")
+    doubled = np.concatenate([b_key[order], b_key[order] + modulus])
+    bound = np.searchsorted(doubled, np.arange(2 * modulus))
+    return a, SumTable(*(col[order] for col in b)), (a_key % modulus).astype(np.int64), bound
 
-    def __init__(self, qa: list, qb: list, sign: int):
-        self.sign = sign
-        self.qa = qa
-        self.qb = sorted(qb, key=lambda e: (sign * e[0], e[1]))
-        self.heap = [(sign * (sa + self.qb[0][0]), ia, 0) for ia, (sa, _) in enumerate(qa)]
-        heapq.heapify(self.heap)
-        self.prev = None
-        self.pops = 0
 
-    def __len__(self):
-        return len(self.heap)
+def _pair_runs(side: tuple, modulus: int, lo: int, hi: int) -> np.ndarray:
+    """Per a-row, the run [start, stop) of doubled b-rows whose pair key lies in [lo, hi)."""
+    low = (lo - side[2]) % modulus
+    return side[3][np.stack([low, low + (hi - lo)])]
 
-    def pop_group(self):
-        """All entries sharing the next sum value: (value, [masks]) or None when drained."""
-        if not self.heap:
-            return None
-        key = self.heap[0][0]
-        value = self.sign * key
-        if self.prev is not None:
-            assert self.sign * (value - self.prev) >= 0, "merged stream out of order"
-        self.prev = value
-        masks = []
-        while self.heap and self.heap[0][0] == key:
-            _, ia, ib = heapq.heappop(self.heap)
-            self.pops += 1
-            masks.append(self.qa[ia][1] | self.qb[ib][1])
-            if ib + 1 < len(self.qb):
-                heapq.heappush(self.heap, (self.sign * (self.qa[ia][0] + self.qb[ib + 1][0]), ia, ib + 1))
-        return value, masks
+
+def _pair_rows(side: tuple, runs: np.ndarray, r0: int, r1: int):
+    """Rows r0..r1-1 of the pairs in `runs`, a-row major: (sums, masks)."""
+    width = runs[1] - runs[0]
+    begin = np.cumsum(width) - width
+    counts = np.minimum(np.maximum(begin + width, r0), r1) - np.minimum(np.maximum(begin, r0), r1)
+    i = np.repeat(np.arange(width.size), counts)
+    j = (np.arange(r0, r1) + np.repeat(runs[0] - begin, counts)) % side[1].sums.size
+    return side[0].sums[i] + side[1].sums[j], side[0].masks[i] | side[1].masks[j]
 
 
 def schroeppel_shamir(instance: Instance) -> SolverOutcome:
-    """Same decision as meet_in_middle in O*(2^(n/2)) time but only O*(2^(n/4)) sums retained.
-
-    Quarter sum lists feed two heap-merged streams: left half ascending, right
-    half descending; the join walks them toward the target.
-    """
+    """Same decision as meet_in_middle in O*(2^(n/2)) time and O*(2^(n/4)) memory: the modular
+    join of Howgrave-Graham and Joux. With M the first prime >= 2^ceil(n/4), each range of
+    residues joins the pair sums a+b of quarters 1, 2 with (a+b) mod M in it to the c+d of
+    quarters 3, 4 with (t-c-d) mod M in it, in pieces of at most `cap` rows a side, one of
+    each held at a time. `sums_enumerated` = `steps` = quarter rows + pair rows built up to
+    the hit; `peak_retained_sums` = quarter rows + the largest left and right pieces held at
+    once; `pairs_checked` = right rows hit. The witness need not be the smallest solution."""
     n, t = instance.n, instance.target
     if n > 4 * ENUM_LIMIT:
         raise CapacityError(f"n={n} exceeds the quarter-enumeration limit of {4 * ENUM_LIMIT}")
-    q, r = divmod(n, 4)
-    sizes = [q + (1 if i < r else 0) for i in range(4)]
-    bounds = [0]
-    for sz in sizes:
-        bounds.append(bounds[-1] + sz)
-    # quarter lists of (sum, mask) tuples and the two heaps: about 140 bytes a quarter row
-    if sum(1 << sz for sz in sizes) * 140 > memory_limit_bytes():
-        raise CapacityError(f"the quarter lists at n={n} exceed the memory limit")
-    dtype = _table_dtype(instance.weights)
-    quarters = [  # (sum, mask) for every subset of items lo..hi-1, in mask order
-        [(s, m << lo) for m, s in enumerate(_dense_sums(instance.weights[lo:hi], dtype).tolist())]
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    retained_base = sum(len(qt) for qt in quarters)
+    sizes = [(n + 3 - k) // 4 for k in range(4)]  # quarter k holds items k, k+4, k+8, ...
+    retain = math.floor(8 * 2 ** (n / 4))
+    dtype = _table_dtype(instance.weights, t, mask_bits=n)
+    # what a dense quarter row and a piece row peak at, measured with tracemalloc at n >= 24
+    q_row, piece_row = (144, 80) if dtype is object else (64, 40)
+    charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * piece_row
+    if charge > memory_limit_bytes():
+        raise CapacityError(f"the quarter tables and pieces at n={n} exceed the memory limit")
+    q1, q2, q3, q4 = (_sum_table(instance.weights, range(k, n, 4), dtype) for k in range(4))
+    rows = q1.sums.size + q2.sums.size + q3.sums.size + q4.sums.size
+    # a piece gets half of what the quarters leave of 8 * 2^(n/4) rows, and at least a quarter
+    cap = max((retain - rows) // 2, q1.sums.size, q2.sums.size, q3.sums.size, q4.sums.size)
     meter = StepMeter(keys=CLASSIC_COUNTERS)
-    meter.add(retained_base, "sums_enumerated")
-    left = _HalfStream(quarters[0], quarters[1], +1)
-    right = _HalfStream(quarters[2], quarters[3], -1)
-    peak = retained_base + len(left) + len(right)
-    lg = left.pop_group()
-    rg = right.pop_group()
-    while lg is not None and rg is not None:
-        peak = max(peak, retained_base + len(left) + len(right) + len(lg[1]) + len(rg[1]))
-        total = lg[0] + rg[0]
-        if total < t:
-            lg = left.pop_group()
-        elif total > t:
-            rg = right.pop_group()
-        else:
-            break
-    meter.add(left.pops + right.pops, "sums_enumerated")
+    meter.add(rows, "sums_enumerated")
+    modulus = next(p for p in itertools.count(max(2, 1 << -(-n // 4))) if is_prime(p))
+    left = _pair_side(q1, q2, q1.sums, q2.sums, modulus)
+    right = _pair_side(q3, q4, t - q3.sums, -q4.sums, modulus)
+    width = max(1, cap * modulus // max(q1.sums.size * q2.sums.size, q3.sums.size * q4.sums.size))
+    ranges = [(lo, min(lo + width, modulus)) for lo in range(0, modulus, width)]
+    peak = rows
+    while ranges:
+        lo, hi = ranges.pop()
+        l_runs, r_runs = _pair_runs(left, modulus, lo, hi), _pair_runs(right, modulus, lo, hi)
+        n_l, n_r = int(np.sum(l_runs[1] - l_runs[0])), int(np.sum(r_runs[1] - r_runs[0]))
+        if n_l and n_r and max(n_l, n_r) > cap and hi - lo > 1:
+            ranges += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+            continue
+        for l0 in range(0, n_l if n_r else 0, cap):
+            l_sums, l_masks = _pair_rows(left, l_runs, l0, min(l0 + cap, n_l))
+            meter.add(l_sums.size, "sums_enumerated")
+            order = np.argsort(l_sums)
+            l_sums, l_masks = l_sums[order], l_masks[order]
+            for r0 in range(0, n_r, cap):
+                r_sums, r_masks = _pair_rows(right, r_runs, r0, min(r0 + cap, n_r))
+                meter.add(r_sums.size, "sums_enumerated")
+                peak = max(peak, rows + l_sums.size + r_sums.size)
+                hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
+                if hits:
+                    meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
+                    mask = int(l_masks[l_row]) | int(r_masks[r_row])
+                    return verified_outcome(instance, mask, meter.cost)
     meter.counters["peak_retained_sums"] = peak
-    if lg is None or rg is None:
-        return SolverOutcome(cost=meter.cost)
-    meter.counters["pairs_checked"] = 1
-    mask = min(lg[1]) | min(rg[1])  # disjoint bit ranges: minimum combines per side
-    return verified_outcome(instance, mask, meter.cost)
+    return SolverOutcome(cost=meter.cost)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,7 @@ def solve_small_bin(
     gamma = 1.0 - epsilon / 2.0
     mu = 1.5 * epsilon
     meter = StepMeter(step_budget)
+    stage = "scan"  # where a budget exhaustion lands: _many_sums catches its own
     try:
         for block in partition_blocks(n, epsilon):
             m_mask = mask_from_indices(block)
@@ -117,9 +118,10 @@ def solve_small_bin(
                 out.branch = "representation"
                 break
         else:
+            stage = "join"
             out = solve_partition_join(work, epsilon, meter=meter)
-    except BudgetExhausted:  # the block scan or the join: _many_sums catches its own
-        return SolverOutcome(cost=meter.cost, exhausted=True, branch="join")
+    except BudgetExhausted:
+        return SolverOutcome(cost=meter.cost, exhausted=True, branch=stage)
     if hashed and out.witness is not None and mask_sum(instance.weights, out.witness) != instance.target:
         out.witness = None  # the reduction introduced a spurious solution
     return out
@@ -220,6 +222,7 @@ def solve_auto(
     if instance.target < max(2, 2 * n):
         out = bellman_dp(instance)
         out.branch = "dp"
+        out.cost["steps"] += step1.cost["steps"]  # the DP runs after step 1's work
         return out
     B = 10 * (1 << math.ceil(0.997 * n))
     meter = StepMeter(keys=("reductions", "sums_enumerated"))

@@ -27,7 +27,7 @@ from .core import (
     verified_outcome,
 )
 from .numeric import h2, random_prime
-from .oracle import _sorted_join, distinct_sums, sumset_with_witness
+from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sumset_with_witness
 
 _ITER_WORK_CAP = 1 << 26  # per-iteration enumeration guard
 
@@ -105,15 +105,6 @@ def derive_params(
     return ReprParams(**fields, p=p, t_l=t_l, clamped_prime=clamped_prime)
 
 
-def _enumerate_side(weights, indices) -> list[tuple[int, int]]:
-    out = [(0, 0)]
-    for i in indices:
-        w = weights[i]
-        bit = 1 << i
-        out += [(m | bit, s + w) for m, s in out]
-    return out
-
-
 def _check_work_cap(side: tuple, n_combos: int, dict_size: int, p: int) -> None:
     est_out = ((1 << len(side)) * n_combos) // p  # expected survivors of the residue filter
     if (1 << dict_size) + (1 << (len(side) - dict_size)) * n_combos + est_out > _ITER_WORK_CAP:
@@ -124,11 +115,15 @@ def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tu
     """The (p, t_L)-independent part of a filtered list: the dictionary half's
     (mask, sum) entries, the scan half's size, C(|M|, s_i), and the (mask, sum)
     entries of (rest of side) x (s_i-subsets of M), scan outer."""
-    scan = _enumerate_side(weights, side[dict_size:])
+    dtype = _table_dtype([weights[i] for i in side], mask_bits=len(weights))
+    dict_items, scan = (  # (mask, sum) of every subset of the half, in mask-index order
+        list(zip(_dense_sums([1 << i for i in half], dtype).tolist(),
+                 _dense_sums([weights[i] for i in half], dtype).tolist()))
+        for half in (side[:dict_size], side[dict_size:]))
     combos = [(sum(1 << i for i in c), sum(weights[i] for i in c))
               for c in combinations(m_indices, s_i)]
     product = [(y_mask | c_mask, y_sum + c_sum) for y_mask, y_sum in scan for c_mask, c_sum in combos]
-    return _enumerate_side(weights, side[:dict_size]), len(scan), len(combos), product
+    return dict_items, len(scan), len(combos), product
 
 
 def _filter(table: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ from sslab import (
     sample_subset_in_class,
     schroeppel_shamir,
 )
+from sslab.numeric import is_prime
 
 _FROZEN = Instance(weights=(1, 2, 4, 8, 16, 32, 64, 128), target=170)
 
@@ -83,6 +84,46 @@ def test_schroeppel_shamir_frozen_and_peak():
     out = schroeppel_shamir(eq)
     assert out.found
     assert out.cost["peak_retained_sums"] <= 8 * 2 ** (12 / 4)
+
+
+def _ss_modulus(n):
+    return next(p for p in range(max(2, 1 << -(-n // 4)), 1 << 16) if is_prime(p))
+
+
+def _ss_big_int(rng):
+    # weights past 2^62 and targets past 2^62: residues come from object arrays
+    for k in range(12):
+        n = rng.randint(2, 12)
+        weights = tuple((1 << rng.randint(62, 90)) + rng.randint(0, 1000) for _ in range(n))
+        mask = rng.getrandbits(n)
+        yield Instance(weights, mask_sum(weights, mask) + k % 2)
+
+
+def _ss_heavy_class(rng):
+    # weights all multiples of the modulus put every pair sum in one residue class
+    for n in range(12, 21):
+        m = _ss_modulus(n)
+        weights = tuple(m * rng.randint(1, 1 << 12) for _ in range(n))
+        mask = rng.getrandbits(n)
+        for target in (mask_sum(weights, mask), mask_sum(weights, mask) + m, mask_sum(weights, mask) + 1):
+            yield Instance(weights, target)
+
+
+def _ss_tiny(rng):
+    for n in range(5):
+        weights = tuple(rng.randint(0, 9) for _ in range(n))
+        for target in range(sum(weights) + 3):  # up to two past the total
+            yield Instance(weights, target)
+
+
+@pytest.mark.parametrize("family", [_ss_big_int, _ss_heavy_class, _ss_tiny])
+def test_schroeppel_shamir_edge_families(family):
+    for inst in family(RandomSource(39)):
+        got = schroeppel_shamir(inst)
+        assert got.found == brute_solve(inst).found
+        if got.found:
+            assert mask_sum(inst.weights, got.witness) == inst.target
+        assert got.cost["peak_retained_sums"] <= 8 * 2 ** (inst.n / 4)
 
 
 def _traced(fn, *args):

@@ -51,6 +51,14 @@ def _auto_hash_mim():
     return out, {"reductions", "sums_enumerated"}, lambda c: c["steps"] - c["sums_enumerated"] > 10
 
 
+def _auto_dp():
+    # step 1 runs out of its budget of 1, and the DP charges its 12 * 7 sums after it
+    step1 = solve_small_bin(gen_all_equal(12), 0.0004, RandomSource(81), step_budget=1)
+    out = solve_auto(gen_all_equal(12), RandomSource(81), budget=1)
+    assert out.branch == "dp" and step1.exhausted
+    return out, CLASSIC, lambda c: c["steps"] == 84 + step1.cost["steps"] and c["sums_enumerated"] == 84
+
+
 def _branch(out, branch, keys, steps_ok):
     assert out.branch == branch
     return out, keys, steps_ok
@@ -88,6 +96,7 @@ CASES = {
         solve_auto(_planted(), RandomSource(1)), "small-bin/representation", REPR,
         lambda c: c["steps"] > c["sums_enumerated"] + c["pairs_scanned"]),
     "auto-hash+mim": _auto_hash_mim,
+    "auto-dp": _auto_dp,
 }
 
 

@@ -87,6 +87,16 @@ def test_small_bin_join_branch_on_sum_poor():
     assert out.found and mask_sum(eq.weights, out.witness) == eq.target
 
 
+def test_small_bin_exhaustion_names_its_stage():
+    # the budget runs out while the blocks' distinct sums are being measured
+    inst, _ = gen_planted(14, 14, RandomSource(74))
+    out = solve_small_bin(inst, 1.0 / 6.0, RandomSource(75), step_budget=10)
+    assert out.exhausted and out.branch == "scan"
+    # the all-equal blocks are sum-poor: a scan of 16 steps, then the join runs out
+    out = solve_small_bin(gen_all_equal(12), 1.0 / 6.0, RandomSource(73), step_budget=22)
+    assert out.exhausted and out.branch == "join" and out.cost["steps"] > 16
+
+
 def test_small_bin_representation_branch_on_sum_rich():
     inst, _ = gen_planted(14, 14, RandomSource(74))
     out = solve_small_bin(inst, 1.0 / 6.0, RandomSource(75))
