@@ -23,7 +23,7 @@ from .core import (
     mask_sum,
     verified_outcome,
 )
-from .hashing import ReductionNotApplicable, output_bound, reduce_bitlength
+from .hashing import reduce_bitlength
 from .classic import bellman_dp, meet_in_middle
 from .oracle import _block_table, brute_solve, distinct_sums
 from .structured import _many_sums, _split_join, solve_few_sums
@@ -80,10 +80,10 @@ def solve_small_bin(
 ) -> SolverOutcome:
     """Driver for instances promised beta(w) <= 2^((1/2-epsilon)n).
 
-    Hashes down over-long weights first (skipped when they already meet the
-    reduced-size bound), measures each block's distinct sums, then either
-    runs the representation solver on a sum-rich block (Monte Carlo) or the
-    exact block-product join. Witnesses always re-verified on the original.
+    Measures each block's distinct sums on the given weights, then either
+    runs the representation solver on the first sum-rich block (Monte Carlo)
+    or the exact block-product join. Weights of any width are used as given:
+    every table and join is exact on Python ints, so nothing is hashed.
     """
     if not 0.0 < epsilon <= 1.0 / 6.0:
         raise ValueError("epsilon must lie in (0, 1/6]")
@@ -92,17 +92,6 @@ def solve_small_bin(
         out = brute_solve(instance)
         out.branch = "tiny"
         return out
-    work = instance
-    hashed = False
-    B = 1 << (3 * n)
-    bound = output_bound(n, B)
-    if max(max(instance.weights), instance.target) >= bound:
-        if instance.target < 2 * n:
-            out = bellman_dp(instance)
-            out.branch = "dp"
-            return out
-        work = reduce_bitlength(instance, B, rng).reduced
-        hashed = True
     gamma = 1.0 - epsilon / 2.0
     mu = 1.5 * epsilon
     meter = StepMeter(step_budget)
@@ -110,21 +99,17 @@ def solve_small_bin(
     try:
         for block in partition_blocks(n, epsilon):
             m_mask = mask_from_indices(block)
-            count = distinct_sums(work, m_mask)
+            count = distinct_sums(instance, m_mask)
             meter.add(count)
             # threshold exponent >= gamma*|M_i| so the representation pre holds
             if math.log2(count) >= gamma * max(len(block), mu * n) - 1e-9:
-                out = _many_sums(work, m_mask, gamma, rng, meter)
+                out = _many_sums(instance, m_mask, gamma, rng, meter)
                 out.branch = "representation"
-                break
-        else:
-            stage = "join"
-            out = solve_partition_join(work, epsilon, meter=meter)
+                return out
+        stage = "join"
+        return solve_partition_join(instance, epsilon, meter=meter)
     except BudgetExhausted:
         return SolverOutcome(cost=meter.cost, exhausted=True, branch=stage)
-    if hashed and out.witness is not None and mask_sum(instance.weights, out.witness) != instance.target:
-        out.witness = None  # the reduction introduced a spurious solution
-    return out
 
 
 def measured_gamma(instance: Instance, m_mask: int) -> float:
@@ -228,10 +213,7 @@ def solve_auto(
     meter = StepMeter(keys=("reductions", "sums_enumerated"))
     meter.add(step1.cost["steps"])
     for _ in range(n * n):
-        try:
-            record = reduce_bitlength(instance, B, rng)
-        except ReductionNotApplicable:  # pragma: no cover - target checked above
-            break
+        record = reduce_bitlength(instance, B, rng)
         meter.counters["reductions"] += 1
         sub = meet_in_middle(record.reduced)
         meter.add(sub.cost["sums_enumerated"], "sums_enumerated")

@@ -13,6 +13,7 @@ from scipy.stats import chisquare
 
 from sslab import (
     CapacityError,
+    Instance,
     RandomSource,
     bellman_dp,
     bin_l2,
@@ -44,10 +45,12 @@ from sslab import (
     schroeppel_shamir,
     small_bin_runtime_exponent,
     small_bin_time_exponents,
+    solve_auto,
     solve_few_sums,
     solve_large_bin,
     solve_many_sums,
     solve_partition_join,
+    solve_small_bin,
     udcp_from_instance,
 )
 
@@ -316,3 +319,36 @@ def test_a8_sampler_uniformity(capfd):
     _report(capfd, 8, ok,
             f"sampler uniformity: 100000 draws over {len(class_masks)} subsets, "
             f"support exact {support_ok}, chi-square p={p_value:.4f} (need > 0.001)")
+
+
+def test_a9_wide_weight_completeness(capfd):
+    yes, no = [], []
+    for n in range(8, 15):
+        for k in range(10):
+            bits = 40 + 24 * k // 9  # 40 to 64 bits
+            inst, _ = gen_planted(n, bits, RandomSource(9000 + 10 * n + k))
+            yes.append(inst)
+            off = Instance(inst.weights, inst.target + 1)
+            if not brute_solve(off).found:
+                no.append(off)
+    solvers = {
+        "smallbin": lambda inst, k: solve_small_bin(inst, 1.0 / 6.0, RandomSource(9200 + k)),
+        "auto": lambda inst, k: solve_auto(inst, RandomSource(9400 + k)),
+    }
+    hits = Counter()
+    false_pos = Counter()
+    for name, solve in solvers.items():
+        for k, inst in enumerate(yes):
+            out = solve(inst, k)
+            if out.found:
+                assert mask_sum(inst.weights, out.witness) == inst.target
+                hits[name] += 1
+        for k, inst in enumerate(no):
+            if solve(inst, k).found:
+                false_pos[name] += 1
+    ok = all(hits[name] >= 66 and false_pos[name] == 0 for name in solvers)
+    _report(capfd, 9, ok,
+            f"wide-weight completeness: planted n=8-14 at 40-64 bits, "
+            f"smallbin {hits['smallbin']}/70, auto {hits['auto']}/70 found (need >= 66 each), "
+            f"{sum(false_pos.values())} false positives on {len(no)} certified no-instances "
+            f"(need 0)")

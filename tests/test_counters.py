@@ -85,9 +85,9 @@ CASES = {
     "smallbin-tiny": lambda: _branch(
         solve_small_bin(Instance((3, 5, 7, 9), 12), EPS, RandomSource(0)), "tiny", CLASSIC,
         _same_as_sums),
-    "smallbin-dp": lambda: _branch(
-        solve_small_bin(Instance((1, 2, 3, 1 << 80, 5, 7), 10), EPS, RandomSource(0)), "dp",
-        CLASSIC, _same_as_sums),
+    "smallbin-wide": lambda: _branch(
+        solve_small_bin(Instance((1, 2, 3, 1 << 80, 5, 7), 10), EPS, RandomSource(0)),
+        "representation", REPR, lambda c: c["steps"] > c["sums_enumerated"] + c["pairs_scanned"]),
     "smallbin-representation": _smallbin_representation,
     "smallbin-join": lambda: _branch(
         solve_small_bin(gen_all_equal(12), EPS, RandomSource(73)), "join", JOIN,
