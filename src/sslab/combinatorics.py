@@ -15,10 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapacityError, Instance
+from .core import CapacityError, Instance, memory_limit_bytes
 from .oracle import _block_table, _run_starts, all_subset_sums
 
 _UDCP_PAIR_CAP = 1 << 26
+# a pair sum peaks at about 40 bytes in the last deduplication: five int64
+# entries (the blocks' distinct sums, their concatenation, its sorted copy,
+# the run starts and the sums they pick)
+_UDCP_PAIR_BYTES = 40
 _TERNARY_LIMIT = 20
 
 
@@ -61,6 +65,8 @@ def check_udcp(pair: UdcpPair) -> bool:
         raise CapacityError(f"|A|*|B| = {na * nb} exceeds the pair cap {_UDCP_PAIR_CAP}")
     if 2 * pair.n > 62:
         raise CapacityError("dimension too large for packed coordinate sums")
+    if na * nb * _UDCP_PAIR_BYTES > memory_limit_bytes():
+        raise CapacityError(f"|A|*|B| = {na * nb} pair sums exceed the memory limit")
     a = _spread(pair.a_masks, pair.n)
     b = _spread(pair.b_masks, pair.n)
     block = max(1, (1 << 22) // max(1, nb))

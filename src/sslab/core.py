@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
 import os
 import random
 import re
@@ -114,9 +115,13 @@ class Instance:
     target: int
 
     def __post_init__(self):
-        ws = tuple(int(w) for w in self.weights)
+        try:  # operator.index takes ints, numpy ints included, and refuses 3.7 and "5"
+            ws = tuple(int(operator.index(w)) for w in self.weights)
+            target = int(operator.index(self.target))
+        except TypeError:
+            raise ValueError("weights and target must be integers") from None
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "target", int(self.target))
+        object.__setattr__(self, "target", target)
         for w in ws:
             if w < 0:
                 raise ValueError("weights must be non-negative integers")
@@ -194,8 +199,6 @@ class RandomSource:
         return a + self._rng.randrange(b - a + 1)
 
     def getrandbits(self, k: int) -> int:
-        if k == 0:
-            return 0
         return self._rng.getrandbits(k)
 
     def random(self) -> float:

@@ -101,7 +101,8 @@ def solve_small_bin(
             m_mask = mask_from_indices(block)
             count = distinct_sums(instance, m_mask)
             meter.add(count)
-            # threshold exponent >= gamma*|M_i| so the representation pre holds
+            # a block passing this has log2|w(2^M)| >= gamma |M| and, with
+            # |M| <= ceil(n/4) <= n/2, is what _many_sums takes unchecked
             if math.log2(count) >= gamma * max(len(block), mu * n) - 1e-9:
                 out = _many_sums(instance, m_mask, gamma, rng, meter)
                 out.branch = "representation"

@@ -40,16 +40,6 @@ class SumHistogram:
     """Multiset of subset sums over a coordinate subset: sum -> number of achieving subsets."""
 
     entries: dict
-    subset: int
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def max_count(self) -> int:
-        return max(self.entries.values())
-
-    def l2_squared(self) -> int:
-        return sum(c * c for c in self.entries.values())
 
 
 def _subset_weights(instance: Instance, subset_mask: int | None) -> tuple[list[int], int]:
@@ -73,6 +63,14 @@ def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
     """
     fits = mask_bits <= 62 and sum(weights) < _INT64_SAFE and all(0 <= x < _INT64_SAFE for x in extra)
     return np.int64 if fits else object
+
+
+def _dense_row_bytes(weights: Sequence[int], dtype) -> int:
+    """Peak bytes a row of a `_dense_sums` array takes while it is built and
+    scanned: 12 with int64 (the sum and half a row of the doubling's
+    temporary); a Python int row holds 16 bytes plus the int, sized by the
+    largest sum."""
+    return 12 if dtype is np.int64 else 16 + sys.getsizeof(sum(weights))
 
 
 def _dense_sums(weights: Sequence[int], dtype=np.int64) -> np.ndarray:
@@ -169,8 +167,7 @@ def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable
 def enumerate_histogram(instance: Instance, subset_mask: int | None = None) -> SumHistogram:
     """Exact histogram of w(2^S): every sum with its multiplicity; counts total 2^|S|."""
     table = _block_table(instance, subset_mask)
-    smask = full_mask(instance.n) if subset_mask is None else subset_mask
-    return SumHistogram(entries=dict(zip(table.sums.tolist(), table.counts.tolist())), subset=smask)
+    return SumHistogram(entries=dict(zip(table.sums.tolist(), table.counts.tolist())))
 
 
 def max_bin(instance: Instance, subset_mask: int | None = None) -> int:
@@ -179,7 +176,8 @@ def max_bin(instance: Instance, subset_mask: int | None = None) -> int:
 
 
 def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
-    """|w(2^S)|; the table is deduplicated after every item, so work scales with the answer."""
+    """|w(2^S)|. The first _DENSE_BITS items are enumerated densely; past them
+    the table is deduplicated after every item, so work scales with the answer."""
     return int(_block_table(instance, subset_mask).sums.size)
 
 
@@ -187,9 +185,10 @@ def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.nd
     """Materialized sums for every mask (index = mask). Verification helper; 2^|S| memory."""
     ws, _ = _subset_weights(instance, subset_mask)
     _check_enum_limit(len(ws))
-    if (1 << len(ws)) * 8 > memory_limit_bytes():
+    dtype = _table_dtype(ws)
+    if (1 << len(ws)) * _dense_row_bytes(ws, dtype) > memory_limit_bytes():
         raise CapacityError("materializing all subset sums exceeds the memory limit")
-    return _dense_sums(ws, _table_dtype(ws))
+    return _dense_sums(ws, dtype)
 
 
 def brute_solve(instance: Instance) -> SolverOutcome:
@@ -203,10 +202,8 @@ def brute_solve(instance: Instance) -> SolverOutcome:
     if t > sum(ws):
         return SolverOutcome(cost=meter.cost)
     dtype = _table_dtype(ws, t)
-    # a row peaks at 12 bytes with int64 (the sum, half a row of the doubling's
-    # temporary, the match flag); a Python int row holds 16 bytes plus the int
-    row_bytes = 12 if dtype is np.int64 else 16 + sys.getsizeof(sum(ws))
-    b = min(len(ws), _BLOCK_BITS, (memory_limit_bytes() // row_bytes).bit_length() - 1)
+    rows = memory_limit_bytes() // _dense_row_bytes(ws, dtype)
+    b = min(len(ws), _BLOCK_BITS, rows.bit_length() - 1)
     if b < min(len(ws), 1):
         raise CapacityError("a one-item block of the brute-force scan exceeds the memory limit")
     low = _dense_sums(ws[:b], dtype)  # index = mask of the low b items

@@ -44,8 +44,6 @@ class ReprParams:
     s1: int
     s2: int
     sigma: float
-    sigma1: float
-    sigma2: float
     pi: float
     lam: float
     left_mask: int
@@ -73,16 +71,16 @@ def _split_fields(n: int, m_mask: int, gamma: float, s: int, s1: int) -> dict:
     if s1 < 0 or s1 > s2:
         raise ValueError("need 0 <= s1 <= s - s1")
     mu = m / n
-    sigma, sigma1, sigma2 = s / m, s1 / m, s2 / m
+    sigma = s / m
     pi = gamma - 1.0 + sigma
-    lam = (1.0 - mu) / 2.0 + (h2(sigma / 2.0) - h2(sigma1)) * mu
+    lam = (1.0 - mu) / 2.0 + (h2(sigma / 2.0) - h2(s1 / m)) * mu
     rest = [i for i in range(n) if not (m_mask >> i) & 1]
     ell = _ceil_frac(lam * n)
     clamped_left = not 0 <= ell <= len(rest)
     ell = min(max(ell, 0), len(rest))
     return dict(
         n=n, m_mask=m_mask, mu=mu, gamma=gamma, s=s, s1=s1, s2=s2,
-        sigma=sigma, sigma1=sigma1, sigma2=sigma2, pi=pi, lam=lam,
+        sigma=sigma, pi=pi, lam=lam,
         left_mask=sum(1 << i for i in rest[:ell]), right_mask=sum(1 << i for i in rest[ell:]),
         clamped_left=clamped_left,
     )
@@ -304,35 +302,29 @@ def solve_many_sums(
     gamma: float,
     rng: RandomSource,
     step_budget: int | None = None,
-    passes: int | None = None,
 ) -> SolverOutcome:
     """Monte Carlo solver for instances whose block M is sum-rich:
     |w(2^M)| >= 2^(gamma |M|). Tries the target and its complement so the
-    solution's M-part can be assumed to have s >= |M|/2; amplifies over
-    `passes` (default n^2) independent (p, t_L) draws. The attempts share
-    one `_AttemptTables`, which lives for this call only.
+    solution's M-part can be assumed to have s >= |M|/2; amplifies over n^2
+    independent (p, t_L) draws. The attempts share one `_AttemptTables`,
+    which lives for this call only.
     Witnesses are exact; 'none' may be a false negative.
     """
-    return _many_sums(instance, m_mask, gamma, rng, StepMeter(step_budget), passes)
+    m = m_mask.bit_count()
+    _split_fields(instance.n, m_mask, gamma, math.ceil(m / 2), 0)  # checks |M| and gamma
+    if math.log2(distinct_sums(instance, m_mask)) < gamma * m - 1e-9:
+        raise ValueError("M is not sum-rich enough: |w(2^M)| < 2^(gamma |M|)")
+    return _many_sums(instance, m_mask, gamma, rng, StepMeter(step_budget))
 
 
 def _many_sums(
-    instance: Instance, m_mask: int, gamma: float, rng: RandomSource,
-    meter: StepMeter, passes: int | None = None,
+    instance: Instance, m_mask: int, gamma: float, rng: RandomSource, meter: StepMeter
 ) -> SolverOutcome:
-    """solve_many_sums on `meter`, which may already hold a caller's steps. A
-    meter without a limit gets the default budget on top of those steps."""
+    """solve_many_sums on `meter`, which may already hold a caller's steps, for
+    a block the caller has shown to be sum-rich. A meter without a limit gets
+    the default budget on top of those steps."""
     n = instance.n
     m = m_mask.bit_count()
-    if m < 1 or 2 * m > n:
-        raise ValueError("need 1 <= |M| <= n/2")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    ds = distinct_sums(instance, m_mask)
-    if math.log2(ds) < gamma * m - 1e-9:
-        raise ValueError("M is not sum-rich enough: |w(2^M)| < 2^(gamma |M|)")
-    if passes is None:
-        passes = n * n
     tables = _AttemptTables(instance, m_mask, gamma)
     if meter.limit is None:
         meter.limit = meter.count + 64 * n * n * math.ceil(_predicted_attempt_steps(tables))
@@ -341,7 +333,7 @@ def _many_sums(
     t = instance.target
     iterations: list = []
     try:
-        for _ in range(passes):
+        for _ in range(n * n):
             for s in range(math.ceil(m / 2), m + 1):
                 for target in (t, total - t):
                     if target < 0 or target > total:

@@ -3,7 +3,16 @@ import json
 
 import pytest
 
-from sslab import Instance, brute_solve, mask_sum, read_instance, write_instance
+from sslab import (
+    Instance,
+    RandomSource,
+    bin_l2,
+    brute_solve,
+    gen_random_density,
+    mask_sum,
+    read_instance,
+    write_instance,
+)
 from sslab.cli import main
 
 
@@ -135,6 +144,25 @@ def test_verify_single_file(tmp_path, capsys):
     code, lines, _ = _run(capsys, "verify", str(path))
     assert code == 0
     assert all(rec["violations"] == 0 for rec in lines)
+
+
+def test_verify_cauchyschwarz_checks_each_split_once(tmp_path, capsys, monkeypatch):
+    # n = 10 has 252 balanced splits, which pair up with their complements:
+    # 126 products of two norms each
+    calls = []
+
+    def counted(instance, subset_mask=None):
+        calls.append(subset_mask)
+        return bin_l2(instance, subset_mask)
+
+    monkeypatch.setattr("sslab.cli.bin_l2", counted)
+    path = tmp_path / "i.txt"
+    write_instance(gen_random_density(10, 1.0, RandomSource(5)), path)
+    code, lines, _ = _run(capsys, "verify", str(path), "--checks", "cauchyschwarz")
+    assert code == 0
+    assert lines == [{"check": "cauchyschwarz", "instances": 1, "violations": 0}]
+    assert len(calls) == 252
+    assert len({min(m, 1023 ^ m) for m in calls}) == 126
 
 
 def test_verify_skips_what_classify_refuses(tmp_path, capsys):

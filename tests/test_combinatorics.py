@@ -105,6 +105,17 @@ def test_udcp_capacity_guard():
         check_udcp(big)
 
 
+def test_udcp_memory_limit(monkeypatch):
+    # 2^12 * 2^10 pair sums take about 160 MB to deduplicate
+    big = UdcpPair(a_masks=tuple(range(1 << 12)), b_masks=tuple(range(1 << 10)), n=12)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "100")
+    with pytest.raises(CapacityError):
+        check_udcp(big)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    pair = udcp_from_instance(Instance(weights=(1, 1, 3, 3), target=4))
+    assert check_udcp(pair)  # 9 * 4 pair sums still fit
+
+
 def test_bin_l2_subset_restriction():
     inst = Instance(weights=(1, 1, 3, 3, 10), target=4)
     sub = 0b01111

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sslab import (
@@ -56,6 +57,11 @@ def test_instance_validation():
         Instance(weights=(1, -2), target=3)
     with pytest.raises(ValueError):
         Instance(weights=(1, 2), target=-1)
+    # only integers: 3.7, "5" and 2.9 are refused, not truncated or parsed
+    for weights, target in (((3.7, 5), 2), ((3, "5"), 2), ((3, 5), 2.9), ((3.7, "5"), 2.9)):
+        with pytest.raises(ValueError):
+            Instance(weights, target)
+    assert Instance((np.int64(3), True), np.int32(4)) == Instance((3, 1), 4)
 
 
 def test_density_definition():

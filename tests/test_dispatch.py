@@ -105,6 +105,20 @@ def test_small_bin_representation_branch_on_sum_rich():
     assert mask_sum(inst.weights, out.witness) == inst.target
 
 
+def test_small_bin_measures_the_block_once(monkeypatch):
+    # the block scan's measurement is the representation solve's only one
+    def refuse(*args):
+        raise AssertionError("the sum-rich block was measured again")
+
+    monkeypatch.setattr("sslab.structured.distinct_sums", refuse)
+    inst, _ = gen_planted(14, 14, RandomSource(74))
+    out = solve_small_bin(inst, 1.0 / 6.0, RandomSource(75))
+    assert out.branch == "representation" and out.found
+    out = solve_auto(inst, RandomSource(75))
+    assert out.branch == "small-bin/representation" and out.found
+    assert mask_sum(inst.weights, out.witness) == inst.target
+
+
 def test_small_bin_epsilon_domain():
     inst = gen_all_equal(8)
     with pytest.raises(ValueError):

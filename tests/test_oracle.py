@@ -9,6 +9,7 @@ from sslab import (
     Instance,
     RandomSource,
     all_subset_sums,
+    bin_l2,
     brute_solve,
     distinct_sums,
     enumerate_histogram,
@@ -61,10 +62,9 @@ def test_frozen_histogram_1133():
     inst = Instance(weights=(1, 1, 3, 3), target=4)
     hist = enumerate_histogram(inst)
     assert hist.entries == {0: 1, 1: 2, 2: 1, 3: 2, 4: 4, 5: 2, 6: 1, 7: 2, 8: 1}
-    assert hist.total() == 16
-    assert hist.max_count() == 4
-    assert hist.l2_squared() == 36
+    assert sum(hist.entries.values()) == 16
     assert max_bin(inst) == 4
+    assert bin_l2(inst) == 36
     assert distinct_sums(inst) == 9
 
 
@@ -87,7 +87,7 @@ def test_histogram_subset_restriction():
     subset = mask_from_indices([0, 3, 5, 8, 11])
     hist = enumerate_histogram(inst, subset)
     assert hist.entries == _python_histogram(inst.weights, [0, 3, 5, 8, 11])
-    assert hist.total() == 2**5
+    assert sum(hist.entries.values()) == 2**5
 
 
 def test_big_weight_fallback_agrees():
@@ -180,6 +180,27 @@ def test_all_subset_sums_indexing():
     sums = all_subset_sums(inst)
     for mask in range(8):
         assert int(sums[mask]) == mask_sum(inst.weights, mask)
+
+
+def test_all_subset_sums_memory_cap(monkeypatch):
+    # 70-bit weights: a row takes 52 bytes (an 8-byte slot, its int, half a slot
+    # of the doubling's temporary), so under 2 MB n = 15 fits and n = 16 does not
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
+    rng = RandomSource(41)
+    refused = []
+    for n in (14, 15, 16, 17):
+        inst = Instance(tuple(rng.getrandbits(70) | 1 << 69 for _ in range(n)), 1)
+        tracemalloc.start()
+        try:
+            all_subset_sums(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        except CapacityError:
+            refused.append(n)
+            continue
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+    assert refused == [16, 17]
 
 
 def test_enum_limit_guard():

@@ -183,13 +183,13 @@ def test_representation_attempt_standalone_matches_solve(monkeypatch):
     inst = rich_no_instance(12, 6, 12, seed=71)
     m_mask = mask_from_indices(range(6))
     solve_rng = RandomSource(72)
-    out = solve_many_sums(inst, m_mask, 1.0, solve_rng, passes=2)
+    out = solve_many_sums(inst, m_mask, 1.0, solve_rng)
     assert not out.found and not out.exhausted
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "0")  # no room: every table is rebuilt per use
-    unkept = solve_many_sums(inst, m_mask, 1.0, RandomSource(72), passes=2)
+    unkept = solve_many_sums(inst, m_mask, 1.0, RandomSource(72))
     assert (unkept.iterations, unkept.cost) == (out.iterations, out.cost)
     rng, meter, records = RandomSource(72), StepMeter(), []
-    for _ in range(2):
+    for _ in range(12 * 12):  # n^2 passes
         for s in range(3, 7):
             for target in (inst.target, inst.total() - inst.target):
                 assert representation_attempt(inst, m_mask, 1.0, s, target, rng,
@@ -230,6 +230,12 @@ def test_solve_many_sums_requires_rich_block():
     eq = gen_all_equal(12)
     with pytest.raises(ValueError):
         solve_many_sums(eq, mask_from_indices(range(6)), 1.0, RandomSource(0))
+    # |M| and gamma are checked before the block is measured
+    inst, _ = rich_planted(12, 6, 12, seed=56)
+    for m_mask, gamma in ((0, 1.0), (mask_from_indices(range(7)), 0.5),
+                          (mask_from_indices(range(6)), 1.5)):
+        with pytest.raises(ValueError):
+            solve_many_sums(inst, m_mask, gamma, RandomSource(0))
 
 
 def test_solve_many_sums_finds_planted():
@@ -262,8 +268,7 @@ def test_solve_many_sums_complement_route():
 
 def test_solve_many_sums_no_instance_is_honest():
     inst = rich_no_instance(12, 6, 12, seed=60)
-    out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(61),
-                          passes=8)
+    out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(61))
     assert not out.found
     assert out.witness is None
 
