@@ -6,7 +6,6 @@ summation before it is reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .core import (
     memory_limit_bytes,
     verified_outcome,
 )
-from .numeric import is_prime, random_prime
+from .numeric import random_prime
 from .oracle import ENUM_LIMIT, SumTable, _dense_sums, _sorted_join, _sum_table, _table_dtype
 
 
@@ -88,86 +87,74 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
 
 
 # ---------------------------------------------------------------------------
-# four-way split, modular chunks of pair sums
+# four-way split, windows of pair sums
 
-def _pair_side(a: SumTable, b: SumTable, a_key, b_key, modulus: int) -> tuple:
-    """Pairs (a-row, b-row) keyed by (a_key + b_key) mod M: (a, b in key order, a's keys,
-    bound), bound[x] = #b-keys < x with b's keys listed twice, then plus M, so ranges wrap."""
-    b_key = (b_key % modulus).astype(np.int64)
-    order = np.argsort(b_key, kind="stable")
-    doubled = np.concatenate([b_key[order], b_key[order] + modulus])
-    bound = np.searchsorted(doubled, np.arange(2 * modulus))
-    return a, SumTable(*(col[order] for col in b)), (a_key % modulus).astype(np.int64), bound
-
-
-def _pair_runs(side: tuple, modulus: int, lo: int, hi: int) -> np.ndarray:
-    """Per a-row, the run [start, stop) of doubled b-rows whose pair key lies in [lo, hi)."""
-    low = (lo - side[2]) % modulus
-    return side[3][np.stack([low, low + (hi - lo)])]
-
-
-def _pair_rows(side: tuple, runs: np.ndarray, r0: int, r1: int):
-    """Rows r0..r1-1 of the pairs in `runs`, a-row major: (sums, masks)."""
-    width = runs[1] - runs[0]
-    begin = np.cumsum(width) - width
-    counts = np.minimum(np.maximum(begin + width, r0), r1) - np.minimum(np.maximum(begin, r0), r1)
-    i = np.repeat(np.arange(width.size), counts)
-    j = (np.arange(r0, r1) + np.repeat(runs[0] - begin, counts)) % side[1].sums.size
-    return side[0].sums[i] + side[1].sums[j], side[0].masks[i] | side[1].masks[j]
+def _pair_rows(a: SumTable, b: SumTable, start: np.ndarray, stop: np.ndarray):
+    """The pairs (a-row i, b-row j) with start[i] <= j < stop[i], a-row major: (sums, masks)."""
+    width = stop - start
+    i = np.repeat(np.arange(width.size), width)
+    j = np.arange(i.size) + np.repeat(start + width - np.cumsum(width), width)
+    return a.sums[i] + b.sums[j], a.masks[i] | b.masks[j]
 
 
 def schroeppel_shamir(instance: Instance) -> SolverOutcome:
-    """Same decision as meet_in_middle in O*(2^(n/2)) time and O*(2^(n/4)) memory: the modular
-    join of Howgrave-Graham and Joux. With M the first prime >= 2^ceil(n/4), each range of
-    residues joins the pair sums a+b of quarters 1, 2 with (a+b) mod M in it to the c+d of
-    quarters 3, 4 with (t-c-d) mod M in it, in pieces of at most `cap` rows a side, one of
-    each held at a time. `sums_enumerated` = `steps` = quarter rows + pair rows built up to
-    the hit; `peak_retained_sums` = quarter rows + the largest left and right pieces held at
-    once; `pairs_checked` = right rows hit. The witness need not be the smallest solution."""
+    """Same decision as meet_in_middle in O*(2^(n/2)) time and O*(2^(n/4)) memory, as
+    Schroeppel and Shamir: the pair sums a+b of quarters 1, 2 are swept in order of value,
+    in windows [lo, hi) from 0 up to t, and each window is joined to the c+d of quarters
+    3, 4 in (t-hi, t-lo], so every solution meets in exactly one window. A window holds at
+    most `cap` rows a side: one over it is halved, and one of a single value holds at most
+    one pair per a-row (c-row), since quarter sums are distinct. `sums_enumerated` =
+    `steps` = quarter rows + pair rows built up to the hit; `peak_retained_sums` = quarter
+    rows + the largest left and right windows held at once; `pairs_checked` = right rows
+    hit. The witness need not be the smallest solution."""
     n, t = instance.n, instance.target
     if n > 4 * ENUM_LIMIT:
         raise CapacityError(f"n={n} exceeds the quarter-enumeration limit of {4 * ENUM_LIMIT}")
     sizes = [(n + 3 - k) // 4 for k in range(4)]  # quarter k holds items k, k+4, k+8, ...
     retain = math.floor(8 * 2 ** (n / 4))
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
-    # what a dense quarter row and a piece row peak at, measured with tracemalloc at n >= 24
-    q_row, piece_row = (144, 80) if dtype is object else (64, 40)
-    charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * piece_row
+    # what a dense quarter row and a window row peak at, measured with tracemalloc at n >= 24
+    q_row, window_row = (144, 80) if dtype is object else (64, 40)
+    charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * window_row
     if charge > memory_limit_bytes():
-        raise CapacityError(f"the quarter tables and pieces at n={n} exceed the memory limit")
+        raise CapacityError(f"the quarter tables and windows at n={n} exceed the memory limit")
     q1, q2, q3, q4 = (_sum_table(instance.weights, range(k, n, 4), dtype) for k in range(4))
     rows = q1.sums.size + q2.sums.size + q3.sums.size + q4.sums.size
-    # a piece gets half of what the quarters leave of 8 * 2^(n/4) rows, and at least a quarter
+    # a window gets half of what the quarters leave of 8 * 2^(n/4) rows, and at least a quarter
     cap = max((retain - rows) // 2, q1.sums.size, q2.sums.size, q3.sums.size, q4.sums.size)
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add(rows, "sums_enumerated")
-    modulus = next(p for p in itertools.count(max(2, 1 << -(-n // 4))) if is_prime(p))
-    left = _pair_side(q1, q2, q1.sums, q2.sums, modulus)
-    right = _pair_side(q3, q4, t - q3.sums, -q4.sums, modulus)
-    width = max(1, cap * modulus // max(q1.sums.size * q2.sums.size, q3.sums.size * q4.sums.size))
-    ranges = [(lo, min(lo + width, modulus)) for lo in range(0, modulus, width)]
+
+    def bounds(x: int):
+        """Per a-row, the b-rows with a+b < x; per c-row, the d-rows with c+d <= t-x."""
+        return (np.searchsorted(q2.sums, x - q1.sums),
+                np.searchsorted(q4.sums, (t - x) - q3.sums, "right"))
+
+    lo, (l_lo, r_lo) = 0, bounds(0)
+    width = max(1, (t + 1) * cap // max(q1.sums.size * q2.sums.size, q3.sums.size * q4.sums.size))
     peak = rows
-    while ranges:
-        lo, hi = ranges.pop()
-        l_runs, r_runs = _pair_runs(left, modulus, lo, hi), _pair_runs(right, modulus, lo, hi)
-        n_l, n_r = int(np.sum(l_runs[1] - l_runs[0])), int(np.sum(r_runs[1] - r_runs[0]))
-        if n_l and n_r and max(n_l, n_r) > cap and hi - lo > 1:
-            ranges += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    while lo <= t:
+        hi = min(lo + width, t + 1)
+        l_hi, r_hi = bounds(hi)
+        n_l, n_r = int(np.sum(l_hi - l_lo)), int(np.sum(r_lo - r_hi))
+        if n_l and n_r and max(n_l, n_r) > cap:  # so hi - lo > 1: one value holds <= cap rows
+            width = (hi - lo) // 2
             continue
-        for l0 in range(0, n_l if n_r else 0, cap):
-            l_sums, l_masks = _pair_rows(left, l_runs, l0, min(l0 + cap, n_l))
-            meter.add(l_sums.size, "sums_enumerated")
+        if n_l and n_r:
+            l_sums, l_masks = _pair_rows(q1, q2, l_lo, l_hi)
+            r_sums, r_masks = _pair_rows(q3, q4, r_hi, r_lo)
+            meter.add(l_sums.size + r_sums.size, "sums_enumerated")
+            peak = max(peak, rows + l_sums.size + r_sums.size)
             order = np.argsort(l_sums)
-            l_sums, l_masks = l_sums[order], l_masks[order]
-            for r0 in range(0, n_r, cap):
-                r_sums, r_masks = _pair_rows(right, r_runs, r0, min(r0 + cap, n_r))
-                meter.add(r_sums.size, "sums_enumerated")
-                peak = max(peak, rows + l_sums.size + r_sums.size)
-                hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
-                if hits:
-                    meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
-                    mask = int(l_masks[l_row]) | int(r_masks[r_row])
-                    return verified_outcome(instance, mask, meter.cost)
+            l_sums = l_sums[order]
+            hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
+            if hits:
+                meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
+                mask = int(l_masks[order[l_row]]) | int(r_masks[r_row])
+                return verified_outcome(instance, mask, meter.cost)
+        # the next window holds about 9/10 of `cap` rows at this window's density
+        width = max(1, (hi - lo) * 9 * cap // (10 * max(n_l, n_r, 1)))
+        lo, l_lo, r_lo = hi, l_hi, r_hi
     meter.counters["peak_retained_sums"] = peak
     return SolverOutcome(cost=meter.cost)
 

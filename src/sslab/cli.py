@@ -277,6 +277,8 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"unknown check {c!r}; choose from {', '.join(_CHECKS)}")
     if args.file is not None:
         corpus = [(args.file, read_instance(args.file))]
+    elif args.n_max < 2:
+        raise ValueError("need --n-max >= 2: the generated corpus starts at n = 2")
     else:
         corpus = list(_verify_corpus(args.n_max, RandomSource(args.seed)))
     violations: list = []

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CapacityError, Instance, memory_limit_bytes
-from .oracle import _block_table, _run_starts, all_subset_sums
+from .oracle import _block_table, _check_copy_bytes, _run_starts, all_subset_sums
 
 _UDCP_PAIR_CAP = 1 << 26
 # a pair sum peaks at about 40 bytes in the last deduplication: five int64
@@ -83,6 +83,9 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
     if n < 1:
         raise CapacityError("extraction needs n >= 1")
     table = _block_table(instance)
+    # the mask tuple and the set that checks it, measured with tracemalloc at
+    # density 1, n = 16-20: 117 bytes a row next to an int64 table, 152 a Python-int one
+    _check_copy_bytes(table, (120, 152))
     modal = table.sums[int(np.argmax(table.counts))]  # first maximum = smallest modal sum
     b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask
     return UdcpPair(

@@ -103,6 +103,15 @@ def _check_table_bytes(rows: int, dtype) -> None:
         raise CapacityError(f"a subset-sum table of {rows} rows exceeds the memory limit")
 
 
+def _check_copy_bytes(table: SumTable, row_bytes: tuple[int, int]) -> None:
+    """Refuses a Python copy of `table` (dict, tuple or set entries) whose peak,
+    at row_bytes[0] a row of an int64 table or row_bytes[1] of a Python-int
+    one, the table included, exceeds the memory limit."""
+    rows = table.sums.size
+    if rows * row_bytes[table.sums.dtype == object] > memory_limit_bytes():
+        raise CapacityError(f"a Python copy of {rows} table rows exceeds the memory limit")
+
+
 def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTable:
     """w(2^S) for S = `indices`, masks in the original coordinates.
 
@@ -167,6 +176,9 @@ def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable
 def enumerate_histogram(instance: Instance, subset_mask: int | None = None) -> SumHistogram:
     """Exact histogram of w(2^S): every sum with its multiplicity; counts total 2^|S|."""
     table = _block_table(instance, subset_mask)
+    # the dict and the two lists it is built from, measured with tracemalloc at
+    # density 1, n = 16-20: 139 bytes a row next to an int64 table, 172 a Python-int one
+    _check_copy_bytes(table, (140, 172))
     return SumHistogram(entries=dict(zip(table.sums.tolist(), table.counts.tolist())))
 
 

@@ -10,6 +10,8 @@ from sslab import (
     bellman_dp,
     brute_solve,
     gen_all_equal,
+    gen_geometric_pairs,
+    gen_planted,
     gen_random_density,
     mask_sum,
     meet_in_middle,
@@ -100,7 +102,7 @@ def _ss_big_int(rng):
 
 
 def _ss_heavy_class(rng):
-    # weights all multiples of the modulus put every pair sum in one residue class
+    # weights all multiples of one prime near 2^(n/4): every pair sum shares that factor
     for n in range(12, 21):
         m = _ss_modulus(n)
         weights = tuple(m * rng.randint(1, 1 << 12) for _ in range(n))
@@ -124,6 +126,32 @@ def test_schroeppel_shamir_edge_families(family):
         if got.found:
             assert mask_sum(inst.weights, got.witness) == inst.target
         assert got.cost["peak_retained_sums"] <= 8 * 2 ** (inst.n / 4)
+
+
+def test_schroeppel_shamir_heavy_class_stays_linear():
+    # every weight a multiple of 131: the planted target and a no-target that is
+    # also a multiple of 131 must not cost more than the 2 * 2^(n/2) pair rows
+    base, _ = gen_planted(28, 36, RandomSource(928))
+    weights = tuple(131 * w for w in base.weights)
+    for target, found in ((131 * base.target, True), (131 * base.target + 131, False)):
+        inst = Instance(weights, target)
+        assert meet_in_middle(inst).found == found
+        got = schroeppel_shamir(inst)
+        assert got.found == found
+        if found:
+            assert mask_sum(weights, got.witness) == target
+        assert got.cost["sums_enumerated"] <= 4 * 2 ** (28 / 2)
+        assert got.cost["peak_retained_sums"] <= 8 * 2 ** (28 / 4)
+
+
+@pytest.mark.parametrize("inst", [gen_all_equal(40), gen_geometric_pairs(36)],
+                         ids=["equal", "geometric"])
+def test_schroeppel_shamir_piled_up_pair_sums(inst):
+    # many pairs share each pair-sum value; a window of one value still holds
+    # at most one pair per a-row, since quarter sums are distinct
+    got = schroeppel_shamir(inst)
+    assert got.found and mask_sum(inst.weights, got.witness) == inst.target
+    assert got.cost["peak_retained_sums"] <= 8 * 2 ** (inst.n / 4)
 
 
 def _traced(fn, *args):

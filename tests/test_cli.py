@@ -180,6 +180,14 @@ def test_verify_unknown_check_is_domain_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("n_max", ["1", "-5"])
+def test_verify_refuses_empty_corpus(capsys, n_max):
+    # the generated corpus starts at n = 2, so it would check nothing and pass
+    code, lines, err = _run(capsys, "verify", "--n-max", n_max)
+    assert code == 1
+    assert lines == [] and "--n-max" in err
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "b.csv"
     code, lines, _ = _run(capsys, "bench", "--alg", "mim", "--n-from", "8",

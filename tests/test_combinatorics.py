@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from sslab import (
     enumerate_histogram,
     gen_all_equal,
     gen_random_density,
+    gen_super_increasing,
     l2_identity_terms,
     max_bin,
     udcp_from_instance,
@@ -114,6 +116,27 @@ def test_udcp_memory_limit(monkeypatch):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     pair = udcp_from_instance(Instance(weights=(1, 1, 3, 3), target=4))
     assert check_udcp(pair)  # 9 * 4 pair sums still fit
+
+
+def test_udcp_extraction_charges_its_masks(monkeypatch):
+    # 2^16 distinct sums: the last merge peaks at 3.7 MB and the dense sums at
+    # 0.8 MB, but the mask tuple and its set peak at about 7.7 MB (117 B a row)
+    inst = gen_super_increasing(16)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "5")
+    with pytest.raises(CapacityError):
+        udcp_from_instance(inst)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "9")
+    assert len(udcp_from_instance(inst).a_masks) == 1 << 16
+    # the charge covers what the extraction really takes, with int64 and Python-int tables
+    wide = Instance(tuple((1 << 63) + (1 << i) for i in range(14)), 1)
+    for inst, row_bytes in ((gen_super_increasing(14), 120), (wide, 152)):
+        tracemalloc.start()
+        try:
+            udcp_from_instance(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= row_bytes * (1 << 14)
 
 
 def test_bin_l2_subset_restriction():

@@ -261,6 +261,28 @@ def test_table_check_counts_merge_peak(monkeypatch):
     assert peak <= 56 * (1 << 16) + (64 << 10)
 
 
+def test_histogram_charges_its_dict(monkeypatch):
+    # 2^18 distinct sums: the last merge peaks at 14 MB (56 bytes a row), but
+    # the dict and the lists it is built from peak at about 36 MB (139 a row)
+    inst = gen_super_increasing(18)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "20")
+    assert distinct_sums(inst) == 1 << 18
+    with pytest.raises(CapacityError):
+        enumerate_histogram(inst)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "40")
+    assert len(enumerate_histogram(inst).entries) == 1 << 18
+    # the charge covers what the dict really takes, next to an int64 and a Python-int table
+    wide = Instance(tuple((1 << 63) + (1 << i) for i in range(16)), 1)
+    for inst, row_bytes in ((gen_super_increasing(16), 140), (wide, 172)):
+        tracemalloc.start()
+        try:
+            enumerate_histogram(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= row_bytes * (1 << 16)
+
+
 def test_sumset_witness_prefers_smallest_mask():
     sums, masks = sumset_with_witness((1, 1), [0, 1])
     assert list(sums) == [0, 1, 2]
