@@ -13,17 +13,16 @@ import numpy as np
 
 from .core import (
     CLASSIC_COUNTERS,
-    CapacityError,
     Instance,
     RandomSource,
     SolverOutcome,
     StepMeter,
+    check_bytes,
     mask_sum,
-    memory_limit_bytes,
     verified_outcome,
 )
 from .numeric import random_prime
-from .oracle import ENUM_LIMIT, SumTable, _dense_sums, _sorted_join, _sum_table, _table_dtype
+from .oracle import SumTable, _dense_sums, _sorted_join, _sum_table, _table_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +34,7 @@ def bellman_dp(instance: Instance) -> SolverOutcome:
     Exact; table is (n+1) x (t+1) bits, so the target must fit the memory cap.
     """
     n, t = instance.n, instance.target
-    if (n + 1) * (t + 1) // 8 > memory_limit_bytes():
-        raise CapacityError("DP table (n+1) x (t+1) bits exceeds the memory limit")
+    check_bytes((n + 1) * (t + 1) // 8, "the DP table of (n+1) x (t+1) bits")
     window = (1 << (t + 1)) - 1
     reach = 1  # bit s set <=> sum s reachable
     snaps = [reach]
@@ -63,8 +61,6 @@ def bellman_dp(instance: Instance) -> SolverOutcome:
 def meet_in_middle(instance: Instance) -> SolverOutcome:
     """Half-split join: 2*2^ceil(n/2) enumerated sums, smallest witness mask wins."""
     n, t = instance.n, instance.target
-    if n > 2 * ENUM_LIMIT:
-        raise CapacityError(f"n={n} exceeds the half-enumeration limit of {2 * ENUM_LIMIT}")
     k = (n + 1) // 2
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
@@ -74,8 +70,7 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     # (about 120 with Python ints), next to the left table's 24 (88) bytes a row
     wide = dtype is object
     peak = (1 << (n - k)) * (120 if wide else 41) + left.sums.size * (88 if wide else 24)
-    if peak > memory_limit_bytes():
-        raise CapacityError(f"the meet-in-the-middle join at n={n} exceeds the memory limit")
+    check_bytes(peak, f"the meet-in-the-middle join at n={n}")
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask, l_row = _sorted_join(left.sums, right, t)
     meter.counters["dict_lookups"] = int(right.size)
@@ -108,16 +103,13 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     rows + the largest left and right windows held at once; `pairs_checked` = right rows
     hit. The witness need not be the smallest solution."""
     n, t = instance.n, instance.target
-    if n > 4 * ENUM_LIMIT:
-        raise CapacityError(f"n={n} exceeds the quarter-enumeration limit of {4 * ENUM_LIMIT}")
     sizes = [(n + 3 - k) // 4 for k in range(4)]  # quarter k holds items k, k+4, k+8, ...
     retain = math.floor(8 * 2 ** (n / 4))
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
     # what a dense quarter row and a window row peak at, measured with tracemalloc at n >= 24
     q_row, window_row = (144, 80) if dtype is object else (64, 40)
     charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * window_row
-    if charge > memory_limit_bytes():
-        raise CapacityError(f"the quarter tables and windows at n={n} exceed the memory limit")
+    check_bytes(charge, f"the quarter tables and windows at n={n}")
     q1, q2, q3, q4 = (_sum_table(instance.weights, range(k, n, 4), dtype) for k in range(4))
     rows = q1.sums.size + q2.sums.size + q3.sums.size + q4.sums.size
     # a window gets half of what the quarters leave of 8 * 2^(n/4) rows, and at least a quarter
@@ -167,8 +159,7 @@ def residue_count_table(weights: Sequence[int], q: int) -> list[list[int]]:
     n = len(weights)
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    if q * (n + 1) * 32 > memory_limit_bytes():
-        raise CapacityError("residue count table exceeds the memory limit")
+    check_bytes(q * (n + 1) * 32, "the residue count table")
     row = [0] * q
     row[0] = 1
     rows = [row]

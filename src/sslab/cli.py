@@ -20,6 +20,7 @@ from .core import (
     CapacityError,
     Instance,
     RandomSource,
+    _parse_int,
     density,
     full_mask,
     gen_all_equal,
@@ -68,11 +69,9 @@ def _parse_m(spec: str, n: int) -> int:
     if spec == "auto":
         return mask_from_indices(range(n // 2))
     try:
-        indices = [int(part) for part in spec.split(",") if part.strip() != ""]
+        indices = [_parse_int(part) for part in spec.split(",")]
     except ValueError:
         raise ValueError(f"--M must be 'auto' or a comma-separated index list, got {spec!r}")
-    if not indices:
-        raise ValueError("--M index list is empty")
     if len(set(indices)) != len(indices):
         raise ValueError("--M indices must be distinct")
     for i in indices:
@@ -260,7 +259,7 @@ def _check_one(check: str, name: str, instance: Instance, violations: list) -> b
     # sumsvsbin
     try:
         report = classify(instance)
-    except CapacityError:  # past the enumeration or the memory limit
+    except CapacityError:  # past the memory limit
         return False
     if not report.sums_vs_bin_holds:
         violations.append({
@@ -272,6 +271,8 @@ def _check_one(check: str, name: str, instance: Instance, violations: list) -> b
 
 def _cmd_verify(args) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise ValueError(f"--checks names no check; choose from {', '.join(_CHECKS)}")
     for c in checks:
         if c not in _CHECKS:
             raise ValueError(f"unknown check {c!r}; choose from {', '.join(_CHECKS)}")

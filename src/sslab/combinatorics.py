@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapacityError, Instance, memory_limit_bytes
-from .oracle import _block_table, _check_copy_bytes, _run_starts, all_subset_sums
+from .core import CapacityError, Instance, check_bytes
+from .oracle import _block_table, _run_starts, all_subset_sums
 
-_UDCP_PAIR_CAP = 1 << 26
 # a pair sum peaks at about 40 bytes in the last deduplication: five int64
 # entries (the blocks' distinct sums, their concatenation, its sorted copy,
 # the run starts and the sums they pick)
@@ -61,12 +60,9 @@ def check_udcp(pair: UdcpPair) -> bool:
     na, nb = len(pair.a_masks), len(pair.b_masks)
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
-    if na * nb > _UDCP_PAIR_CAP:
-        raise CapacityError(f"|A|*|B| = {na * nb} exceeds the pair cap {_UDCP_PAIR_CAP}")
     if 2 * pair.n > 62:
         raise CapacityError("dimension too large for packed coordinate sums")
-    if na * nb * _UDCP_PAIR_BYTES > memory_limit_bytes():
-        raise CapacityError(f"|A|*|B| = {na * nb} pair sums exceed the memory limit")
+    check_bytes(na * nb * _UDCP_PAIR_BYTES, f"|A|*|B| = {na * nb} pair sums")
     a = _spread(pair.a_masks, pair.n)
     b = _spread(pair.b_masks, pair.n)
     block = max(1, (1 << 22) // max(1, nb))
@@ -85,7 +81,7 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
     table = _block_table(instance)
     # the mask tuple and the set that checks it, measured with tracemalloc at
     # density 1, n = 16-20: 117 bytes a row next to an int64 table, 152 a Python-int one
-    _check_copy_bytes(table, (120, 152))
+    check_bytes(table.sums.size * (152 if table.sums.dtype == object else 120), "the mask tuple")
     modal = table.sums[int(np.argmax(table.counts))]  # first maximum = smallest modal sum
     b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask
     return UdcpPair(
@@ -96,7 +92,9 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     """Exact squared l2 norm of the bin histogram: sum over sums of count^2."""
     counts = _block_table(instance, subset_mask).counts
-    return int(np.dot(counts, counts))  # at most 4^ENUM_LIMIT, inside int64
+    if (instance.n if subset_mask is None else subset_mask.bit_count()) <= 31:
+        return int(np.dot(counts, counts))  # at most 4^|S|, inside int64
+    return sum(c * c for c in counts.tolist())  # exact in Python ints
 
 
 def _ternary_half(weights: Sequence[int]) -> dict:

@@ -31,6 +31,14 @@ def memory_limit_bytes() -> int:
     return int(os.environ.get("SSLAB_MEM_LIMIT_MB", "512")) << 20
 
 
+def check_bytes(nbytes: int, what: str, limit: int | None = None) -> None:
+    """The one capacity rule: raises CapacityError, before `what` is allocated, when its
+    peak of `nbytes` would exceed `limit`, by default memory_limit_bytes() read now."""
+    limit = memory_limit_bytes() if limit is None else limit
+    if nbytes > limit:
+        raise CapacityError(f"{what} would take {nbytes} bytes, over the memory limit of {limit}")
+
+
 # the counters every classic exact solver and sampler reports
 CLASSIC_COUNTERS = ("sums_enumerated", "pairs_checked", "dict_lookups", "samples_drawn")
 

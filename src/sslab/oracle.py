@@ -22,6 +22,7 @@ from .core import (
     Instance,
     SolverOutcome,
     StepMeter,
+    check_bytes,
     full_mask,
     mask_indices,
     mask_sum,
@@ -29,7 +30,7 @@ from .core import (
     verified_outcome,
 )
 
-ENUM_LIMIT = 26       # hard cap on exhaustively enumerated coordinates
+ENUM_LIMIT = 26       # items brute_solve scans, which streams in constant memory
 _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
 _INT64_SAFE = 1 << 62
@@ -49,11 +50,6 @@ def _subset_weights(instance: Instance, subset_mask: int | None) -> tuple[list[i
         raise ValueError("subset mask outside the instance's index space")
     idx = mask_indices(subset_mask)
     return [instance.weights[i] for i in idx], subset_mask
-
-
-def _check_enum_limit(k: int) -> None:
-    if k > ENUM_LIMIT:
-        raise CapacityError(f"enumeration over {k} coordinates exceeds the limit of {ENUM_LIMIT}")
 
 
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
@@ -94,24 +90,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
-def _check_table_bytes(rows: int, dtype) -> None:
-    # the table: sums and masks (an object entry also holds its Python int) and
-    # int64 counts; and the merge's peak on top of it: four more 8-byte arrays,
-    # the sort order, the run starts, the rows they pick and the reordered masks
-    width = 8 if dtype is np.int64 else 40
-    if rows * (2 * width + 8 + 4 * 8) > memory_limit_bytes():
-        raise CapacityError(f"a subset-sum table of {rows} rows exceeds the memory limit")
-
-
-def _check_copy_bytes(table: SumTable, row_bytes: tuple[int, int]) -> None:
-    """Refuses a Python copy of `table` (dict, tuple or set entries) whose peak,
-    at row_bytes[0] a row of an int64 table or row_bytes[1] of a Python-int
-    one, the table included, exceeds the memory limit."""
-    rows = table.sums.size
-    if rows * row_bytes[table.sums.dtype == object] > memory_limit_bytes():
-        raise CapacityError(f"a Python copy of {rows} table rows exceeds the memory limit")
-
-
 def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTable:
     """w(2^S) for S = `indices`, masks in the original coordinates.
 
@@ -120,14 +98,19 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     Each sort is followed by a run-length pass that folds equal sums into one
     row. Items go in ascending index order and the sort is stable, so the
     smaller mask leads each run and every sum keeps its smallest mask. The
-    memory limit is checked before every doubling, against the merge's peak
-    (56 bytes a row for int64, about 120 for Python ints). Arrays are rebound
-    as soon as they are replaced, which keeps the peak memory down.
+    memory limit is checked before every doubling, against the merge's peak.
+    Arrays are rebound as soon as they are replaced, which keeps the peak down.
     """
     idx = sorted(indices)
+    # a merged row's peak, measured with tracemalloc at n = 16-20: 56 bytes with int64
+    # (sums, counts, masks and four 8-byte temporaries: the sort order, the run starts,
+    # the rows they pick, the reordered masks); with Python ints, 64 plus the sizes of
+    # the largest sum and the largest mask (128 for weights near 2^63, 252 near 2^1000)
+    row = 56 if dtype is np.int64 else (
+        64 + sys.getsizeof(sum(weights[i] for i in idx)) + sys.getsizeof(sum(1 << i for i in idx)))
     rest = iter(idx[_DENSE_BITS:])
     sums = _dense_sums([weights[i] for i in idx[:_DENSE_BITS]], dtype)
-    counts = np.ones(sums.size, dtype=np.int64)
+    counts = np.ones(sums.size, dtype=dtype)  # at most 2^|S|, inside the masks' dtype
     masks = _dense_sums([1 << i for i in idx[:_DENSE_BITS]], dtype)
     while True:
         order = np.argsort(sums, kind="stable")
@@ -140,7 +123,7 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
         i = next(rest, None)
         if i is None:
             return SumTable(sums, counts, masks)
-        _check_table_bytes(2 * sums.size, dtype)
+        check_bytes(2 * sums.size * row, f"a subset-sum table of {2 * sums.size} rows")
         sums = np.concatenate([sums, sums + weights[i]])
         counts = np.concatenate([counts, counts])
         masks = np.concatenate([masks, masks | (1 << i)])
@@ -166,9 +149,8 @@ def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int):
 
 
 def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:
-    """w(2^S) of the instance's block S (every item when None), within ENUM_LIMIT."""
+    """w(2^S) of the instance's block S (every item when None)."""
     ws, smask = _subset_weights(instance, subset_mask)
-    _check_enum_limit(len(ws))
     dtype = _table_dtype(ws, mask_bits=smask.bit_length())
     return _sum_table(instance.weights, mask_indices(smask), dtype)
 
@@ -178,7 +160,7 @@ def enumerate_histogram(instance: Instance, subset_mask: int | None = None) -> S
     table = _block_table(instance, subset_mask)
     # the dict and the two lists it is built from, measured with tracemalloc at
     # density 1, n = 16-20: 139 bytes a row next to an int64 table, 172 a Python-int one
-    _check_copy_bytes(table, (140, 172))
+    check_bytes(table.sums.size * (172 if table.sums.dtype == object else 140), "the histogram's dict")
     return SumHistogram(entries=dict(zip(table.sums.tolist(), table.counts.tolist())))
 
 
@@ -196,10 +178,8 @@ def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
 def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.ndarray:
     """Materialized sums for every mask (index = mask). Verification helper; 2^|S| memory."""
     ws, _ = _subset_weights(instance, subset_mask)
-    _check_enum_limit(len(ws))
     dtype = _table_dtype(ws)
-    if (1 << len(ws)) * _dense_row_bytes(ws, dtype) > memory_limit_bytes():
-        raise CapacityError("materializing all subset sums exceeds the memory limit")
+    check_bytes((1 << len(ws)) * _dense_row_bytes(ws, dtype), f"all {1 << len(ws)} subset sums")
     return _dense_sums(ws, dtype)
 
 
@@ -208,16 +188,16 @@ def brute_solve(instance: Instance) -> SolverOutcome:
     blocks of dense sums, and return the smallest witness mask or none. A block
     has at most 2^_BLOCK_BITS rows and, with the scan's temporaries, fits the
     memory limit; only a limit below a one-item block is refused."""
-    _check_enum_limit(instance.n)
+    if instance.n > ENUM_LIMIT:
+        raise CapacityError(f"a brute-force scan of {instance.n} items exceeds {ENUM_LIMIT}")
     ws, t = instance.weights, instance.target
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     if t > sum(ws):
         return SolverOutcome(cost=meter.cost)
     dtype = _table_dtype(ws, t)
-    rows = memory_limit_bytes() // _dense_row_bytes(ws, dtype)
-    b = min(len(ws), _BLOCK_BITS, rows.bit_length() - 1)
-    if b < min(len(ws), 1):
-        raise CapacityError("a one-item block of the brute-force scan exceeds the memory limit")
+    row = _dense_row_bytes(ws, dtype)
+    check_bytes(row << min(len(ws), 1), "a one-item block of the brute-force scan")
+    b = min(len(ws), _BLOCK_BITS, (memory_limit_bytes() // row).bit_length() - 1)
     low = _dense_sums(ws[:b], dtype)  # index = mask of the low b items
     for high in range(1 << (len(ws) - b)):
         hits = np.flatnonzero(low == t - mask_sum(ws[b:], high))

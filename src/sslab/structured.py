@@ -20,6 +20,7 @@ from .core import (
     RandomSource,
     SolverOutcome,
     StepMeter,
+    check_bytes,
     full_mask,
     mask_indices,
     mask_sum,
@@ -29,7 +30,10 @@ from .core import (
 from .numeric import h2, random_prime
 from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sumset_with_witness
 
-_ITER_WORK_CAP = 1 << 26  # per-iteration enumeration guard
+# a filtered list's charge per entry it enumerates: the most an attempt peaked at (both
+# lists, the join dict and the tables it built) per entry of its largest list, measured
+# with tracemalloc at n = 30-36: 266 B with a one-item M at n = 36, 333 B with |M| = 4
+_LIST_ENTRY_BYTES = 336
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,10 @@ def derive_params(
     return ReprParams(**fields, p=p, t_l=t_l, clamped_prime=clamped_prime)
 
 
-def _check_work_cap(side: tuple, n_combos: int, dict_size: int, p: int) -> None:
+def _check_list_bytes(side: tuple, n_combos: int, dict_size: int, p: int, limit: int) -> None:
     est_out = ((1 << len(side)) * n_combos) // p  # expected survivors of the residue filter
-    if (1 << dict_size) + (1 << (len(side) - dict_size)) * n_combos + est_out > _ITER_WORK_CAP:
-        raise CapacityError("filtered-list enumeration exceeds the per-iteration work cap")
+    entries = (1 << dict_size) + (1 << (len(side) - dict_size)) * n_combos + est_out
+    check_bytes(entries * _LIST_ENTRY_BYTES, "a filtered list", limit)
 
 
 def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tuple:
@@ -174,7 +178,7 @@ def build_filtered_list(
     if dict_size is None:
         dict_size = round((len(side) + math.log2(max(1, n_combos))) / 2.0)
     dict_size = min(max(dict_size, 0), len(side))
-    _check_work_cap(side, n_combos, dict_size, p)
+    _check_list_bytes(side, n_combos, dict_size, p, memory_limit_bytes())
     table = _side_table(instance.weights, side, m_indices, s_i, dict_size)
     return _filter(table, p, residue % p, StepMeter() if meter is None else meter)
 
@@ -190,7 +194,8 @@ class _AttemptTables:
         self.m_indices = mask_indices(m_mask)
         self._splits: dict = {}
         self._tables: dict = {}
-        self._room = memory_limit_bytes() // 128  # a kept (mask, sum) entry takes about 128 B
+        self._limit = memory_limit_bytes()  # read once, for every list of every attempt
+        self._room = self._limit // 128  # a kept (mask, sum) entry takes about 128 B
 
     def split(self, s: int, s1: int) -> tuple:
         """(pi, clamped_left, left list, right list) of the (s, s1) split, where
@@ -211,7 +216,7 @@ class _AttemptTables:
     def filtered(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
         """build_filtered_list for a list of `split`, on the kept enumerations."""
         side, s_i, n_combos, dict_size = shape
-        _check_work_cap(side, n_combos, dict_size, p)
+        _check_list_bytes(side, n_combos, dict_size, p, self._limit)
         table = self._tables.get(shape)
         if table is None:
             table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
@@ -235,8 +240,8 @@ def representation_attempt(
 ):
     """One full filtered-join attempt at `target`: fresh (p, t_L), all s1 splits.
 
-    Returns a mask with w(mask) = target, or None. Iterations whose enumeration
-    would blow the work cap are skipped and recorded, not fatal. `meter` counts
+    Returns a mask with w(mask) = target, or None. Iterations whose lists would
+    exceed the memory limit are skipped and recorded, not fatal. `meter` counts
     the lists' entries as `sums_enumerated` and the candidate pairs as
     `pairs_scanned`. `tables` carries the (p, t_L)-independent enumerations
     from one attempt of a solve to the next. Without a meter, records or

@@ -9,6 +9,7 @@ from sslab import (
     bin_l2,
     brute_solve,
     gen_random_density,
+    gen_super_increasing,
     mask_sum,
     read_instance,
     write_instance,
@@ -103,6 +104,18 @@ def test_solve_repr_emits_iterations(tmp_path, capsys):
         assert {"p", "t_l", "s1", "pairs_scanned"} <= set(rec["iterations"][0])
 
 
+@pytest.mark.parametrize("spec", ["1_0", "\u0663", "0,,1", "0,1,", ""])
+def test_solve_refuses_malformed_m(tmp_path, capsys, spec):
+    # an index is an optional sign and ASCII digits, as in the instance format
+    path = tmp_path / "i.txt"
+    write_instance(gen_random_density(12, 1.0, RandomSource(3)), path)
+    code, lines, err = _run(capsys, "solve", str(path), "--alg", "fewsums", "--M", spec)
+    assert code == 1
+    assert lines == [] and "--M" in err
+    code, lines, _ = _run(capsys, "solve", str(path), "--alg", "fewsums", "--M", " 3, 10")
+    assert code == 0 and lines[0]["alg"] == "fewsums"
+
+
 def test_solve_sampler(tmp_path, capsys):
     path = tmp_path / "i.txt"
     write_instance(Instance(weights=(3, 5, 9, 14, 21, 33, 50, 61), target=45), path)
@@ -165,10 +178,11 @@ def test_verify_cauchyschwarz_checks_each_split_once(tmp_path, capsys, monkeypat
     assert len({min(m, 1023 ^ m) for m in calls}) == 126
 
 
-def test_verify_skips_what_classify_refuses(tmp_path, capsys):
-    # 27 items exceed the enumeration limit: skipped like the other checks' sizes
+def test_verify_skips_what_classify_refuses(tmp_path, capsys, monkeypatch):
+    # 2^20 distinct sums exceed 1 MB: skipped like the other checks' sizes
     path = tmp_path / "i.txt"
-    write_instance(Instance(weights=(1,) * 27, target=13), path)
+    write_instance(gen_super_increasing(20), path)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     code, lines, _ = _run(capsys, "verify", str(path), "--checks", "sumsvsbin")
     assert code == 0
     assert lines == [{"check": "sumsvsbin", "instances": 0, "violations": 0}]
@@ -178,6 +192,14 @@ def test_verify_unknown_check_is_domain_error(capsys):
     code, _, err = _run(capsys, "verify", "--checks", "bogus")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_verify_refuses_empty_check_list(capsys, checks):
+    # no check named: it would run nothing and report all checks passed
+    code, lines, err = _run(capsys, "verify", "--n-max", "4", "--checks", checks)
+    assert code == 1
+    assert lines == [] and "--checks" in err
 
 
 @pytest.mark.parametrize("n_max", ["1", "-5"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import product
 
@@ -144,6 +145,11 @@ def test_bin_l2_subset_restriction():
     sub = 0b01111
     hist = enumerate_histogram(inst, sub)
     assert bin_l2(inst, sub) == sum(c * c for c in hist.entries.values()) == 36
+
+
+def test_bin_l2_past_int64_is_exact():
+    # the squares of C(34, k) sum to C(68, 34), past 2^63
+    assert bin_l2(gen_all_equal(34)) == math.comb(68, 34)
 
 
 def test_count_zero_ternary_domain():

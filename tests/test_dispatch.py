@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from sslab import (
+    CapacityError,
     Instance,
     RandomSource,
     brute_solve,
@@ -197,6 +199,28 @@ def test_solve_large_bin_beyond_enum_limit():
             assert mask_sum(weights, yes.witness) == 3 * k
             no = solve_large_bin(Instance(weights=weights, target=3 * k + 1))
             assert not no.found and not no.exhausted
+
+
+def test_all_equal_past_26_items():
+    # n + 1 distinct sums: only the tables' bytes bound classify and the few-sums join
+    report = classify(gen_all_equal(40))
+    assert report.beta == math.comb(40, 20) and report.distinct == 41 and report.large_bin
+    inst = gen_all_equal(60, value=3)
+    out = solve_large_bin(inst)
+    assert out.found and mask_sum(inst.weights, out.witness) == inst.target
+
+
+def test_refused_classify_stays_under_the_limit(monkeypatch):
+    # 2^22 distinct sums: the merge to 2^17 rows would peak past 4 MB, so it is refused first
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            classify(gen_super_increasing(22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_solve_auto_planted_and_no_instance():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -13,6 +14,7 @@ from sslab import (
     brute_solve,
     distinct_sums,
     enumerate_histogram,
+    gen_all_equal,
     gen_random_density,
     gen_super_increasing,
     mask_from_indices,
@@ -204,9 +206,10 @@ def test_all_subset_sums_memory_cap(monkeypatch):
 
 
 def test_enum_limit_guard():
+    # only the brute-force scan, which streams in constant memory, counts items;
+    # the 28-row histogram of 27 equal weights is answered
     wide = Instance(weights=(1,) * 27, target=3)
-    with pytest.raises(CapacityError):
-        enumerate_histogram(wide)
+    assert enumerate_histogram(wide).entries == {k: math.comb(27, k) for k in range(28)}
     with pytest.raises(CapacityError):
         brute_solve(wide)
 
@@ -281,6 +284,11 @@ def test_histogram_charges_its_dict(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= row_bytes * (1 << 16)
+
+
+def test_counts_past_int64_are_exact():
+    # 70 mask bits put the table in Python ints, and its counts with it
+    assert max_bin(gen_all_equal(70)) == math.comb(70, 35)
 
 
 def test_sumset_witness_prefers_smallest_mask():

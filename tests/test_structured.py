@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -155,6 +156,26 @@ def test_build_filtered_list_capacity_guard():
         build_filtered_list(wide, side, m_mask, 1, 2, 0)
 
 
+def test_filtered_list_is_charged_its_bytes(monkeypatch):
+    # a one-item M, s_i = 0 and p = 3 keep about a third of 2^18 entries, charged
+    # with the dictionary and scan halves at 336 B an entry: about 30 MB
+    inst = gen_random_density(19, 1.0, RandomSource(61))
+    side, m_mask = mask_from_indices(range(18)), 1 << 18
+    for limit in (8, 64):
+        monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit))
+        tracemalloc.start()
+        try:
+            out = build_filtered_list(inst, side, m_mask, 0, 3, 0)
+        except CapacityError:
+            out = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= limit << 20
+        assert (out is None) == (limit == 8)
+    assert len(out) == 87384
+
+
 def test_representation_attempt_finds_planted_split():
     inst, mask = rich_planted(12, 6, 12, seed=55)
     m_mask = mask_from_indices(range(6))
@@ -185,7 +206,13 @@ def test_representation_attempt_standalone_matches_solve(monkeypatch):
     solve_rng = RandomSource(72)
     out = solve_many_sums(inst, m_mask, 1.0, solve_rng)
     assert not out.found and not out.exhausted
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "0")  # no room: every table is rebuilt per use
+    init = _AttemptTables.__init__
+
+    def no_room(self, *args):
+        init(self, *args)
+        self._room = 0  # no room: every table is rebuilt per use
+
+    monkeypatch.setattr(_AttemptTables, "__init__", no_room)
     unkept = solve_many_sums(inst, m_mask, 1.0, RandomSource(72))
     assert (unkept.iterations, unkept.cost) == (out.iterations, out.cost)
     rng, meter, records = RandomSource(72), StepMeter(), []
