@@ -65,12 +65,15 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
-    left = _sum_table(instance.weights, range(k), dtype)
     # the dense right half and the join's arrays peak at 41 bytes a right row
-    # (about 120 with Python ints), next to the left table's 24 (88) bytes a row
+    # (about 120 with Python ints), next to the left table's 24 (88) bytes a row;
+    # the right half alone is charged before the left table is built
     wide = dtype is object
-    peak = (1 << (n - k)) * (120 if wide else 41) + left.sums.size * (88 if wide else 24)
-    check_bytes(peak, f"the meet-in-the-middle join at n={n}")
+    what = f"the meet-in-the-middle join at n={n}"
+    right_bytes = (1 << (n - k)) * (120 if wide else 41)
+    check_bytes(right_bytes, what)
+    left = _sum_table(instance.weights, range(k), dtype)
+    check_bytes(right_bytes + left.sums.size * (88 if wide else 24), what)
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask, l_row = _sorted_join(left.sums, right, t)
     meter.counters["dict_lookups"] = int(right.size)

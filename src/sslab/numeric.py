@@ -80,6 +80,8 @@ def is_prime(m: int) -> bool:
             return True
         if m % p == 0:
             return False
+    if m < 37 * 37:  # no prime factor up to 37, and too small for one above it
+        return True
     d = m - 1
     r = 0
     while d % 2 == 0:

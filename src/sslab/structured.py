@@ -34,6 +34,11 @@ from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sums
 # lists, the join dict and the tables it built) per entry of its largest list, measured
 # with tracemalloc at n = 30-36: 266 B with a one-item M at n = 36, 333 B with |M| = 4
 _LIST_ENTRY_BYTES = 336
+# what a solve keeps, per entry, measured with tracemalloc at n = 24 (48 and 70-bit
+# weights): a kept enumeration at most 137 B, a dictionary half's buckets for one p at
+# most 156 B (one bucket an entry); two more entries' worth covers each one's containers
+_KEPT_ENTRY_BYTES = 144
+_BUCKET_ENTRY_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,10 @@ def derive_params(
     return ReprParams(**fields, p=p, t_l=t_l, clamped_prime=clamped_prime)
 
 
-def _check_list_bytes(side: tuple, n_combos: int, dict_size: int, p: int, limit: int) -> None:
+def _list_bytes(side: tuple, n_combos: int, dict_size: int, p: int) -> int:
     est_out = ((1 << len(side)) * n_combos) // p  # expected survivors of the residue filter
     entries = (1 << dict_size) + (1 << (len(side) - dict_size)) * n_combos + est_out
-    check_bytes(entries * _LIST_ENTRY_BYTES, "a filtered list", limit)
+    return entries * _LIST_ENTRY_BYTES
 
 
 def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tuple:
@@ -128,18 +133,26 @@ def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tu
     return dict_items, len(scan), len(combos), product
 
 
-def _filter(table: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
+def _buckets(dict_items: list, p: int) -> dict[int, list[tuple[int, int]]]:
+    """The dictionary half's entries by their sum's residue mod p, in dictionary order."""
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for entry in dict_items:
+        buckets.setdefault(entry[1] % p, []).append(entry)
+    return buckets
+
+
+def _filter(
+    table: tuple, p: int, residue: int, meter: StepMeter, buckets: dict | None = None
+) -> list[tuple[int, int]]:
     """Each product entry of `table` joined with each dictionary entry that
     completes it to `residue` mod p, in product order, then dictionary order.
-    The meter is charged as if the enumerations were made here."""
+    The meter is charged as if the enumerations were made here. `buckets`,
+    the dictionary half's `_buckets` for p, are built here when not given."""
     dict_items, n_scan, n_combos, product = table
     meter.add(len(dict_items))
     meter.add(n_scan)
     meter.add(n_combos)
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for entry in dict_items:
-        buckets.setdefault(entry[1] % p, []).append(entry)
-    get = buckets.get
+    get = (_buckets(dict_items, p) if buckets is None else buckets).get
     out = []
     for y_mask, y_sum in product:
         hits = get((residue - y_sum) % p)
@@ -178,24 +191,32 @@ def build_filtered_list(
     if dict_size is None:
         dict_size = round((len(side) + math.log2(max(1, n_combos))) / 2.0)
     dict_size = min(max(dict_size, 0), len(side))
-    _check_list_bytes(side, n_combos, dict_size, p, memory_limit_bytes())
+    check_bytes(_list_bytes(side, n_combos, dict_size, p), "a filtered list")
     table = _side_table(instance.weights, side, m_indices, s_i, dict_size)
     return _filter(table, p, residue % p, StepMeter() if meter is None else meter)
 
 
 class _AttemptTables:
     """What all attempts on one (instance, M, gamma) share, built on first use:
-    each (s, s1) split, and the enumerations behind each filtered list. The
-    enumerations are kept while they fit in about SSLAB_MEM_LIMIT_MB, and are
-    rebuilt on every use beyond that."""
+    each (s, s1) split, the enumerations behind each filtered list and, per
+    prime, the residue buckets of a list's dictionary half. What is kept takes
+    at most what the largest list the limit admits, charged at its smallest p,
+    leaves of SSLAB_MEM_LIMIT_MB; a list beyond that is rebuilt on every use."""
 
     def __init__(self, instance: Instance, m_mask: int, gamma: float):
         self.instance, self.m_mask, self.gamma = instance, m_mask, gamma
         self.m_indices = mask_indices(m_mask)
         self._splits: dict = {}
-        self._tables: dict = {}
+        self._tables: dict = {}  # list shape -> (enumerations, {p: buckets})
         self._limit = memory_limit_bytes()  # read once, for every list of every attempt
-        self._room = self._limit // 128  # a kept (mask, sum) entry takes about 128 B
+        m = len(self.m_indices)
+        charges = []
+        for s in range(math.ceil(m / 2), m + 1):
+            p = max(3, math.ceil(2.0 ** (self.split(s, 0)[0] * m)))  # as _draw_modulus
+            for s1 in range(0, s // 2 + 1):
+                for side, _, n_combos, dict_size in self.split(s, s1)[2:]:
+                    charges.append(_list_bytes(side, n_combos, dict_size, p))
+        self._room = self._limit - max((c for c in charges if c <= self._limit), default=0)
 
     def split(self, s: int, s1: int) -> tuple:
         """(pi, clamped_left, left list, right list) of the (s, s1) split, where
@@ -213,18 +234,28 @@ class _AttemptTables:
             self._splits[s, s1] = (f["pi"], f["clamped_left"], *lists)
         return self._splits[s, s1]
 
+    def _keep(self, nbytes: int) -> bool:
+        """Whether `nbytes` more fit in the room; if they do, they are taken from it."""
+        if nbytes > self._room:
+            return False
+        self._room -= nbytes
+        return True
+
     def filtered(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
-        """build_filtered_list for a list of `split`, on the kept enumerations."""
+        """build_filtered_list for a list of `split`, on the kept enumerations and buckets."""
         side, s_i, n_combos, dict_size = shape
-        _check_list_bytes(side, n_combos, dict_size, p, self._limit)
-        table = self._tables.get(shape)
-        if table is None:
+        check_bytes(_list_bytes(side, n_combos, dict_size, p), "a filtered list", self._limit)
+        kept = self._tables.get(shape)
+        if kept is None:
             table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
-            entries = len(table[0]) + len(table[3])
-            if entries <= self._room:
-                self._room -= entries
-                self._tables[shape] = table
-        return _filter(table, p, residue, meter)
+            if not self._keep((len(table[0]) + len(table[3]) + 2) * _KEPT_ENTRY_BYTES):
+                return _filter(table, p, residue, meter)
+            kept = self._tables[shape] = (table, {})
+        table, by_p = kept  # buckets are kept only beside a kept table, whose entries they hold
+        buckets = by_p.get(p)
+        if buckets is None and self._keep((len(table[0]) + 2) * _BUCKET_ENTRY_BYTES):
+            buckets = by_p[p] = _buckets(table[0], p)
+        return _filter(table, p, residue, meter, buckets)
 
 
 def representation_attempt(

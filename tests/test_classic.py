@@ -20,6 +20,7 @@ from sslab import (
     sample_subset_in_class,
     schroeppel_shamir,
 )
+from sslab import classic
 from sslab.numeric import is_prime
 
 _FROZEN = Instance(weights=(1, 2, 4, 8, 16, 32, 64, 128), target=170)
@@ -179,6 +180,19 @@ def test_meet_in_middle_memory_cap(monkeypatch):
     out, peak = _traced(meet_in_middle, gen_all_equal(32))
     assert out.found
     assert peak <= 41 * (1 << 16) + (64 << 10)
+
+
+def test_meet_in_middle_refuses_before_the_left_table(monkeypatch):
+    # the dense right half of n = 52 alone, 2^26 rows at 41 bytes, passes 512 MB
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "512")
+
+    def no_table(*args):
+        raise AssertionError("the left table was built before the refusal")
+
+    monkeypatch.setattr(classic, "_sum_table", no_table)
+    inst, _ = gen_planted(52, 60, RandomSource(5))
+    with pytest.raises(CapacityError):
+        meet_in_middle(inst)
 
 
 def test_schroeppel_shamir_memory_cap(monkeypatch):

@@ -73,6 +73,18 @@ def test_is_prime_small_and_large():
         is_prime(1)
 
 
+def test_is_prime_matches_a_sieve():
+    # below 37^2 = 1369, trial division by the Miller-Rabin bases decides alone
+    limit = 100_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, math.isqrt(limit) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    assert [m for m in range(2, limit) if is_prime(m)] == [m for m in range(limit) if sieve[m]]
+    assert (is_prime(1367), is_prime(1369), is_prime(1371)) == (True, False, False)
+
+
 def test_random_prime_range():
     rng = RandomSource(22)
     assert random_prime(3, rng) in (3, 5)

@@ -15,6 +15,7 @@ from sslab import (
     distinct_sums,
     full_mask,
     gen_all_equal,
+    gen_planted,
     gen_random_density,
     mask_from_indices,
     mask_indices,
@@ -24,7 +25,12 @@ from sslab import (
     solve_many_sums,
 )
 from sslab.numeric import is_prime
-from sslab.structured import _AttemptTables, _predicted_attempt_steps
+from sslab.structured import (
+    _KEPT_ENTRY_BYTES,
+    _AttemptTables,
+    _predicted_attempt_steps,
+    _side_table,
+)
 
 from _corpus import rich_no_instance, rich_planted
 
@@ -224,6 +230,67 @@ def test_representation_attempt_standalone_matches_solve(monkeypatch):
     assert records == out.iterations
     assert meter.count == out.cost["steps"]
     assert rng.randrange(1 << 30) == solve_rng.randrange(1 << 30)
+
+
+def _kept_table_bytes(inst, tables, shape):
+    side, s_i, _, dict_size = shape
+    table = _side_table(inst.weights, side, tables.m_indices, s_i, dict_size)
+    return (len(table[0]) + len(table[3]) + 2) * _KEPT_ENTRY_BYTES
+
+
+def test_attempt_tables_filter_as_build_filtered_list():
+    # a list filtered on kept enumerations and kept buckets, on some of them, or on
+    # none, is the standalone list, and charges the meter the same steps
+    inst, _ = rich_planted(14, 6, 14, seed=75)
+    m_mask = mask_from_indices(range(6))
+    shapes = _AttemptTables(inst, m_mask, 1.0).split(5, 1)[2:]
+    calls = ((5, 0), (7, 3), (5, 4), (11, 10), (7, 3), (5, 2))  # (p, residue)
+    for room in ("all", "tables", "none"):
+        for shape in shapes:
+            side, s_i, _, dict_size = shape
+            tables = _AttemptTables(inst, m_mask, 1.0)
+            table_bytes = _kept_table_bytes(inst, tables, shape)
+            tables._room = {"all": 1 << 30, "tables": table_bytes, "none": 0}[room]
+            for p, residue in calls:
+                got_meter, want_meter = StepMeter(), StepMeter()
+                got = tables.filtered(shape, p, residue, got_meter)
+                want = build_filtered_list(inst, mask_from_indices(side), m_mask, s_i, p,
+                                           residue, dict_size, want_meter)
+                assert got == want and got_meter.count == want_meter.count
+            kept = tables._tables.get(shape)
+            assert (kept is None) == (room == "none")
+            assert sorted(kept[1] if kept else ()) == ([5, 7, 11] if room == "all" else [])
+
+
+def test_kept_buckets_take_room():
+    inst, _ = rich_planted(14, 6, 14, seed=75)
+    tables = _AttemptTables(inst, mask_from_indices(range(6)), 1.0)
+    shape = tables.split(5, 1)[2]
+    tables._room = room = 1 << 30
+    rooms = []
+    for p in (5, 7, 5, 11, 7):
+        tables.filtered(shape, p, 1, StepMeter())
+        rooms.append(tables._room)
+    # the first call keeps the table and the buckets for 5; a new p takes more room
+    first = room - _kept_table_bytes(inst, tables, shape)
+    assert first > rooms[0] > rooms[1] == rooms[2] > rooms[3] == rooms[4]
+
+
+def test_solve_keeps_tables_inside_the_limit(monkeypatch):
+    # what a solve keeps takes only the room its largest list leaves of the limit,
+    # so the kept tables and buckets and an attempt's lists fit in it together
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    inst, _ = gen_planted(24, 48, RandomSource(24))
+    inst = Instance(weights=inst.weights, target=inst.target + 1)
+    tracemalloc.start()
+    try:
+        out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(1),
+                              step_budget=500_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.exhausted and not out.found
+    assert peak <= 1 << 20
 
 
 def test_solve_many_sums_reports_sums_enumerated():
