@@ -15,14 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapacityError, Instance, check_bytes
+from .core import CapacityError, Instance, _wide_sum_bytes, check_bytes
 from .oracle import _block_table, _run_starts, all_subset_sums
 
 # a pair sum peaks at about 40 bytes in the last deduplication: five int64
 # entries (the blocks' distinct sums, their concatenation, its sorted copy,
 # the run starts and the sums they pick)
 _UDCP_PAIR_BYTES = 40
-_TERNARY_LIMIT = 20
+# a {-1,0,1} vector of a ternary half, when every dot is distinct: its dot key, a
+# Counter and the Counter's entry, measured with tracemalloc at 3^5-3^10 vectors of
+# 64-bit weights: at most 331 bytes; wider dots add their extra size once
+_TERNARY_VECTOR_BYTES = 336
+_TERNARY_LIMIT = 20  # bounds the Python walk over 3^(n/2) vectors
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,8 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
     if n > _TERNARY_LIMIT:
         raise CapacityError(f"ternary kernel enumeration limited to n <= {_TERNARY_LIMIT}")
     h = n // 2
+    vector_bytes = _TERNARY_VECTOR_BYTES + _wide_sum_bytes(instance)
+    check_bytes((3 ** h + 3 ** (n - h)) * vector_bytes, "the two ternary halves")
     left = _ternary_half(instance.weights[:h])
     right = _ternary_half(instance.weights[h:])
     out = [0] * (n + 1)

@@ -13,6 +13,7 @@ import operator
 import os
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,6 +38,12 @@ def check_bytes(nbytes: int, what: str, limit: int | None = None) -> None:
     limit = memory_limit_bytes() if limit is None else limit
     if nbytes > limit:
         raise CapacityError(f"{what} would take {nbytes} bytes, over the memory limit of {limit}")
+
+
+def _wide_sum_bytes(instance: Instance) -> int:
+    """What one sum of `instance` may take beyond a 70-bit sum, which the per-entry
+    charges of Python-int tables were measured with; 0 for totals under 2^90."""
+    return max(0, sys.getsizeof(instance.total()) - sys.getsizeof(1 << 69))
 
 
 # the counters every classic exact solver and sampler reports

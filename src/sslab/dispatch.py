@@ -26,7 +26,7 @@ from .core import (
 from .hashing import reduce_bitlength
 from .classic import bellman_dp, meet_in_middle
 from .oracle import _block_table, brute_solve, distinct_sums
-from .structured import _many_sums, _split_join, solve_few_sums
+from .structured import _AttemptTables, _many_sums, _split_join, solve_few_sums
 
 # exact constants used by the exponent accounting
 _C_ENTROPY_QUARTER = Fraction(8113, 10000)   # h(1/4) <= 0.8113
@@ -101,10 +101,10 @@ def solve_small_bin(
             m_mask = mask_from_indices(block)
             count = distinct_sums(instance, m_mask)
             meter.add(count)
-            # a block passing this has log2|w(2^M)| >= gamma |M| and, with
-            # |M| <= ceil(n/4) <= n/2, is what _many_sums takes unchecked
+            # a block passing this has log2|w(2^M)| >= gamma |M|, the sum-richness
+            # _many_sums takes unchecked; |M| <= ceil(n/4) <= n/2 passes _AttemptTables
             if math.log2(count) >= gamma * max(len(block), mu * n) - 1e-9:
-                out = _many_sums(instance, m_mask, gamma, rng, meter)
+                out = _many_sums(_AttemptTables(instance, m_mask, gamma), rng, meter)
                 out.branch = "representation"
                 return out
         stage = "join"

@@ -20,8 +20,10 @@ from .core import (
     RandomSource,
     SolverOutcome,
     StepMeter,
+    _wide_sum_bytes,
     check_bytes,
     full_mask,
+    mask_from_indices,
     mask_indices,
     mask_sum,
     memory_limit_bytes,
@@ -39,22 +41,20 @@ _LIST_ENTRY_BYTES = 336
 # most 156 B (one bucket an entry); two more entries' worth covers each one's containers
 _KEPT_ENTRY_BYTES = 144
 _BUCKET_ENTRY_BYTES = 160
+# the sums an entry holds past those charges' 70-bit ones, by tracemalloc at n = 24-30 with
+# 200 and 1000-bit weights: a kept entry one, an attempt's peak per list entry up to two
+# (both lists are alive); a bucket holds the kept entries themselves
+_KEPT_ENTRY_SUMS = 1
+_LIST_ENTRY_SUMS = 2
 
 
 @dataclass(frozen=True)
 class ReprParams:
     """Derived parameters for one filtered-join iteration."""
 
-    n: int
-    m_mask: int
-    mu: float
-    gamma: float
     s: int
     s1: int
-    s2: int
-    sigma: float
     pi: float
-    lam: float
     left_mask: int
     right_mask: int
     p: int
@@ -67,55 +67,71 @@ def _ceil_frac(x: float) -> int:
     return math.ceil(x - 1e-9)
 
 
-def _split_fields(n: int, m_mask: int, gamma: float, s: int, s1: int) -> dict:
-    """The fields of ReprParams that do not depend on (p, t_L), validated."""
+def _split_table(n: int, m_mask: int, gamma: float) -> dict:
+    """Every split, validated: {s: (pi, p_min, clamped_prime, {s1: (clamped_left, left list,
+    right list)})} for s in [ceil(|M|/2), |M|], s1 in [0, s // 2], pi = gamma - 1 + s/|M|;
+    p_min is the floor of an attempt's prime, clamped_prime whether 2^(pi |M|) was raised
+    to it, and a list is (side items, s_i, C(|M|, s_i), dictionary size)."""
     m = m_mask.bit_count()
     if m < 1 or 2 * m > n:
         raise ValueError("need 1 <= |M| <= n/2")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    if not math.ceil(m / 2) <= s <= m:
-        raise ValueError("s must lie in [ceil(|M|/2), |M|]")
-    s2 = s - s1
-    if s1 < 0 or s1 > s2:
-        raise ValueError("need 0 <= s1 <= s - s1")
     mu = m / n
-    sigma = s / m
-    pi = gamma - 1.0 + sigma
-    lam = (1.0 - mu) / 2.0 + (h2(sigma / 2.0) - h2(s1 / m)) * mu
     rest = [i for i in range(n) if not (m_mask >> i) & 1]
-    ell = _ceil_frac(lam * n)
-    clamped_left = not 0 <= ell <= len(rest)
-    ell = min(max(ell, 0), len(rest))
-    return dict(
-        n=n, m_mask=m_mask, mu=mu, gamma=gamma, s=s, s1=s1, s2=s2,
-        sigma=sigma, pi=pi, lam=lam,
-        left_mask=sum(1 << i for i in rest[:ell]), right_mask=sum(1 << i for i in rest[ell:]),
-        clamped_left=clamped_left,
-    )
+    table = {}
+    for s in range(math.ceil(m / 2), m + 1):
+        sigma = s / m
+        pi = gamma - 1.0 + sigma
+        low = 2.0 ** (pi * m)
+        h_half = h2(sigma / 2.0)
+        ent = h_half * mu  # dictionary halves sized by lambda_1 = (lambda_side + ent)/2
+        shapes = {}
+        for s1 in range(0, s // 2 + 1):
+            lam = (1.0 - mu) / 2.0 + (h_half - h2(s1 / m)) * mu
+            ell = _ceil_frac(lam * n)
+            clamped_left = not 0 <= ell <= len(rest)
+            ell = min(max(ell, 0), len(rest))
+            lists = []
+            for side, s_i in ((tuple(rest[:ell]), s1), (tuple(rest[ell:]), s - s1)):
+                dict_size = min(max(math.floor((len(side) / n + ent) / 2.0 * n), 0), len(side))
+                lists.append((side, s_i, math.comb(m, s_i), dict_size))
+            shapes[s1] = (clamped_left, *lists)
+        table[s] = (pi, max(3, math.ceil(low)), low < 3.0, shapes)
+    return table
 
 
-def _draw_modulus(pi: float, m: int, rng: RandomSource) -> tuple[int, int, bool]:
-    """(p, t_L, clamped_prime): a random prime p from [2^(pi m), 2^(pi m + 1)],
-    raised to at least 3, and a uniform residue t_L mod p."""
-    low = 2.0 ** (pi * m)
-    p = random_prime(max(3, math.ceil(low)), rng)
-    return p, rng.randrange(p), low < 3.0
+def _split(table: dict, s: int) -> tuple:
+    """table[s] of a `_split_table`, or the error of an s outside it."""
+    if s not in table:
+        raise ValueError("s must lie in [ceil(|M|/2), |M|]")
+    return table[s]
+
+
+def _draw_modulus(p_min: int, rng: RandomSource) -> tuple[int, int]:
+    """(p, t_L): a random prime p from [p_min, 2 p_min] and a uniform residue t_L mod p."""
+    p = random_prime(p_min, rng)
+    return p, rng.randrange(p)
 
 
 def derive_params(
     n: int, m_mask: int, gamma: float, s: int, s1: int, rng: RandomSource
 ) -> ReprParams:
-    """Compute (sigma, pi, lambda, L/R split, prime filter) for one (s, s1) pair."""
-    fields = _split_fields(n, m_mask, gamma, s, s1)
-    p, t_l, clamped_prime = _draw_modulus(fields["pi"], m_mask.bit_count(), rng)
-    return ReprParams(**fields, p=p, t_l=t_l, clamped_prime=clamped_prime)
+    """Compute (pi, L/R split, prime filter) for one (s, s1) pair."""
+    pi, p_min, clamped_prime, shapes = _split(_split_table(n, m_mask, gamma), s)
+    if s1 not in shapes:
+        raise ValueError("need 0 <= s1 <= s - s1")
+    clamped_left, left, right = shapes[s1]
+    p, t_l = _draw_modulus(p_min, rng)
+    return ReprParams(s=s, s1=s1, pi=pi, left_mask=mask_from_indices(left[0]),
+                      right_mask=mask_from_indices(right[0]), p=p, t_l=t_l,
+                      clamped_prime=clamped_prime, clamped_left=clamped_left)
 
 
-def _list_bytes(side: tuple, n_combos: int, dict_size: int, p: int) -> int:
+def _list_bytes(side: tuple, n_combos: int, dict_size: int, p: int, wide: int) -> int:
     est_out = ((1 << len(side)) * n_combos) // p  # expected survivors of the residue filter
     entries = (1 << dict_size) + (1 << (len(side) - dict_size)) * n_combos + est_out
-    return entries * _LIST_ENTRY_BYTES
+    return entries * (_LIST_ENTRY_BYTES + _LIST_ENTRY_SUMS * wide)
 
 
 def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tuple:
@@ -191,48 +207,31 @@ def build_filtered_list(
     if dict_size is None:
         dict_size = round((len(side) + math.log2(max(1, n_combos))) / 2.0)
     dict_size = min(max(dict_size, 0), len(side))
-    check_bytes(_list_bytes(side, n_combos, dict_size, p), "a filtered list")
+    check_bytes(_list_bytes(side, n_combos, dict_size, p, _wide_sum_bytes(instance)), "a filtered list")
     table = _side_table(instance.weights, side, m_indices, s_i, dict_size)
     return _filter(table, p, residue % p, StepMeter() if meter is None else meter)
 
 
 class _AttemptTables:
-    """What all attempts on one (instance, M, gamma) share, built on first use:
-    each (s, s1) split, the enumerations behind each filtered list and, per
-    prime, the residue buckets of a list's dictionary half. What is kept takes
-    at most what the largest list the limit admits, charged at its smallest p,
-    leaves of SSLAB_MEM_LIMIT_MB; a list beyond that is rebuilt on every use."""
+    """What all attempts on one (instance, M, gamma) share: the `_split_table`,
+    the enumerations behind each filtered list and, per prime, the residue
+    buckets of a list's dictionary half, built on first use. What is kept
+    takes at most what the largest list the limit admits, charged at its
+    smallest p, leaves of SSLAB_MEM_LIMIT_MB; a list beyond that is rebuilt
+    on every use."""
 
     def __init__(self, instance: Instance, m_mask: int, gamma: float):
         self.instance, self.m_mask, self.gamma = instance, m_mask, gamma
         self.m_indices = mask_indices(m_mask)
-        self._splits: dict = {}
+        self.splits = _split_table(instance.n, m_mask, gamma)
         self._tables: dict = {}  # list shape -> (enumerations, {p: buckets})
         self._limit = memory_limit_bytes()  # read once, for every list of every attempt
-        m = len(self.m_indices)
-        charges = []
-        for s in range(math.ceil(m / 2), m + 1):
-            p = max(3, math.ceil(2.0 ** (self.split(s, 0)[0] * m)))  # as _draw_modulus
-            for s1 in range(0, s // 2 + 1):
-                for side, _, n_combos, dict_size in self.split(s, s1)[2:]:
-                    charges.append(_list_bytes(side, n_combos, dict_size, p))
+        self._wide = _wide_sum_bytes(instance)
+        charges = [_list_bytes(side, n_combos, dict_size, p_min, self._wide)
+                   for _, p_min, _, shapes in self.splits.values()
+                   for _, *lists in shapes.values()
+                   for side, _, n_combos, dict_size in lists]
         self._room = self._limit - max((c for c in charges if c <= self._limit), default=0)
-
-    def split(self, s: int, s1: int) -> tuple:
-        """(pi, clamped_left, left list, right list) of the (s, s1) split, where
-        a list is (side items, s_i, C(|M|, s_i), dictionary size)."""
-        if (s, s1) not in self._splits:
-            n = self.instance.n
-            f = _split_fields(n, self.m_mask, self.gamma, s, s1)
-            # dictionary halves sized by lambda_1 = (lambda_side + h(sigma/2) mu)/2
-            ent = h2(f["sigma"] / 2.0) * f["mu"]
-            lists = []
-            for side_mask, s_i in ((f["left_mask"], s1), (f["right_mask"], f["s2"])):
-                side = tuple(mask_indices(side_mask))
-                dict_size = min(max(math.floor((len(side) / n + ent) / 2.0 * n), 0), len(side))
-                lists.append((side, s_i, math.comb(len(self.m_indices), s_i), dict_size))
-            self._splits[s, s1] = (f["pi"], f["clamped_left"], *lists)
-        return self._splits[s, s1]
 
     def _keep(self, nbytes: int) -> bool:
         """Whether `nbytes` more fit in the room; if they do, they are taken from it."""
@@ -242,13 +241,14 @@ class _AttemptTables:
         return True
 
     def filtered(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
-        """build_filtered_list for a list of `split`, on the kept enumerations and buckets."""
+        """build_filtered_list for a list of `splits`, on the kept enumerations and buckets."""
         side, s_i, n_combos, dict_size = shape
-        check_bytes(_list_bytes(side, n_combos, dict_size, p), "a filtered list", self._limit)
+        check_bytes(_list_bytes(side, n_combos, dict_size, p, self._wide), "a filtered list", self._limit)
         kept = self._tables.get(shape)
         if kept is None:
             table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
-            if not self._keep((len(table[0]) + len(table[3]) + 2) * _KEPT_ENTRY_BYTES):
+            entry_bytes = _KEPT_ENTRY_BYTES + _KEPT_ENTRY_SUMS * self._wide
+            if not self._keep((len(table[0]) + len(table[3]) + 2) * entry_bytes):
                 return _filter(table, p, residue, meter)
             kept = self._tables[shape] = (table, {})
         table, by_p = kept  # buckets are kept only beside a kept table, whose entries they hold
@@ -283,9 +283,9 @@ def representation_attempt(
     if tables is None:
         tables = _AttemptTables(instance, m_mask, gamma)
     ws = instance.weights
-    p, t_l, clamped_prime = _draw_modulus(tables.split(s, 0)[0], len(tables.m_indices), rng)
-    for s1 in range(0, s // 2 + 1):
-        _, clamped_left, left, right = tables.split(s, s1)
+    _, p_min, clamped_prime, shapes = _split(tables.splits, s)
+    p, t_l = _draw_modulus(p_min, rng)
+    for s1, (clamped_left, left, right) in shapes.items():
         rec = {
             "target": target, "s": s, "s1": s1, "p": p, "t_l": t_l,
             "size_left": 0, "size_right": 0, "pairs_scanned": 0, "skipped": False,
@@ -322,9 +322,8 @@ def _predicted_attempt_steps(tables: _AttemptTables) -> float:
     over the side sizes and C(|M|, s_i) of the attempts' own splits."""
     n, m, gamma = tables.instance.n, len(tables.m_indices), tables.gamma
     total = 0.0
-    for s in range(math.ceil(m / 2), m + 1):
-        for s1 in range(0, s // 2 + 1):
-            pi, _, *lists = tables.split(s, s1)
+    for pi, _, _, shapes in tables.splits.values():
+        for _, *lists in shapes.values():
             for side, _, n_combos, _ in lists:
                 work = (2.0 ** len(side)) * n_combos
                 total += math.sqrt(work) + work / (2.0 ** (pi * m))
@@ -346,22 +345,18 @@ def solve_many_sums(
     which lives for this call only.
     Witnesses are exact; 'none' may be a false negative.
     """
-    m = m_mask.bit_count()
-    _split_fields(instance.n, m_mask, gamma, math.ceil(m / 2), 0)  # checks |M| and gamma
-    if math.log2(distinct_sums(instance, m_mask)) < gamma * m - 1e-9:
+    tables = _AttemptTables(instance, m_mask, gamma)  # checks |M| and gamma
+    if math.log2(distinct_sums(instance, m_mask)) < gamma * len(tables.m_indices) - 1e-9:
         raise ValueError("M is not sum-rich enough: |w(2^M)| < 2^(gamma |M|)")
-    return _many_sums(instance, m_mask, gamma, rng, StepMeter(step_budget))
+    return _many_sums(tables, rng, StepMeter(step_budget))
 
 
-def _many_sums(
-    instance: Instance, m_mask: int, gamma: float, rng: RandomSource, meter: StepMeter
-) -> SolverOutcome:
-    """solve_many_sums on `meter`, which may already hold a caller's steps, for
-    a block the caller has shown to be sum-rich. A meter without a limit gets
-    the default budget on top of those steps."""
+def _many_sums(tables: _AttemptTables, rng: RandomSource, meter: StepMeter) -> SolverOutcome:
+    """solve_many_sums on `tables` and on `meter`, which may already hold a
+    caller's steps, for a block the caller has shown to be sum-rich. A meter
+    without a limit gets the default budget on top of those steps."""
+    instance = tables.instance
     n = instance.n
-    m = m_mask.bit_count()
-    tables = _AttemptTables(instance, m_mask, gamma)
     if meter.limit is None:
         meter.limit = meter.count + 64 * n * n * math.ceil(_predicted_attempt_steps(tables))
     meter.counters.update(sums_enumerated=0, pairs_scanned=0, attempts=0)
@@ -370,13 +365,13 @@ def _many_sums(
     iterations: list = []
     try:
         for _ in range(n * n):
-            for s in range(math.ceil(m / 2), m + 1):
+            for s in tables.splits:
                 for target in (t, total - t):
                     if target < 0 or target > total:
                         continue
                     meter.counters["attempts"] += 1
                     wit = representation_attempt(
-                        instance, m_mask, gamma, s, target, rng,
+                        instance, tables.m_mask, tables.gamma, s, target, rng,
                         meter=meter, records=iterations, tables=tables,
                     )
                     if wit is not None:

@@ -26,13 +26,15 @@ def _run(capsys, *argv):
 
 def test_gen_writes_instance(tmp_path, capsys):
     out = tmp_path / "inst.txt"
-    code, lines, err = _run(capsys, "gen", "--kind", "density", "--n", "10",
-                            "--d", "1", "--seed", "7", "--out", str(out))
-    assert code == 0
-    assert lines[0]["n"] == 10 and lines[0]["kind"] == "density"
-    inst = read_instance(out)
-    assert inst.n == 10
-    assert "wrote" in err
+    for kind in ("density", "geometric", "planted", "equal", "superinc"):
+        code, lines, err = _run(capsys, "gen", "--kind", kind, "--n", "10",
+                                "--d", "1", "--seed", "7", "--out", str(out))
+        assert code == 0
+        assert lines[0]["n"] == 10 and lines[0]["kind"] == kind
+        assert ("planted_mask_hex" in lines[0]) == (kind == "planted")
+        inst = read_instance(out)
+        assert inst.n == 10 and inst.target == lines[0]["target"]
+        assert "wrote" in err
 
 
 def test_gen_planted_reports_witness(tmp_path, capsys):
@@ -80,8 +82,9 @@ def test_solve_algorithms_agree_with_brute(tmp_path, capsys):
          "--seed", "11", "--out", str(path))
     inst = read_instance(path)
     expect = brute_solve(inst).found
-    for alg in ("dp", "mim", "ss", "fewsums", "largebin", "auto"):
-        code, lines, _ = _run(capsys, "solve", str(path), "--alg", alg, "--seed", "2")
+    for alg, *extra in (("dp",), ("mim",), ("ss",), ("fewsums",), ("largebin",), ("smallbin",),
+                        ("auto",), ("auto", "--epsilon", "0.1")):
+        code, lines, _ = _run(capsys, "solve", str(path), "--alg", alg, "--seed", "2", *extra)
         assert code == 0
         rec = lines[0]
         assert rec["found"] == expect
@@ -186,6 +189,17 @@ def test_verify_skips_what_classify_refuses(tmp_path, capsys, monkeypatch):
     code, lines, _ = _run(capsys, "verify", str(path), "--checks", "sumsvsbin")
     assert code == 0
     assert lines == [{"check": "sumsvsbin", "instances": 0, "violations": 0}]
+
+
+def test_verify_skips_what_the_ternary_count_refuses(capsys, monkeypatch):
+    # under 1 MB the ternary halves of an n = 14 instance are refused, so the
+    # check runs only the instances of n <= 13 and still exits 0
+    _, lines, _ = _run(capsys, "verify", "--checks", "l2identity", "--n-max", "13")
+    ran = lines[0]["instances"]
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    code, lines, _ = _run(capsys, "verify", "--checks", "l2identity", "--n-max", "14")
+    assert code == 0
+    assert lines == [{"check": "l2identity", "instances": ran, "violations": 0}]
 
 
 def test_verify_unknown_check_is_domain_error(capsys):

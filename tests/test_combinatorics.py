@@ -152,6 +152,25 @@ def test_bin_l2_past_int64_is_exact():
     assert bin_l2(gen_all_equal(34)) == math.comb(68, 34)
 
 
+def test_ternary_halves_are_charged_their_bytes(monkeypatch):
+    # a 1.0-density half has a distinct dot per vector, 336 B each: the 2 x 3^9
+    # vectors of n = 18 are refused under 1 MB before either half is built, and
+    # the 3^6 + 3^7 of n = 13 fit under it
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    for n in (18, 13):
+        inst = gen_random_density(n, 1.0, RandomSource(n))
+        tracemalloc.start()
+        try:
+            counts = zero_ternary_counts_by_l1(inst)
+        except CapacityError:
+            counts = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert (counts is None) == (n == 18)
+
+
 def test_count_zero_ternary_domain():
     inst = Instance(weights=(1, 2), target=1)
     with pytest.raises(ValueError):

@@ -38,13 +38,10 @@ from _corpus import rich_no_instance, rich_planted
 def test_derive_params_frozen_case():
     m_mask = mask_from_indices(range(8))
     par = derive_params(16, m_mask, 1.0, 4, 2, rng=RandomSource(51))
-    assert par.sigma == pytest.approx(0.5)
-    assert par.pi == pytest.approx(0.5)
-    assert par.lam == pytest.approx(0.25)
-    assert par.left_mask.bit_count() == 4
+    assert par.pi == pytest.approx(0.5)  # gamma - 1 + s/|M|
+    assert par.left_mask.bit_count() == 4  # ceil(lambda n), lambda = 0.25
     assert 16 <= par.p <= 32 and is_prime(par.p)
     assert 0 <= par.t_l < par.p
-    assert par.s2 == 2 and par.mu == pytest.approx(0.5)
 
 
 def test_derive_params_partitions_items():
@@ -243,7 +240,7 @@ def test_attempt_tables_filter_as_build_filtered_list():
     # none, is the standalone list, and charges the meter the same steps
     inst, _ = rich_planted(14, 6, 14, seed=75)
     m_mask = mask_from_indices(range(6))
-    shapes = _AttemptTables(inst, m_mask, 1.0).split(5, 1)[2:]
+    shapes = _AttemptTables(inst, m_mask, 1.0).splits[5][3][1][1:]
     calls = ((5, 0), (7, 3), (5, 4), (11, 10), (7, 3), (5, 2))  # (p, residue)
     for room in ("all", "tables", "none"):
         for shape in shapes:
@@ -265,7 +262,7 @@ def test_attempt_tables_filter_as_build_filtered_list():
 def test_kept_buckets_take_room():
     inst, _ = rich_planted(14, 6, 14, seed=75)
     tables = _AttemptTables(inst, mask_from_indices(range(6)), 1.0)
-    shape = tables.split(5, 1)[2]
+    shape = tables.splits[5][3][1][1]
     tables._room = room = 1 << 30
     rooms = []
     for p in (5, 7, 5, 11, 7):
@@ -278,19 +275,36 @@ def test_kept_buckets_take_room():
 
 def test_solve_keeps_tables_inside_the_limit(monkeypatch):
     # what a solve keeps takes only the room its largest list leaves of the limit,
-    # so the kept tables and buckets and an attempt's lists fit in it together
+    # so the kept tables and buckets and an attempt's lists fit in it together; on
+    # 1000-bit weights each entry is charged its wider sums too
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
-    inst, _ = gen_planted(24, 48, RandomSource(24))
+    for bits in (48, 1000):
+        inst, _ = gen_planted(24, bits, RandomSource(24))
+        inst = Instance(weights=inst.weights, target=inst.target + 1)
+        tracemalloc.start()
+        try:
+            out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(1),
+                                  step_budget=500_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.exhausted and not out.found
+        assert peak <= 1 << 20
+
+
+def test_skipped_lists_are_recorded_empty(monkeypatch):
+    # under a small limit some lists of a solve are refused: their records say so,
+    # with nothing listed or scanned, and the solve goes on to the next split
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    inst, _ = gen_planted(26, 52, RandomSource(26))
     inst = Instance(weights=inst.weights, target=inst.target + 1)
-    tracemalloc.start()
-    try:
-        out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(1),
-                              step_budget=500_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.exhausted and not out.found
-    assert peak <= 1 << 20
+    out = solve_many_sums(inst, mask_from_indices(range(2)), 1.0, RandomSource(1),
+                          step_budget=200_000)
+    skipped = [r for r in out.iterations if r["skipped"]]
+    assert 0 < len(skipped) < len(out.iterations)
+    assert all((r["size_left"], r["size_right"], r["pairs_scanned"]) == (0, 0, 0) for r in skipped)
+    listed = sum(r["size_left"] + r["size_right"] for r in out.iterations if not r["skipped"])
+    assert out.cost["sums_enumerated"] == listed > 0
 
 
 def test_solve_many_sums_reports_sums_enumerated():
