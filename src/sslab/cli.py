@@ -65,6 +65,13 @@ def _generate(kind: str, n: int, d: float, bits: int, value: int, rng: RandomSou
     return gen_super_increasing(n), None
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def _parse_m(spec: str, n: int) -> int:
     if spec == "auto":
         return mask_from_indices(range(n // 2))
@@ -119,7 +126,7 @@ def _outcome_json(alg: str, instance: Instance, out) -> dict:
         "branch_taken": out.branch,
         "exhausted": out.exhausted,
     }
-    if alg == "repr" and out.iterations:
+    if out.iterations:
         obj["iterations"] = out.iterations
     return obj
 
@@ -306,16 +313,12 @@ def _cmd_bench(args) -> int:
         rng = RandomSource(args.seed)
         instance, _ = _generate(args.kind, n, args.d, n, 1, rng.split(f"bench:{n}"))
         out = _run_solver(args, instance)
-        row = {"n": n}
-        for key, val in out.cost.items():
-            row[key] = val
-        rows.append(row)
+        rows.append({"n": n, **out.cost})
     fields = ["n"] + sorted({k for row in rows for k in row} - {"n"})
     with open(args.csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     _emit({"alg": args.alg, "csv": args.csv, "rows": len(rows)})
     _note(f"benchmarked {args.alg} for n in [{args.n_from}, {args.n_to}]")
     return 0
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)  # the flags of _run_solver
     solver.add_argument("--alg", choices=_ALGS, required=True)
     solver.add_argument("--seed", type=int, default=0)
-    solver.add_argument("--budget", type=int, default=None)
+    solver.add_argument("--budget", type=_budget, default=None, help="step budget, a non-negative int")
     solver.add_argument("--sigma", type=float, default=0.5, help="sampler residue exponent")
     solver.add_argument("--M", default="auto", help="comma-separated indices or 'auto'")
     solver.add_argument("--gamma", type=float, default=None, help="sum-richness exponent of M")
@@ -389,7 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapacityError, ValueError, ReductionNotApplicable, BudgetExhausted, RuntimeError, OSError) as exc:
+    except (CapacityError, ValueError, OverflowError, ReductionNotApplicable, BudgetExhausted, RuntimeError,
+            OSError) as exc:
         _note(f"error: {exc}")
         return 1
 

@@ -240,10 +240,9 @@ def gen_random_density(n: int, d, rng: RandomSource) -> Instance:
     """Weights and target uniform in [1, floor(2^(n/d))]: density ~d instances."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    dfrac = Fraction(d)
-    if dfrac <= 0:
-        raise ValueError("density parameter must be positive")
-    upper = _pow2_floor(Fraction(n) / dfrac)
+    if not 0 < d < math.inf:  # false for nan too
+        raise ValueError("density parameter must be positive and finite")
+    upper = _pow2_floor(Fraction(n) / Fraction(d))
     weights = tuple(1 + rng.randrange(upper) for _ in range(n))
     target = 1 + rng.randrange(upper)
     return Instance(weights, target)

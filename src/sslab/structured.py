@@ -214,16 +214,21 @@ def build_filtered_list(
 
 class _AttemptTables:
     """What all attempts on one (instance, M, gamma) share: the `_split_table`,
-    the enumerations behind each filtered list and, per prime, the residue
-    buckets of a list's dictionary half, built on first use. What is kept
-    takes at most what the largest list the limit admits, charged at its
-    smallest p, leaves of SSLAB_MEM_LIMIT_MB; a list beyond that is rebuilt
-    on every use."""
+    its `records` (per split, its fixed fields and its attempts' totals), the
+    enumerations behind each filtered list and, per prime, the residue buckets
+    of a list's dictionary half, built on first use. What is kept takes at most
+    what the largest list the limit admits, charged at its smallest p, leaves
+    of SSLAB_MEM_LIMIT_MB; a list beyond that is rebuilt on every use."""
 
     def __init__(self, instance: Instance, m_mask: int, gamma: float):
         self.instance, self.m_mask, self.gamma = instance, m_mask, gamma
         self.m_indices = mask_indices(m_mask)
         self.splits = _split_table(instance.n, m_mask, gamma)
+        totals = dict.fromkeys(("attempts", "skipped", "size_left", "size_right", "pairs_scanned"), 0)
+        self.records = {(s, s1): dict(s=s, s1=s1, pi=pi, p_min=p_min, clamped_prime=clamped_prime,
+                                      clamped_left=clamped_left, **totals)
+                        for s, (pi, p_min, clamped_prime, shapes) in self.splits.items()
+                        for s1, (clamped_left, *_) in shapes.items()}
         self._tables: dict = {}  # list shape -> (enumerations, {p: buckets})
         self._limit = memory_limit_bytes()  # read once, for every list of every attempt
         self._wide = _wide_sum_bytes(instance)
@@ -266,54 +271,46 @@ def representation_attempt(
     target: int,
     rng: RandomSource,
     meter: StepMeter | None = None,
-    records: list | None = None,
     tables: _AttemptTables | None = None,
 ):
     """One full filtered-join attempt at `target`: fresh (p, t_L), all s1 splits.
 
-    Returns a mask with w(mask) = target, or None. Iterations whose lists would
-    exceed the memory limit are skipped and recorded, not fatal. `meter` counts
-    the lists' entries as `sums_enumerated` and the candidate pairs as
-    `pairs_scanned`. `tables` carries the (p, t_L)-independent enumerations
-    from one attempt of a solve to the next. Without a meter, records or
-    tables the attempt makes its own.
+    Returns a mask with w(mask) = target, or None. Lists that would exceed the
+    memory limit are skipped, not fatal. Each split the attempt reaches adds
+    to its row of `tables.records`. `meter` counts the lists' entries as
+    `sums_enumerated` and the candidate pairs as `pairs_scanned`. `tables`
+    carries the (p, t_L)-independent enumerations from one attempt of a solve
+    to the next. Without a meter or tables the attempt makes its own.
     """
     meter = StepMeter() if meter is None else meter
-    records = [] if records is None else records
     if tables is None:
         tables = _AttemptTables(instance, m_mask, gamma)
     ws = instance.weights
-    _, p_min, clamped_prime, shapes = _split(tables.splits, s)
+    _, p_min, _, shapes = _split(tables.splits, s)
     p, t_l = _draw_modulus(p_min, rng)
-    for s1, (clamped_left, left, right) in shapes.items():
-        rec = {
-            "target": target, "s": s, "s1": s1, "p": p, "t_l": t_l,
-            "size_left": 0, "size_right": 0, "pairs_scanned": 0, "skipped": False,
-            "clamped_prime": clamped_prime, "clamped_left": clamped_left,
-        }
+    for s1, (_, left, right) in shapes.items():
+        row = tables.records[s, s1]
+        row["attempts"] += 1
         try:
             left_list = tables.filtered(left, p, t_l % p, meter)
             right_list = tables.filtered(right, p, (target - t_l) % p, meter)
         except CapacityError:
-            rec["skipped"] = True
-            records.append(rec)
+            row["skipped"] += 1
             continue
-        rec["size_left"] = len(left_list)
-        rec["size_right"] = len(right_list)
+        row["size_left"] += len(left_list)
+        row["size_right"] += len(right_list)
         by_sum: dict[int, list[int]] = {}
         for m, sm in left_list:
             by_sum.setdefault(sm, []).append(m)
         meter.add(len(left_list) + len(right_list), "sums_enumerated")
         for t_mask, t_sum in right_list:
             for s_mask in by_sum.get(target - t_sum, ()):
-                rec["pairs_scanned"] += 1
+                row["pairs_scanned"] += 1
                 meter.add(1, "pairs_scanned")
                 if s_mask & t_mask == 0:
                     cand = s_mask | t_mask
                     if mask_sum(ws, cand) == target:
-                        records.append(rec)
                         return cand
-        records.append(rec)
     return None
 
 
@@ -362,7 +359,7 @@ def _many_sums(tables: _AttemptTables, rng: RandomSource, meter: StepMeter) -> S
     meter.counters.update(sums_enumerated=0, pairs_scanned=0, attempts=0)
     total = instance.total()
     t = instance.target
-    iterations: list = []
+    iterations = list(tables.records.values())  # its rows, which the attempts add to
     try:
         for _ in range(n * n):
             for s in tables.splits:
@@ -370,10 +367,8 @@ def _many_sums(tables: _AttemptTables, rng: RandomSource, meter: StepMeter) -> S
                     if target < 0 or target > total:
                         continue
                     meter.counters["attempts"] += 1
-                    wit = representation_attempt(
-                        instance, tables.m_mask, tables.gamma, s, target, rng,
-                        meter=meter, records=iterations, tables=tables,
-                    )
+                    wit = representation_attempt(instance, tables.m_mask, tables.gamma, s, target,
+                                                 rng, meter=meter, tables=tables)
                     if wit is not None:
                         if target != t:
                             wit = full_mask(n) ^ wit

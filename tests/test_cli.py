@@ -104,7 +104,22 @@ def test_solve_repr_emits_iterations(tmp_path, capsys):
     rec = lines[0]
     if rec["found"]:
         assert rec["iterations"]
-        assert {"p", "t_l", "s1", "pairs_scanned"} <= set(rec["iterations"][0])
+        assert set(rec["iterations"][0]) == {
+            "s", "s1", "pi", "p_min", "clamped_prime", "clamped_left",
+            "attempts", "skipped", "size_left", "size_right", "pairs_scanned"}
+
+
+@pytest.mark.parametrize("alg", ["smallbin", "auto"])
+def test_solve_small_bin_emits_iterations(tmp_path, capsys, alg):
+    # the representation step of smallbin and auto prints its per-split rows too
+    path = tmp_path / "i.txt"
+    _run(capsys, "gen", "--kind", "planted", "--n", "12", "--bits", "60",
+         "--seed", "3", "--out", str(path))
+    code, lines, _ = _run(capsys, "solve", str(path), "--alg", alg, "--seed", "1")
+    assert code == 0
+    rec = lines[0]
+    assert rec["branch_taken"].endswith("representation") and rec["iterations"]
+    assert all(r["attempts"] >= r["skipped"] >= 0 for r in rec["iterations"])
 
 
 @pytest.mark.parametrize("spec", ["1_0", "\u0663", "0,,1", "0,1,", ""])
@@ -234,6 +249,28 @@ def test_bench_writes_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["n"] for r in rows] == ["8", "9", "10", "11"]
     assert all(int(r["sums_enumerated"]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("d", ["inf", "1e-300"])
+def test_gen_refuses_an_unbounded_density(tmp_path, capsys, d):
+    # 2^(n/d) has no floor to draw weights below: a domain error, not a traceback
+    out = tmp_path / "i.txt"
+    code, lines, err = _run(capsys, "gen", "--kind", "density", "--n", "8", "--d", d,
+                            "--out", str(out))
+    assert code == 1
+    assert lines == [] and "error:" in err and not out.exists()
+
+
+@pytest.mark.parametrize("alg", ["sampler", "repr", "smallbin", "auto", "mim"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, alg):
+    path = tmp_path / "i.txt"
+    write_instance(gen_random_density(12, 1.0, RandomSource(3)), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--alg", alg, "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    code, _, _ = _run(capsys, "solve", str(path), "--alg", alg, "--budget", "0")
+    assert code == 0
 
 
 def test_usage_errors_exit_2(capsys):

@@ -30,6 +30,7 @@ from sslab.structured import (
     _AttemptTables,
     _predicted_attempt_steps,
     _side_table,
+    _split_table,
 )
 
 from _corpus import rich_no_instance, rich_planted
@@ -189,12 +190,14 @@ def test_representation_attempt_finds_planted_split():
         s_true = 6 - s_true
     found = 0
     for seed in range(40):
-        records = []
+        tables = _AttemptTables(inst, m_mask, 1.0)
         got = representation_attempt(
-            inst, m_mask, 1.0, s_true, target, RandomSource(seed), records=records)
-        assert records and all(
-            set(r) >= {"p", "t_l", "s1", "size_left", "size_right", "pairs_scanned"}
-            for r in records)
+            inst, m_mask, 1.0, s_true, target, RandomSource(seed), tables=tables)
+        rows = [r for r in tables.records.values() if r["attempts"]]
+        assert rows and all(
+            r["s"] == s_true and r["attempts"] == 1
+            and set(r) >= {"s1", "p_min", "size_left", "size_right", "pairs_scanned", "skipped"}
+            for r in rows)
         if got is not None:
             assert mask_sum(inst.weights, got) == target
             found += 1
@@ -202,7 +205,7 @@ def test_representation_attempt_finds_planted_split():
 
 
 def test_representation_attempt_standalone_matches_solve(monkeypatch):
-    # attempts that share one solve's tables give the records, steps and RNG
+    # attempts that share one solve's tables give the row totals, steps and RNG
     # stream of attempts that each build their own
     inst = rich_no_instance(12, 6, 12, seed=71)
     m_mask = mask_from_indices(range(6))
@@ -218,13 +221,18 @@ def test_representation_attempt_standalone_matches_solve(monkeypatch):
     monkeypatch.setattr(_AttemptTables, "__init__", no_room)
     unkept = solve_many_sums(inst, m_mask, 1.0, RandomSource(72))
     assert (unkept.iterations, unkept.cost) == (out.iterations, out.cost)
-    rng, meter, records = RandomSource(72), StepMeter(), []
+    rng, meter = RandomSource(72), StepMeter()
+    rows = list(_AttemptTables(inst, m_mask, 1.0).records.values())
+    totals = ("attempts", "skipped", "size_left", "size_right", "pairs_scanned")
     for _ in range(12 * 12):  # n^2 passes
         for s in range(3, 7):
             for target in (inst.target, inst.total() - inst.target):
+                own = _AttemptTables(inst, m_mask, 1.0)
                 assert representation_attempt(inst, m_mask, 1.0, s, target, rng,
-                                              meter=meter, records=records) is None
-    assert records == out.iterations
+                                              meter=meter, tables=own) is None
+                for row, add in zip(rows, own.records.values(), strict=True):
+                    row.update({key: row[key] + add[key] for key in totals})
+    assert rows == out.iterations
     assert meter.count == out.cost["steps"]
     assert rng.randrange(1 << 30) == solve_rng.randrange(1 << 30)
 
@@ -278,13 +286,15 @@ def test_solve_keeps_tables_inside_the_limit(monkeypatch):
     # so the kept tables and buckets and an attempt's lists fit in it together; on
     # 1000-bit weights each entry is charged its wider sums too
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
-    for bits in (48, 1000):
-        inst, _ = gen_planted(24, bits, RandomSource(24))
+    # n = 26 at 2M steps: the rows a solve returns are charged nowhere, so they must not
+    # grow with its attempts
+    for n, bits, budget in ((24, 48, 500_000), (24, 1000, 500_000), (26, 52, 2_000_000)):
+        inst, _ = gen_planted(n, bits, RandomSource(n))
         inst = Instance(weights=inst.weights, target=inst.target + 1)
         tracemalloc.start()
         try:
             out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(1),
-                                  step_budget=500_000)
+                                  step_budget=budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,18 +303,37 @@ def test_solve_keeps_tables_inside_the_limit(monkeypatch):
 
 
 def test_skipped_lists_are_recorded_empty(monkeypatch):
-    # under a small limit some lists of a solve are refused: their records say so,
-    # with nothing listed or scanned, and the solve goes on to the next split
+    # under a small limit some lists of a solve are refused: their splits' rows
+    # count them, a split whose every attempt was refused lists and scans nothing,
+    # and the solve goes on to the next split
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     inst, _ = gen_planted(26, 52, RandomSource(26))
     inst = Instance(weights=inst.weights, target=inst.target + 1)
     out = solve_many_sums(inst, mask_from_indices(range(2)), 1.0, RandomSource(1),
                           step_budget=200_000)
-    skipped = [r for r in out.iterations if r["skipped"]]
-    assert 0 < len(skipped) < len(out.iterations)
-    assert all((r["size_left"], r["size_right"], r["pairs_scanned"]) == (0, 0, 0) for r in skipped)
-    listed = sum(r["size_left"] + r["size_right"] for r in out.iterations if not r["skipped"])
+    rows = out.iterations
+    assert 0 < sum(r["skipped"] for r in rows) < sum(r["attempts"] for r in rows)
+    refused = [r for r in rows if r["skipped"] == r["attempts"] > 0]
+    assert refused
+    assert all((r["size_left"], r["size_right"], r["pairs_scanned"]) == (0, 0, 0) for r in refused)
+    listed = sum(r["size_left"] + r["size_right"] for r in rows)
     assert out.cost["sums_enumerated"] == listed > 0
+
+
+@pytest.mark.parametrize("budget", [10_000, 200_000])
+def test_solve_reports_one_row_per_split(budget):
+    # what a solve returns is one row per split of its table, in table order, at any
+    # budget, and the rows' totals are the solve's counters
+    inst = rich_no_instance(14, 6, 14, seed=76)
+    m_mask = mask_from_indices(range(6))
+    out = solve_many_sums(inst, m_mask, 1.0, RandomSource(77), step_budget=budget)
+    assert not out.found
+    splits = [(s, s1) for s, (*_, shapes) in _split_table(14, m_mask, 1.0).items() for s1 in shapes]
+    rows = out.iterations
+    assert [(r["s"], r["s1"]) for r in rows] == splits
+    assert sum(r["size_left"] + r["size_right"] for r in rows) == out.cost["sums_enumerated"]
+    assert sum(r["pairs_scanned"] for r in rows) == out.cost["pairs_scanned"]
+    assert sum(r["attempts"] for r in rows if r["s1"] == 0) == out.cost["attempts"] > len(splits)
 
 
 def test_solve_many_sums_reports_sums_enumerated():
@@ -321,17 +350,21 @@ def test_records_carry_clamps():
     for gamma, s, clamped in ((0.5, 3, True), (1.0, 3, False), (1.0, 6, False)):
         # pi = gamma - 1 + s/|M|, so gamma = 0.5 with s = |M|/2 asks for 2^0 < 3
         assert (2.0 ** ((gamma - 1.0 + s / 6) * 6) < 3.0) == clamped
-        records = []
-        representation_attempt(inst, m_mask, gamma, s, inst.target, RandomSource(74),
-                               records=records)
-        assert records and all(r["clamped_prime"] is clamped for r in records)
-        for r in records:
+        tables, rng = _AttemptTables(inst, m_mask, gamma), RandomSource(74)
+        representation_attempt(inst, m_mask, gamma, s, inst.target, rng, tables=tables)
+        rows = [r for r in tables.records.values() if r["attempts"]]
+        assert rows and all(r["s"] == s and r["clamped_prime"] is clamped for r in rows)
+        # the attempt draws (p, t_L) as derive_params does, and nothing else
+        par_rng = RandomSource(74)
+        par = derive_params(12, m_mask, gamma, s, 0, rng=par_rng)
+        assert rng.randrange(1 << 30) == par_rng.randrange(1 << 30)
+        assert par.clamped_prime is clamped
+        for r in rows:
             par = derive_params(12, m_mask, gamma, s, r["s1"], rng=RandomSource(74))
-            assert (r["p"], r["t_l"]) == (par.p, par.t_l)
+            assert r["p_min"] <= par.p <= 2 * r["p_min"]
             assert r["clamped_left"] is par.clamped_left
-        assert derive_params(12, m_mask, gamma, s, 0, rng=RandomSource(74)).clamped_prime is clamped
         if s == 6:  # s1 = 0 wants ell = ceil(0.75 n) = 9 of the 6 items outside M
-            assert records[0]["clamped_left"]
+            assert rows[0]["clamped_left"]
 
 
 def test_solve_many_sums_requires_rich_block():
