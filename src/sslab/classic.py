@@ -17,6 +17,7 @@ from .core import (
     RandomSource,
     SolverOutcome,
     StepMeter,
+    _wide_sum_bytes,
     check_bytes,
     mask_sum,
     verified_outcome,
@@ -65,15 +66,17 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
-    # the dense right half and the join's arrays peak at 41 bytes a right row
-    # (about 120 with Python ints), next to the left table's 24 (88) bytes a row;
-    # the right half alone is charged before the left table is built
-    wide = dtype is object
+    # a row's peak, measured with tracemalloc: the dense right half and the join's arrays
+    # 41 bytes a right row, the left table 24 a row; with Python ints of at most 70 bits,
+    # 120 and 96, plus the widths of the ints a row holds, none wider than the total or t:
+    # two a right row (its sum and t minus it), one a left row (its sum). The right half
+    # alone is charged before the left table is built
+    wide = _wide_sum_bytes(max(instance.total(), t))
     what = f"the meet-in-the-middle join at n={n}"
-    right_bytes = (1 << (n - k)) * (120 if wide else 41)
+    right_bytes = (1 << (n - k)) * (120 + 2 * wide if dtype is object else 41)
     check_bytes(right_bytes, what)
     left = _sum_table(instance.weights, range(k), dtype)
-    check_bytes(right_bytes + left.sums.size * (88 if wide else 24), what)
+    check_bytes(right_bytes + left.sums.size * (96 + wide if dtype is object else 24), what)
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask, l_row = _sorted_join(left.sums, right, t)
     meter.counters["dict_lookups"] = int(right.size)
@@ -109,8 +112,11 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     sizes = [(n + 3 - k) // 4 for k in range(4)]  # quarter k holds items k, k+4, k+8, ...
     retain = math.floor(8 * 2 ** (n / 4))
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
-    # what a dense quarter row and a window row peak at, measured with tracemalloc at n >= 24
-    q_row, window_row = (144, 80) if dtype is object else (64, 40)
+    # what a dense quarter row and a window row peak at, measured with tracemalloc at n >= 24;
+    # with Python ints, plus the widths of the ints a row holds: one a quarter row (its sum),
+    # up to two a window row (a pair sum and, on the right, t minus it)
+    wide = _wide_sum_bytes(max(instance.total(), t))
+    q_row, window_row = (144 + wide, 80 + 2 * wide) if dtype is object else (64, 40)
     charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * window_row
     check_bytes(charge, f"the quarter tables and windows at n={n}")
     q1, q2, q3, q4 = (_sum_table(instance.weights, range(k, n, 4), dtype) for k in range(4))

@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from itertools import combinations
 
 from .classic import bellman_dp, meet_in_middle, modular_sampler, schroeppel_shamir
@@ -65,10 +66,15 @@ def _generate(kind: str, n: int, d: float, bits: int, value: int, rng: RandomSou
     return gen_super_increasing(n), None
 
 
-def _budget(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+def _integer(text: str, minimum: int | None = None) -> int:
+    """The type of every integer flag: the instance file's integer format, an
+    optional sign and ASCII digits, and at least `minimum` when one is given."""
+    try:
+        value = _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -264,7 +270,9 @@ def _check_one(check: str, name: str, instance: Instance, violations: list) -> b
                 })
                 return True
         return True
-    report = classify(instance)  # sumsvsbin
+    if n < 1:  # sumsvsbin: classify needs an item
+        return False
+    report = classify(instance)
     if not report.sums_vs_bin_holds:
         violations.append({
             "check": check, "instance": name,
@@ -333,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)  # the flags of _run_solver
     solver.add_argument("--alg", choices=_ALGS, required=True)
-    solver.add_argument("--seed", type=int, default=0)
-    solver.add_argument("--budget", type=_budget, default=None, help="step budget, a non-negative int")
+    solver.add_argument("--seed", type=_integer, default=0)
+    solver.add_argument("--budget", type=partial(_integer, minimum=0), default=None,
+                        help="step budget, a non-negative int")
     solver.add_argument("--sigma", type=float, default=0.5, help="sampler residue exponent")
     solver.add_argument("--M", default="auto", help="comma-separated indices or 'auto'")
     solver.add_argument("--gamma", type=float, default=None, help="sum-richness exponent of M")
@@ -342,11 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--kind", choices=_GEN_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--d", type=float, default=1.0, help="density for --kind density")
-    p.add_argument("--bits", type=int, default=12, help="weight bits for --kind planted")
-    p.add_argument("--value", type=int, default=1, help="weight for --kind equal")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bits", type=_integer, default=12, help="weight bits for --kind planted")
+    p.add_argument("--value", type=_integer, default=1, help="weight for --kind equal")
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True, help="destination instance file")
     p.set_defaults(func=_cmd_gen)
 
@@ -364,21 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hash", help="reduce an instance's bit length")
     p.add_argument("file")
-    p.add_argument("--B", type=int, required=True, help="bin-size budget of the reduction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--B", type=_integer, required=True, help="bin-size budget of the reduction")
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", default=None, help="write the reduced instance here")
     p.set_defaults(func=_cmd_hash)
 
     p = sub.add_parser("verify", help="check combinatorial invariants on a corpus")
     p.add_argument("file", nargs="?", default=None, help="single instance file (default: generated corpus)")
     p.add_argument("--checks", default=",".join(_CHECKS), help="comma-separated subset of checks")
-    p.add_argument("--n-max", dest="n_max", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", dest="n_max", type=_integer, default=12)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", parents=[solver], help="sweep n for one algorithm, counters to CSV")
-    p.add_argument("--n-from", dest="n_from", type=int, required=True)
-    p.add_argument("--n-to", dest="n_to", type=int, required=True)
+    p.add_argument("--n-from", dest="n_from", type=_integer, required=True)
+    p.add_argument("--n-to", dest="n_to", type=_integer, required=True)
     p.add_argument("--kind", choices=_GEN_KINDS, default="density")
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--csv", required=True, help="output CSV path")

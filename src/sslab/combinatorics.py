@@ -83,9 +83,11 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
     if n < 1:
         raise CapacityError("extraction needs n >= 1")
     table = _block_table(instance)
-    # the mask tuple and the set that checks it, measured with tracemalloc at
-    # density 1, n = 16-20: 117 bytes a row next to an int64 table, 152 a Python-int one
-    check_bytes(table.sums.size * (152 if table.sums.dtype == object else 120), "the mask tuple")
+    # the mask tuple and the set that checks it, measured with tracemalloc at density 1,
+    # n = 16-20: 117 bytes a row next to an int64 table; a Python-int one 152 and the widths
+    # of two sums (the table's and the dense sums')
+    row = 152 + 2 * _wide_sum_bytes(table.sums[-1]) if table.sums.dtype == object else 120
+    check_bytes(table.sums.size * row, "the mask tuple")
     modal = table.sums[int(np.argmax(table.counts))]  # first maximum = smallest modal sum
     b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask
     return UdcpPair(
@@ -124,7 +126,7 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
     if n > _TERNARY_LIMIT:
         raise CapacityError(f"ternary kernel enumeration limited to n <= {_TERNARY_LIMIT}")
     h = n // 2
-    vector_bytes = _TERNARY_VECTOR_BYTES + _wide_sum_bytes(instance)
+    vector_bytes = _TERNARY_VECTOR_BYTES + _wide_sum_bytes(instance.total())
     check_bytes((3 ** h + 3 ** (n - h)) * vector_bytes, "the two ternary halves")
     left = _ternary_half(instance.weights[:h])
     right = _ternary_half(instance.weights[h:])

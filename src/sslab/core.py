@@ -28,8 +28,16 @@ class BudgetExhausted(Exception):
 
 
 def memory_limit_bytes() -> int:
-    """Soft cap for table-shaped allocations, from SSLAB_MEM_LIMIT_MB (default 512)."""
-    return int(os.environ.get("SSLAB_MEM_LIMIT_MB", "512")) << 20
+    """Soft cap for table-shaped allocations, from SSLAB_MEM_LIMIT_MB (default 512),
+    a non-negative integer in the instance file's format."""
+    text = os.environ.get("SSLAB_MEM_LIMIT_MB", "512")
+    try:
+        megabytes = _parse_int(text)
+        if megabytes < 0:
+            raise ValueError(text)
+    except ValueError:
+        raise ValueError(f"SSLAB_MEM_LIMIT_MB must be a non-negative integer, got {text!r}") from None
+    return megabytes << 20
 
 
 def check_bytes(nbytes: int, what: str, limit: int | None = None) -> None:
@@ -40,10 +48,11 @@ def check_bytes(nbytes: int, what: str, limit: int | None = None) -> None:
         raise CapacityError(f"{what} would take {nbytes} bytes, over the memory limit of {limit}")
 
 
-def _wide_sum_bytes(instance: Instance) -> int:
-    """What one sum of `instance` may take beyond a 70-bit sum, which the per-entry
-    charges of Python-int tables were measured with; 0 for totals under 2^90."""
-    return max(0, sys.getsizeof(instance.total()) - sys.getsizeof(1 << 69))
+def _wide_sum_bytes(value: int) -> int:
+    """What a Python int as wide as `value` takes beyond a 70-bit int; 0 under 2^90.
+    Every byte charge of a Python-int row is its size measured with values of at
+    most 70 bits plus, per Python int the row holds, this of the widest such value."""
+    return max(0, sys.getsizeof(value) - sys.getsizeof(1 << 69))
 
 
 # the counters every classic exact solver and sampler reports

@@ -10,7 +10,6 @@ object arrays of Python ints. `_table_dtype` alone makes that choice.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,6 +21,7 @@ from .core import (
     Instance,
     SolverOutcome,
     StepMeter,
+    _wide_sum_bytes,
     check_bytes,
     full_mask,
     mask_indices,
@@ -61,14 +61,6 @@ def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
     return np.int64 if fits else object
 
 
-def _dense_row_bytes(weights: Sequence[int], dtype) -> int:
-    """Peak bytes a row of a `_dense_sums` array takes while it is built and
-    scanned: 12 with int64 (the sum and half a row of the doubling's
-    temporary); a Python int row holds 16 bytes plus the int, sized by the
-    largest sum."""
-    return 12 if dtype is np.int64 else 16 + sys.getsizeof(sum(weights))
-
-
 def _dense_sums(weights: Sequence[int], dtype=np.int64) -> np.ndarray:
     """All 2^k subset sums, indexed by mask (bit i = weights[i])."""
     arr = np.zeros(1 << len(weights), dtype=dtype)
@@ -104,10 +96,10 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     idx = sorted(indices)
     # a merged row's peak, measured with tracemalloc at n = 16-20: 56 bytes with int64
     # (sums, counts, masks and four 8-byte temporaries: the sort order, the run starts,
-    # the rows they pick, the reordered masks); with Python ints, 64 plus the sizes of
-    # the largest sum and the largest mask (128 for weights near 2^63, 252 near 2^1000)
+    # the rows they pick, the reordered masks); with Python ints, at most 133 with 70-bit
+    # sums and masks, plus the widths of the largest sum and the largest mask
     row = 56 if dtype is np.int64 else (
-        64 + sys.getsizeof(sum(weights[i] for i in idx)) + sys.getsizeof(sum(1 << i for i in idx)))
+        136 + _wide_sum_bytes(sum(weights[i] for i in idx)) + _wide_sum_bytes(sum(1 << i for i in idx)))
     rest = iter(idx[_DENSE_BITS:])
     sums = _dense_sums([weights[i] for i in idx[:_DENSE_BITS]], dtype)
     counts = np.ones(sums.size, dtype=dtype)  # at most 2^|S|, inside the masks' dtype
@@ -158,9 +150,10 @@ def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable
 def enumerate_histogram(instance: Instance, subset_mask: int | None = None) -> SumHistogram:
     """Exact histogram of w(2^S): every sum with its multiplicity; counts total 2^|S|."""
     table = _block_table(instance, subset_mask)
-    # the dict and the two lists it is built from, measured with tracemalloc at
-    # density 1, n = 16-20: 139 bytes a row next to an int64 table, 172 a Python-int one
-    check_bytes(table.sums.size * (172 if table.sums.dtype == object else 140), "the histogram's dict")
+    # the dict and the two lists it is built from, measured with tracemalloc at density 1,
+    # n = 16-20: 139 bytes a row next to an int64 table, 172 and one sum's width a Python-int one
+    row = 172 + _wide_sum_bytes(table.sums[-1]) if table.sums.dtype == object else 140
+    check_bytes(table.sums.size * row, "the histogram's dict")
     return SumHistogram(entries=dict(zip(table.sums.tolist(), table.counts.tolist())))
 
 
@@ -179,7 +172,10 @@ def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.nd
     """Materialized sums for every mask (index = mask). Verification helper; 2^|S| memory."""
     ws, _ = _subset_weights(instance, subset_mask)
     dtype = _table_dtype(ws)
-    check_bytes((1 << len(ws)) * _dense_row_bytes(ws, dtype), f"all {1 << len(ws)} subset sums")
+    # a row peaks at 12 bytes with int64 (the sum and half a row of the doubling's temporary),
+    # and at 52 with Python ints of at most 70 bits, plus the largest sum's width
+    row = 12 if dtype is np.int64 else 52 + _wide_sum_bytes(sum(ws))
+    check_bytes((1 << len(ws)) * row, f"all {1 << len(ws)} subset sums")
     return _dense_sums(ws, dtype)
 
 
@@ -195,7 +191,7 @@ def brute_solve(instance: Instance) -> SolverOutcome:
     if t > sum(ws):
         return SolverOutcome(cost=meter.cost)
     dtype = _table_dtype(ws, t)
-    row = _dense_row_bytes(ws, dtype)
+    row = 12 if dtype is np.int64 else 52 + _wide_sum_bytes(sum(ws))  # as in all_subset_sums
     check_bytes(row << min(len(ws), 1), "a one-item block of the brute-force scan")
     b = min(len(ws), _BLOCK_BITS, (memory_limit_bytes() // row).bit_length() - 1)
     low = _dense_sums(ws[:b], dtype)  # index = mask of the low b items

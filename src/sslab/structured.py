@@ -32,20 +32,19 @@ from .core import (
 from .numeric import h2, random_prime
 from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sumset_with_witness
 
-# a filtered list's charge per entry it enumerates: the most an attempt peaked at (both
+# Per-entry charges, measured on sums of at most 70 bits; each adds the widths of the sums
+# an entry holds, counted with tracemalloc at n = 24-30 on 200 and 1000-bit weights.
+# A filtered list's charge per entry it enumerates: the most an attempt peaked at (both
 # lists, the join dict and the tables it built) per entry of its largest list, measured
-# with tracemalloc at n = 30-36: 266 B with a one-item M at n = 36, 333 B with |M| = 4
+# with tracemalloc at n = 30-36: 266 B with a one-item M at n = 36, 333 B with |M| = 4.
+# It holds up to two sums, since both lists are alive.
 _LIST_ENTRY_BYTES = 336
-# what a solve keeps, per entry, measured with tracemalloc at n = 24 (48 and 70-bit
+# What a solve keeps, per entry, measured with tracemalloc at n = 24 (48 and 70-bit
 # weights): a kept enumeration at most 137 B, a dictionary half's buckets for one p at
-# most 156 B (one bucket an entry); two more entries' worth covers each one's containers
+# most 156 B (one bucket an entry); two more entries' worth covers each one's containers.
+# A kept entry holds one sum, a bucket none: it holds the kept entries themselves.
 _KEPT_ENTRY_BYTES = 144
 _BUCKET_ENTRY_BYTES = 160
-# the sums an entry holds past those charges' 70-bit ones, by tracemalloc at n = 24-30 with
-# 200 and 1000-bit weights: a kept entry one, an attempt's peak per list entry up to two
-# (both lists are alive); a bucket holds the kept entries themselves
-_KEPT_ENTRY_SUMS = 1
-_LIST_ENTRY_SUMS = 2
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def derive_params(
 def _list_bytes(side: tuple, n_combos: int, dict_size: int, p: int, wide: int) -> int:
     est_out = ((1 << len(side)) * n_combos) // p  # expected survivors of the residue filter
     entries = (1 << dict_size) + (1 << (len(side) - dict_size)) * n_combos + est_out
-    return entries * (_LIST_ENTRY_BYTES + _LIST_ENTRY_SUMS * wide)
+    return entries * (_LIST_ENTRY_BYTES + 2 * wide)
 
 
 def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tuple:
@@ -207,7 +206,8 @@ def build_filtered_list(
     if dict_size is None:
         dict_size = round((len(side) + math.log2(max(1, n_combos))) / 2.0)
     dict_size = min(max(dict_size, 0), len(side))
-    check_bytes(_list_bytes(side, n_combos, dict_size, p, _wide_sum_bytes(instance)), "a filtered list")
+    wide = _wide_sum_bytes(instance.total())
+    check_bytes(_list_bytes(side, n_combos, dict_size, p, wide), "a filtered list")
     table = _side_table(instance.weights, side, m_indices, s_i, dict_size)
     return _filter(table, p, residue % p, StepMeter() if meter is None else meter)
 
@@ -231,7 +231,7 @@ class _AttemptTables:
                         for s1, (clamped_left, *_) in shapes.items()}
         self._tables: dict = {}  # list shape -> (enumerations, {p: buckets})
         self._limit = memory_limit_bytes()  # read once, for every list of every attempt
-        self._wide = _wide_sum_bytes(instance)
+        self._wide = _wide_sum_bytes(instance.total())
         charges = [_list_bytes(side, n_combos, dict_size, p_min, self._wide)
                    for _, p_min, _, shapes in self.splits.values()
                    for _, *lists in shapes.values()
@@ -252,7 +252,7 @@ class _AttemptTables:
         kept = self._tables.get(shape)
         if kept is None:
             table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
-            entry_bytes = _KEPT_ENTRY_BYTES + _KEPT_ENTRY_SUMS * self._wide
+            entry_bytes = _KEPT_ENTRY_BYTES + self._wide
             if not self._keep((len(table[0]) + len(table[3]) + 2) * entry_bytes):
                 return _filter(table, p, residue, meter)
             kept = self._tables[shape] = (table, {})

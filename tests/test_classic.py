@@ -168,7 +168,7 @@ def _traced(fn, *args):
         tracemalloc.stop()
 
 
-def test_meet_in_middle_memory_cap(monkeypatch):
+def test_meet_in_middle_memory_cap(monkeypatch, charges):
     # all-equal halves keep the left table at n/2 + 1 rows, so the dense right
     # half and the join decide: 41 bytes a right row, 10.7 MB at n = 36
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "8")
@@ -180,6 +180,13 @@ def test_meet_in_middle_memory_cap(monkeypatch):
     out, peak = _traced(meet_in_middle, gen_all_equal(32))
     assert out.found
     assert peak <= 41 * (1 << 16) + (64 << 10)
+    # also when its rows hold Python ints of up to 63, 200 and 1000 bits
+    for bits in (63, 200, 1000):
+        inst, _ = gen_planted(24, bits, RandomSource(bits))
+        charges.clear()
+        out, peak = _traced(meet_in_middle, Instance(inst.weights, inst.target + 1))
+        assert not out.found
+        assert peak <= max(charges)
 
 
 def test_meet_in_middle_refuses_before_the_left_table(monkeypatch):
@@ -195,7 +202,7 @@ def test_meet_in_middle_refuses_before_the_left_table(monkeypatch):
         meet_in_middle(inst)
 
 
-def test_schroeppel_shamir_memory_cap(monkeypatch):
+def test_schroeppel_shamir_memory_cap(monkeypatch, charges):
     # four quarter lists of 2^11 rows at 140 bytes a row exceed 1 MB
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     out, peak = _traced(schroeppel_shamir, gen_all_equal(44))
@@ -205,6 +212,25 @@ def test_schroeppel_shamir_memory_cap(monkeypatch):
     out, peak = _traced(schroeppel_shamir, gen_all_equal(24))
     assert out.found
     assert peak <= 140 * 4 * (1 << 6)
+    # also when its rows hold Python ints of up to 63, 200 and 1000 bits
+    for bits in (63, 200, 1000):
+        inst, _ = gen_planted(28, bits, RandomSource(bits))
+        charges.clear()
+        out, peak = _traced(schroeppel_shamir, Instance(inst.weights, inst.target + 1))
+        assert not out.found
+        assert peak <= max(charges)
+
+
+@pytest.mark.parametrize("solve, n, limit_mb", [(meet_in_middle, 28, 5), (schroeppel_shamir, 36, 1)])
+def test_wide_joins_stay_inside_the_limit(monkeypatch, solve, n, limit_mb):
+    # 1000-bit weights: every sum a join holds is a Python int of about 160 bytes
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
+    inst, _ = gen_planted(n, 1000, RandomSource(n))
+    out, peak = _traced(solve, Instance(inst.weights, inst.target + 1))
+    if isinstance(out, CapacityError):
+        assert peak < 1 << 16  # refused before any table was built
+    else:
+        assert peak <= limit_mb << 20
 
 
 def test_residue_count_table_exact():

@@ -273,6 +273,44 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, alg):
     assert code == 0
 
 
+_INTEGER_FLAGS = {  # a command that takes the flag, which comes last
+    "--n": ["gen", "--kind", "equal", "--out", "{out}", "--n"],
+    "--bits": ["gen", "--kind", "planted", "--n", "4", "--out", "{out}", "--bits"],
+    "--value": ["gen", "--kind", "equal", "--n", "4", "--out", "{out}", "--value"],
+    "--seed": ["solve", "{inst}", "--alg", "mim", "--seed"],
+    "--budget": ["solve", "{inst}", "--alg", "repr", "--budget"],
+    "--B": ["hash", "{inst}", "--B"],
+    "--n-max": ["verify", "--n-max"],
+    "--n-from": ["bench", "--alg", "mim", "--n-to", "4", "--csv", "{out}", "--n-from"],
+    "--n-to": ["bench", "--alg", "mim", "--n-from", "4", "--csv", "{out}", "--n-to"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_INTEGER_FLAGS))
+@pytest.mark.parametrize("value", ["1_0", "\u0663"])
+def test_integer_flags_take_the_instance_format(tmp_path, capsys, flag, value):
+    # the instance file's integers: int() alone would take 1_0 and a non-ASCII 3
+    inst, out = tmp_path / "i.txt", tmp_path / "out"
+    write_instance(gen_random_density(8, 1.0, RandomSource(3)), inst)
+    argv = [a.format(inst=inst, out=out) for a in _INTEGER_FLAGS[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err and not out.exists()
+    code, _, _ = _run(capsys, *argv, "4")
+    assert code == 0
+
+
+def test_verify_skips_an_empty_instance(tmp_path, capsys):
+    # n = 0 is outside sumsvsbin's range, as it is outside udcp's and cauchyschwarz's
+    path = tmp_path / "empty.ss"
+    write_instance(Instance(weights=(), target=0), path)
+    code, lines, _ = _run(capsys, "verify", str(path))
+    assert code == 0
+    assert {rec["check"]: rec["instances"] for rec in lines} == {
+        "udcp": 0, "l2identity": 1, "cauchyschwarz": 0, "sumsvsbin": 0}
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "missing.txt"])  # --alg is required

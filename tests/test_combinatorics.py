@@ -119,7 +119,7 @@ def test_udcp_memory_limit(monkeypatch):
     assert check_udcp(pair)  # 9 * 4 pair sums still fit
 
 
-def test_udcp_extraction_charges_its_masks(monkeypatch):
+def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
     # 2^16 distinct sums: the last merge peaks at 3.7 MB and the dense sums at
     # 0.8 MB, but the mask tuple and its set peak at about 7.7 MB (117 B a row)
     inst = gen_super_increasing(16)
@@ -138,6 +138,16 @@ def test_udcp_extraction_charges_its_masks(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= row_bytes * (1 << 14)
+    # and with tables of Python ints of about 200 and 1000 bits, which the charge grows with
+    for bits in (200, 1000):
+        charges.clear()
+        tracemalloc.start()
+        try:
+            udcp_from_instance(Instance(tuple((1 << bits) + (1 << i) for i in range(14)), 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charges)
 
 
 def test_bin_l2_subset_restriction():

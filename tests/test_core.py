@@ -23,7 +23,7 @@ from sslab import (
     read_instance,
     write_instance,
 )
-from sslab.core import verified_outcome
+from sslab.core import memory_limit_bytes, verified_outcome
 
 
 def test_mask_helpers_roundtrip():
@@ -192,3 +192,14 @@ def test_solver_outcome_and_verification():
     assert good.found and good.witness == 0b110
     with pytest.raises(RuntimeError):
         verified_outcome(inst, 0b011, {})
+
+
+def test_memory_limit_reads_the_integer_format(monkeypatch):
+    # the instance file's integers: an optional sign and ASCII digits, here none below 0
+    for text, megabytes in (("0", 0), ("+3", 3), (" 512 ", 512)):
+        monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", text)
+        assert memory_limit_bytes() == megabytes << 20
+    for text in ("1_0", "\u0663", "abc", "", "-1", "2.5"):
+        monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", text)
+        with pytest.raises(ValueError, match="SSLAB_MEM_LIMIT_MB"):
+            memory_limit_bytes()

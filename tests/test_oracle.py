@@ -245,7 +245,21 @@ def test_tables_refuse_over_memory_limit(monkeypatch):
         sumset_with_witness(gen_super_increasing(30).weights, range(30))
 
 
-def test_table_check_counts_merge_peak(monkeypatch):
+def _wide_super_increasing(n, bits):
+    """2^bits + 2^i for i < n: 2^n distinct sums, each a Python int of about bits + log2 n bits."""
+    return Instance(tuple((1 << bits) + (1 << i) for i in range(n)), 1)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_check_counts_merge_peak(monkeypatch, charges):
     # 2^18 distinct sums: the table is 6 MB (24 bytes a row), but the last
     # merge peaks at 14 MB (56 bytes a row), so 10 MB must refuse it
     inst = gen_super_increasing(18)
@@ -255,16 +269,17 @@ def test_table_check_counts_merge_peak(monkeypatch):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "15")
     assert distinct_sums(inst) == 1 << 18
     # the charge covers what the merge really allocates
-    tracemalloc.start()
-    try:
-        distinct_sums(gen_super_increasing(16))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(distinct_sums, gen_super_increasing(16))
     assert peak <= 56 * (1 << 16) + (64 << 10)
+    # also when its sums are Python ints of about 63, 200 and 1000 bits
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
+    for bits in (63, 200, 1000):
+        charges.clear()
+        peak = _traced_peak(distinct_sums, _wide_super_increasing(16, bits))
+        assert peak <= max(charges)
 
 
-def test_histogram_charges_its_dict(monkeypatch):
+def test_histogram_charges_its_dict(monkeypatch, charges):
     # 2^18 distinct sums: the last merge peaks at 14 MB (56 bytes a row), but
     # the dict and the lists it is built from peak at about 36 MB (139 a row)
     inst = gen_super_increasing(18)
@@ -275,15 +290,14 @@ def test_histogram_charges_its_dict(monkeypatch):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "40")
     assert len(enumerate_histogram(inst).entries) == 1 << 18
     # the charge covers what the dict really takes, next to an int64 and a Python-int table
-    wide = Instance(tuple((1 << 63) + (1 << i) for i in range(16)), 1)
+    wide = _wide_super_increasing(16, 63)
     for inst, row_bytes in ((gen_super_increasing(16), 140), (wide, 172)):
-        tracemalloc.start()
-        try:
-            enumerate_histogram(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= row_bytes * (1 << 16)
+        assert _traced_peak(enumerate_histogram, inst) <= row_bytes * (1 << 16)
+    # and next to tables of Python ints of about 63, 200 and 1000 bits
+    for bits in (63, 200, 1000):
+        charges.clear()
+        peak = _traced_peak(enumerate_histogram, _wide_super_increasing(16, bits))
+        assert peak <= max(charges)
 
 
 def test_counts_past_int64_are_exact():
