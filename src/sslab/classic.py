@@ -78,13 +78,13 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     left = _sum_table(instance.weights, range(k), dtype)
     check_bytes(right_bytes + left.sums.size * (96 + wide if dtype is object else 24), what)
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
-    hits, r_mask, l_row = _sorted_join(left.sums, right, t)
+    r_masks, l_rows = _sorted_join(left.sums, right, t)
     meter.counters["dict_lookups"] = int(right.size)
-    meter.counters["pairs_checked"] = hits
-    if not hits:
+    meter.counters["pairs_checked"] = int(r_masks.size)
+    if not r_masks.size:
         return SolverOutcome(cost=meter.cost)
     # the right mask holds the high bits, so the first right hit gives the smallest witness
-    return verified_outcome(instance, (r_mask << k) | int(left.masks[l_row]), meter.cost)
+    return verified_outcome(instance, (int(r_masks[0]) << k) | int(left.masks[l_rows[0]]), meter.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +148,10 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
             peak = max(peak, rows + l_sums.size + r_sums.size)
             order = np.argsort(l_sums)
             l_sums = l_sums[order]
-            hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
-            if hits:
-                meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
-                mask = int(l_masks[order[l_row]]) | int(r_masks[r_row])
+            r_rows, l_rows = _sorted_join(l_sums, r_sums, t)
+            if r_rows.size:
+                meter.counters.update(peak_retained_sums=peak, pairs_checked=int(r_rows.size))
+                mask = int(l_masks[order[l_rows[0]]]) | int(r_masks[r_rows[0]])
                 return verified_outcome(instance, mask, meter.cost)
         # the next window holds about 9/10 of `cap` rows at this window's density
         width = max(1, (hi - lo) * 9 * cap // (10 * max(n_l, n_r, 1)))
@@ -168,7 +168,9 @@ def residue_count_table(weights: Sequence[int], q: int) -> list[list[int]]:
     n = len(weights)
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    check_bytes(q * (n + 1) * 32, "the residue count table")
+    # a row is a list: its header and, per cell, a slot and an int, measured with counts of
+    # at most 70 bits; the counts reach 2^n
+    check_bytes((n + 1) * (56 + q * (44 + _wide_sum_bytes(1 << n))), "the residue count table")
     row = [0] * q
     row[0] = 1
     rows = [row]

@@ -8,26 +8,18 @@ pair with |A| = |w(2^[n])| (one representative per distinct sum) and
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .core import CapacityError, Instance, _wide_sum_bytes, check_bytes
-from .oracle import _block_table, _run_starts, all_subset_sums
+from .oracle import _block_table, _dense_sums, _run_starts, _sorted_join, _table_dtype, all_subset_sums
 
 # a pair sum peaks at about 40 bytes in the last deduplication: five int64
 # entries (the blocks' distinct sums, their concatenation, its sorted copy,
 # the run starts and the sums they pick)
 _UDCP_PAIR_BYTES = 40
-# a {-1,0,1} vector of a ternary half, when every dot is distinct: its dot key, a
-# Counter and the Counter's entry, measured with tracemalloc at 3^5-3^10 vectors of
-# 64-bit weights: at most 331 bytes; wider dots add their extra size once
-_TERNARY_VECTOR_BYTES = 336
-_TERNARY_LIMIT = 20  # bounds the Python walk over 3^(n/2) vectors
-
 
 @dataclass(frozen=True)
 class UdcpPair:
@@ -103,41 +95,40 @@ def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     return sum(c * c for c in counts.tolist())  # exact in Python ints
 
 
-def _ternary_half(weights: Sequence[int]) -> dict:
-    """dot -> Counter(l1 -> count) over all {-1,0,1} assignments of `weights`."""
-    table: dict = {}
-    for vec in product((0, 1, -1), repeat=len(weights)):
-        dot = 0
-        l1 = 0
-        for v, w in zip(vec, weights):
-            if v:
-                dot += v * w
-                l1 += 1
-        table.setdefault(dot, Counter())[l1] += 1
-    return table
+def _ternary_half(scaled: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys dot * (n + 1) + l1 over all {-1,0,1} vectors y of a half,
+    where `scaled` holds its weights times n + 1, and how many vectors have each key."""
+    keys = _dense_sums(scaled, dtype, (1, -1))
+    keys += _dense_sums([1] * len(scaled), np.int64, (1, 1))  # each vector's l1, at its index
+    keys.sort()
+    starts = _run_starts(keys)
+    return keys[starts], np.append(starts[1:], keys.size) - starts
 
 
 def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
     """counts[k] = #{y in {-1,0,1}^n : y.w = 0, ||y||_1 = k}, for every k at once.
 
-    Half-split meet: 3^(n/2) enumeration per side instead of 3^n.
+    Half-split meet: 3^(n/2) vectors a side, each keyed by dot * (n + 1) + l1.
+    As 0 <= l1 <= n, a left and a right key add up to k in [0, n] exactly when
+    their dots cancel and their l1s add up to k.
     """
     n = instance.n
-    if n > _TERNARY_LIMIT:
-        raise CapacityError(f"ternary kernel enumeration limited to n <= {_TERNARY_LIMIT}")
     h = n // 2
-    vector_bytes = _TERNARY_VECTOR_BYTES + _wide_sum_bytes(instance.total())
+    scaled = [w * (n + 1) for w in instance.weights]
+    dtype = _table_dtype(scaled)
+    # a vector's peak, measured with tracemalloc at n = 13-20: at most 42 bytes with int64
+    # keys; with Python ints of at most 70 bits 108, plus the widths of the two ints a right
+    # vector holds in the join (its key and k minus it)
+    vector_bytes = 42 if dtype is np.int64 else 108 + 2 * _wide_sum_bytes(sum(scaled) + n)
     check_bytes((3 ** h + 3 ** (n - h)) * vector_bytes, "the two ternary halves")
-    left = _ternary_half(instance.weights[:h])
-    right = _ternary_half(instance.weights[h:])
-    out = [0] * (n + 1)
-    for dot_r, counter_r in right.items():
-        counter_l = left.get(-dot_r)
-        if counter_l is None:
-            continue
-        for l1_l, c_l in counter_l.items():
-            for l1_r, c_r in counter_r.items():
-                out[l1_l + l1_r] += c_l * c_r
+    l_keys, l_counts = _ternary_half(scaled[:h], dtype)
+    r_keys, r_counts = _ternary_half(scaled[h:], dtype)
+    count_dtype = _table_dtype((), 3 ** n)  # no count exceeds 3^n
+    l_counts, r_counts = l_counts.astype(count_dtype), r_counts.astype(count_dtype)
+    out = []
+    for k in range(n + 1):
+        r_rows, l_rows = _sorted_join(l_keys, r_keys, k)
+        out.append(int(np.dot(l_counts[l_rows], r_counts[r_rows])))
     return out
 
 

@@ -61,11 +61,18 @@ def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
     return np.int64 if fits else object
 
 
-def _dense_sums(weights: Sequence[int], dtype=np.int64) -> np.ndarray:
-    """All 2^k subset sums, indexed by mask (bit i = weights[i])."""
-    arr = np.zeros(1 << len(weights), dtype=dtype)
-    for j, w in enumerate(weights):
-        arr[1 << j : 2 << j] = arr[: 1 << j] + w
+def _dense_sums(weights: Sequence[int], dtype=np.int64, coefficients: Sequence[int] = (1,)) -> np.ndarray:
+    """Every sum of c_i * weights[i] with each c_i in {0, *coefficients}, indexed by
+    base-(1 + len(coefficients)) digits (digit i = 0 for c_i = 0, else 1 + the
+    position of c_i in `coefficients`). The default gives all 2^k subset sums,
+    indexed by mask (bit i = weights[i])."""
+    base = 1 + len(coefficients)
+    arr = np.zeros(base ** len(weights), dtype=dtype)
+    size = 1
+    for w in weights:
+        for digit, c in enumerate(coefficients, 1):
+            np.add(arr[:size], c * w, out=arr[digit * size : (digit + 1) * size])
+        size *= base
     return arr
 
 
@@ -90,7 +97,8 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     Each sort is followed by a run-length pass that folds equal sums into one
     row. Items go in ascending index order and the sort is stable, so the
     smaller mask leads each run and every sum keeps its smallest mask. The
-    memory limit is checked before every doubling, against the merge's peak.
+    memory limit is checked before the dense rows and before every doubling,
+    each time against a merge's peak per row.
     Arrays are rebound as soon as they are replaced, which keeps the peak down.
     """
     idx = sorted(indices)
@@ -100,10 +108,11 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     # sums and masks, plus the widths of the largest sum and the largest mask
     row = 56 if dtype is np.int64 else (
         136 + _wide_sum_bytes(sum(weights[i] for i in idx)) + _wide_sum_bytes(sum(1 << i for i in idx)))
-    rest = iter(idx[_DENSE_BITS:])
-    sums = _dense_sums([weights[i] for i in idx[:_DENSE_BITS]], dtype)
+    head, rest = idx[:_DENSE_BITS], iter(idx[_DENSE_BITS:])
+    check_bytes((1 << len(head)) * row, f"a subset-sum table of {1 << len(head)} rows")
+    sums = _dense_sums([weights[i] for i in head], dtype)
     counts = np.ones(sums.size, dtype=dtype)  # at most 2^|S|, inside the masks' dtype
-    masks = _dense_sums([1 << i for i in idx[:_DENSE_BITS]], dtype)
+    masks = _dense_sums([1 << i for i in head], dtype)
     while True:
         order = np.argsort(sums, kind="stable")
         sums = sums[order]
@@ -124,20 +133,18 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
 def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int):
     """Match right entries r against sorted distinct `left_sums` on target - r.
 
-    Returns (how many right entries hit, the index of the first one, the
-    index of the left sum it meets), with -1 for both indices when none hits.
-    `target` must fit the arrays' dtype.
+    Returns (right rows, left rows): every right row that hits, ascending, and
+    the row of the left sum each one meets. `target` must fit the arrays' dtype.
     """
     need = target - right_sums
     order = np.argsort(need)  # sorted needles keep the binary searches cache-friendly
     need = need[order]
     pos = np.searchsorted(left_sums, need)
     np.minimum(pos, left_sums.size - 1, out=pos)
-    hits = order[left_sums[pos] == need]
-    if hits.size == 0:
-        return 0, -1, -1
-    first = int(hits.min())
-    return int(hits.size), first, int(np.searchsorted(left_sums, target - right_sums[first]))
+    right_rows = order[left_sums[pos] == need]
+    del need, order, pos  # the hits are searched again, so that the peak stays the search's
+    right_rows.sort()
+    return right_rows, np.searchsorted(left_sums, target - right_sums[right_rows])
 
 
 def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:
@@ -172,8 +179,8 @@ def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.nd
     """Materialized sums for every mask (index = mask). Verification helper; 2^|S| memory."""
     ws, _ = _subset_weights(instance, subset_mask)
     dtype = _table_dtype(ws)
-    # a row peaks at 12 bytes with int64 (the sum and half a row of the doubling's temporary),
-    # and at 52 with Python ints of at most 70 bits, plus the largest sum's width
+    # a row peaks at 8 bytes with int64 (the sum) and at 48 with Python ints of at most 70 bits,
+    # plus the largest sum's width; 4 more a row cover brute_solve's compare of a block
     row = 12 if dtype is np.int64 else 52 + _wide_sum_bytes(sum(ws))
     check_bytes((1 << len(ws)) * row, f"all {1 << len(ws)} subset sums")
     return _dense_sums(ws, dtype)

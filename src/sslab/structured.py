@@ -10,7 +10,6 @@ sum sets, so an exact sorted join is already cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
@@ -23,7 +22,6 @@ from .core import (
     _wide_sum_bytes,
     check_bytes,
     full_mask,
-    mask_from_indices,
     mask_indices,
     mask_sum,
     memory_limit_bytes,
@@ -45,21 +43,6 @@ _LIST_ENTRY_BYTES = 336
 # A kept entry holds one sum, a bucket none: it holds the kept entries themselves.
 _KEPT_ENTRY_BYTES = 144
 _BUCKET_ENTRY_BYTES = 160
-
-
-@dataclass(frozen=True)
-class ReprParams:
-    """Derived parameters for one filtered-join iteration."""
-
-    s: int
-    s1: int
-    pi: float
-    left_mask: int
-    right_mask: int
-    p: int
-    t_l: int
-    clamped_prime: bool
-    clamped_left: bool
 
 
 def _ceil_frac(x: float) -> int:
@@ -98,33 +81,6 @@ def _split_table(n: int, m_mask: int, gamma: float) -> dict:
             shapes[s1] = (clamped_left, *lists)
         table[s] = (pi, max(3, math.ceil(low)), low < 3.0, shapes)
     return table
-
-
-def _split(table: dict, s: int) -> tuple:
-    """table[s] of a `_split_table`, or the error of an s outside it."""
-    if s not in table:
-        raise ValueError("s must lie in [ceil(|M|/2), |M|]")
-    return table[s]
-
-
-def _draw_modulus(p_min: int, rng: RandomSource) -> tuple[int, int]:
-    """(p, t_L): a random prime p from [p_min, 2 p_min] and a uniform residue t_L mod p."""
-    p = random_prime(p_min, rng)
-    return p, rng.randrange(p)
-
-
-def derive_params(
-    n: int, m_mask: int, gamma: float, s: int, s1: int, rng: RandomSource
-) -> ReprParams:
-    """Compute (pi, L/R split, prime filter) for one (s, s1) pair."""
-    pi, p_min, clamped_prime, shapes = _split(_split_table(n, m_mask, gamma), s)
-    if s1 not in shapes:
-        raise ValueError("need 0 <= s1 <= s - s1")
-    clamped_left, left, right = shapes[s1]
-    p, t_l = _draw_modulus(p_min, rng)
-    return ReprParams(s=s, s1=s1, pi=pi, left_mask=mask_from_indices(left[0]),
-                      right_mask=mask_from_indices(right[0]), p=p, t_l=t_l,
-                      clamped_prime=clamped_prime, clamped_left=clamped_left)
 
 
 def _list_bytes(side: tuple, n_combos: int, dict_size: int, p: int, wide: int) -> int:
@@ -286,8 +242,11 @@ def representation_attempt(
     if tables is None:
         tables = _AttemptTables(instance, m_mask, gamma)
     ws = instance.weights
-    _, p_min, _, shapes = _split(tables.splits, s)
-    p, t_l = _draw_modulus(p_min, rng)
+    if s not in tables.splits:
+        raise ValueError("s must lie in [ceil(|M|/2), |M|]")
+    _, p_min, _, shapes = tables.splits[s]
+    p = random_prime(p_min, rng)  # the filter: a prime from [p_min, 2 p_min] and a residue
+    t_l = rng.randrange(p)
     for s1, (_, left, right) in shapes.items():
         row = tables.records[s, s1]
         row["attempts"] += 1
@@ -413,9 +372,9 @@ def _split_join(
     meter.counters.update(dict_lookups=len(r_sums), pairs_checked=0)
     t = instance.target
     if t <= instance.total():  # no pair sums higher, and t stays inside the tables' dtype
-        hits, r_row, l_row = _sorted_join(l_sums, r_sums, t)
-        if hits:
+        r_rows, l_rows = _sorted_join(l_sums, r_sums, t)
+        if r_rows.size:
             meter.counters["pairs_checked"] = 1
-            mask = int(l_masks[l_row]) | int(r_masks[r_row])
+            mask = int(l_masks[l_rows[0]]) | int(r_masks[r_rows[0]])
             return verified_outcome(instance, mask, meter.cost, branch=branch)
     return SolverOutcome(cost=meter.cost, branch=branch)

@@ -21,7 +21,6 @@ from sslab import (
     build_filtered_list,
     check_reduction_properties,
     check_udcp,
-    derive_params,
     distinct_sums,
     entropy_around_half_bound,
     full_mask,
@@ -39,6 +38,7 @@ from sslab import (
     merged_profile_entropy,
     modular_sampler,
     output_bound,
+    random_prime,
     reduce_bitlength,
     residue_count_table,
     sample_subset_in_class,
@@ -53,6 +53,8 @@ from sslab import (
     solve_small_bin,
     udcp_from_instance,
 )
+
+from sslab.structured import _split_table
 
 from _corpus import random_corpus, rich_no_instance, rich_planted, structured_corpus
 
@@ -228,12 +230,13 @@ def test_a5_counter_scaling(capfd):
     m_mask = mask_from_indices(range(m))
     inst = gen_random_density(n, 1.0, RandomSource(551))
     sizes = []
-    ell = None
+    _, p_min, _, shapes = _split_table(n, m_mask, 1.0)[s]
+    left = shapes[s1][1][0]
+    ell = len(left)
     for k in range(200):
-        par = derive_params(n, m_mask, 1.0, s, s1, rng=RandomSource(5100 + k))
-        ell = par.left_mask.bit_count()
-        lst = build_filtered_list(inst, par.left_mask, m_mask, s1, par.p,
-                                  par.t_l % par.p)
+        rng = RandomSource(5100 + k)
+        p = random_prime(p_min, rng)
+        lst = build_filtered_list(inst, mask_from_indices(left), m_mask, s1, p, rng.randrange(p))
         sizes.append(len(lst))
     w_l = (2 ** ell) * math.comb(m, s1)
     pi_m = (1.0 - 1.0 + s / m) * m  # gamma = 1

@@ -247,6 +247,20 @@ def test_residue_count_table_exact():
         assert sum(rows[n]) == 2**n
 
 
+@pytest.mark.parametrize("n, q", [(20, 3), (90, 1031), (200, 1031)])
+def test_residue_count_table_charges_its_rows(n, q, charges):
+    # rows of Python-int counts: a list header a row, and a slot and an int a
+    # cell, the int as wide as 2^n at most
+    weights = gen_planted(n, 64, RandomSource(n))[0].weights
+    tracemalloc.start()
+    try:
+        residue_count_table(weights, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charges)
+
+
 def test_sample_subset_in_class_stays_in_class():
     rng = RandomSource(35)
     weights = tuple(rng.randint(1, 99) for _ in range(10))

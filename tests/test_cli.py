@@ -8,6 +8,7 @@ from sslab import (
     RandomSource,
     bin_l2,
     brute_solve,
+    gen_planted,
     gen_random_density,
     gen_super_increasing,
     mask_sum,
@@ -206,15 +207,21 @@ def test_verify_skips_what_classify_refuses(tmp_path, capsys, monkeypatch):
     assert lines == [{"check": "sumsvsbin", "instances": 0, "violations": 0}]
 
 
-def test_verify_skips_what_the_ternary_count_refuses(capsys, monkeypatch):
-    # under 1 MB the ternary halves of an n = 14 instance are refused, so the
-    # check runs only the instances of n <= 13 and still exits 0
-    _, lines, _ = _run(capsys, "verify", "--checks", "l2identity", "--n-max", "13")
-    ran = lines[0]["instances"]
+def test_verify_skips_what_the_ternary_count_refuses(tmp_path, capsys, monkeypatch):
+    # under 1 MB the ternary halves of 14 weights of 1000 bits (2 x 3^7 vectors at
+    # 356 B) are refused, so l2identity skips that instance, counts only what ran
+    # and exits 0; 14 weights of 14 bits (42 B a vector) run
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    for bits, ran in ((1000, 0), (14, 1)):
+        path = tmp_path / f"planted{bits}.ss"
+        write_instance(gen_planted(14, bits, RandomSource(1))[0], path)
+        code, lines, _ = _run(capsys, "verify", str(path), "--checks", "l2identity")
+        assert code == 0
+        assert lines == [{"check": "l2identity", "instances": ran, "violations": 0}]
+    # the int64 halves of every n <= 14 fit under 1 MB, so the corpus runs whole
     code, lines, _ = _run(capsys, "verify", "--checks", "l2identity", "--n-max", "14")
-    assert code == 0
-    assert lines == [{"check": "l2identity", "instances": ran, "violations": 0}]
+    monkeypatch.delenv("SSLAB_MEM_LIMIT_MB")
+    assert code == 0 and lines == _run(capsys, "verify", "--checks", "l2identity", "--n-max", "14")[1]
 
 
 def test_verify_unknown_check_is_domain_error(capsys):

@@ -47,11 +47,21 @@ def test_zero_ternary_matches_enumeration():
     for k in range(25):
         n = rng.randint(1, 9)
         inst = gen_random_density(n, rng.choice((1.0, 2.0, 4.0)), rng.split(str(k)))
-        manual = [0] * (n + 1)
-        for vec in product((-1, 0, 1), repeat=n):
-            if sum(v * w for v, w in zip(vec, inst.weights)) == 0:
-                manual[sum(1 for v in vec if v)] += 1
-        assert zero_ternary_counts_by_l1(inst) == manual
+        # the same weights shifted by 2^70 and 2^1000 put the keys on Python ints
+        for shift in (0, 1 << 70, 1 << 1000):
+            weights = tuple(shift + w for w in inst.weights)
+            manual = [0] * (n + 1)
+            for vec in product((-1, 0, 1), repeat=n):
+                if sum(v * w for v, w in zip(vec, weights)) == 0:
+                    manual[sum(1 for v in vec if v)] += 1
+            assert zero_ternary_counts_by_l1(Instance(weights, 1)) == manual
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_zero_ternary_all_ones_closed_form(n):
+    # y.1 = 0 with ||y||_1 = k: choose the k nonzero places, then which half is +1
+    expected = [math.comb(n, k) * math.comb(k, k // 2) if k % 2 == 0 else 0 for k in range(n + 1)]
+    assert zero_ternary_counts_by_l1(Instance(weights=(1,) * n, target=1)) == expected
 
 
 def test_l2_identity_random_and_big_weights():
@@ -162,13 +172,17 @@ def test_bin_l2_past_int64_is_exact():
     assert bin_l2(gen_all_equal(34)) == math.comb(68, 34)
 
 
-def test_ternary_halves_are_charged_their_bytes(monkeypatch):
-    # a 1.0-density half has a distinct dot per vector, 336 B each: the 2 x 3^9
-    # vectors of n = 18 are refused under 1 MB before either half is built, and
-    # the 3^6 + 3^7 of n = 13 fit under it
+def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):
+    # a 1.0-density half has a distinct key per vector, 42 B each with int64 keys:
+    # the 2 x 3^9 vectors of n = 18 are refused under 1 MB before either half is
+    # built, and the 3^6 + 3^7 of n = 13 fit under it; with 1000-bit weights a
+    # vector is charged 356 B, so the 2 x 3^7 of n = 14 are refused
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
-    for n in (18, 13):
-        inst = gen_random_density(n, 1.0, RandomSource(n))
+    cases = [(gen_random_density(n, 1.0, RandomSource(n)), n == 18) for n in (18, 13)]
+    wide = gen_random_density(14, 1.0, RandomSource(14))
+    cases.append((Instance(tuple((1 << 1000) + w for w in wide.weights), 1), True))
+    for inst, refused in cases:
+        charges.clear()
         tracemalloc.start()
         try:
             counts = zero_ternary_counts_by_l1(inst)
@@ -177,13 +191,27 @@ def test_ternary_halves_are_charged_their_bytes(monkeypatch):
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert peak <= 1 << 20
-        assert (counts is None) == (n == 18)
+        assert peak <= min(charges[0], 1 << 20)
+        assert (counts is None) == refused
+    # wherever the count runs, its peak is at or under its charge
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
+    for bits in (0, 200, 1000):
+        for n in (13, 14):
+            inst = gen_random_density(n, 1.0, RandomSource(n))
+            inst = Instance(tuple((1 << bits) - 1 + w for w in inst.weights), 1)
+            charges.clear()
+            tracemalloc.start()
+            try:
+                zero_ternary_counts_by_l1(inst)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charges[0]
 
 
 def test_count_zero_ternary_domain():
     inst = Instance(weights=(1, 2), target=1)
     with pytest.raises(ValueError):
         count_zero_ternary(inst, 3)
-    with pytest.raises(CapacityError):
-        zero_ternary_counts_by_l1(Instance(weights=(1,) * 21, target=1))
+    with pytest.raises(ValueError):
+        count_zero_ternary(inst, -1)

@@ -185,8 +185,8 @@ def test_all_subset_sums_indexing():
 
 
 def test_all_subset_sums_memory_cap(monkeypatch):
-    # 70-bit weights: a row takes 52 bytes (an 8-byte slot, its int, half a slot
-    # of the doubling's temporary), so under 2 MB n = 15 fits and n = 16 does not
+    # 70-bit weights: a row is charged 52 bytes (an 8-byte slot, its int and 4
+    # bytes of slack), so under 2 MB n = 15 fits and n = 16 does not
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
     rng = RandomSource(41)
     refused = []
@@ -277,6 +277,18 @@ def test_table_check_counts_merge_peak(monkeypatch, charges):
         charges.clear()
         peak = _traced_peak(distinct_sums, _wide_super_increasing(16, bits))
         assert peak <= max(charges)
+
+
+def test_sum_table_charges_its_dense_start(monkeypatch, charges):
+    # a table of at most 12 items is built densely, with no merge after it:
+    # its dense rows are charged before they are built
+    inst = _wide_super_increasing(12, 1000)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "0")
+    with pytest.raises(CapacityError):
+        distinct_sums(inst)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
+    charges.clear()
+    assert _traced_peak(distinct_sums, inst) <= max(charges)
 
 
 def test_histogram_charges_its_dict(monkeypatch, charges):

@@ -11,7 +11,6 @@ from sslab import (
     StepMeter,
     brute_solve,
     build_filtered_list,
-    derive_params,
     distinct_sums,
     full_mask,
     gen_all_equal,
@@ -24,7 +23,7 @@ from sslab import (
     solve_few_sums,
     solve_many_sums,
 )
-from sslab.numeric import is_prime
+from sslab.numeric import is_prime, random_prime
 from sslab.structured import (
     _KEPT_ENTRY_BYTES,
     _AttemptTables,
@@ -36,34 +35,40 @@ from sslab.structured import (
 from _corpus import rich_no_instance, rich_planted
 
 
-def test_derive_params_frozen_case():
+def test_split_table_frozen_case():
     m_mask = mask_from_indices(range(8))
-    par = derive_params(16, m_mask, 1.0, 4, 2, rng=RandomSource(51))
-    assert par.pi == pytest.approx(0.5)  # gamma - 1 + s/|M|
-    assert par.left_mask.bit_count() == 4  # ceil(lambda n), lambda = 0.25
-    assert 16 <= par.p <= 32 and is_prime(par.p)
-    assert 0 <= par.t_l < par.p
+    pi, p_min, clamped_prime, shapes = _split_table(16, m_mask, 1.0)[4]
+    assert pi == pytest.approx(0.5)  # gamma - 1 + s/|M|
+    assert (p_min, clamped_prime) == (16, False)  # 2^(pi |M|)
+    clamped_left, left, _ = shapes[2]
+    assert len(left[0]) == 4 and not clamped_left  # ceil(lambda n), lambda = 0.25
+    # an attempt filters with a prime from [p_min, 2 p_min]
+    par_rng = RandomSource(51)
+    p = random_prime(p_min, par_rng)
+    assert 16 <= p <= 32 and is_prime(p)
+    assert 0 <= par_rng.randrange(p) < p
 
 
-def test_derive_params_partitions_items():
+def test_split_table_partitions_items():
     m_mask = mask_from_indices(range(5))
-    par = derive_params(12, m_mask, 0.8, 4, 1, rng=RandomSource(52))
-    assert par.left_mask & par.right_mask == 0
-    assert par.left_mask & m_mask == 0 and par.right_mask & m_mask == 0
-    assert par.left_mask | par.right_mask | m_mask == full_mask(12)
+    _, left, right = _split_table(12, m_mask, 0.8)[4][3][1]
+    left_mask, right_mask = mask_from_indices(left[0]), mask_from_indices(right[0])
+    assert left_mask & right_mask == 0
+    assert left_mask & m_mask == 0 and right_mask & m_mask == 0
+    assert left_mask | right_mask | m_mask == full_mask(12)
 
 
-def test_derive_params_validation():
+def test_split_validation():
     m_big = mask_from_indices(range(9))
     with pytest.raises(ValueError):
-        derive_params(16, m_big, 1.0, 5, 2, rng=RandomSource(0))  # |M| > n/2
+        _split_table(16, m_big, 1.0)  # |M| > n/2
     m_mask = mask_from_indices(range(8))
     with pytest.raises(ValueError):
-        derive_params(16, m_mask, 1.5, 4, 2, rng=RandomSource(0))
-    with pytest.raises(ValueError):
-        derive_params(16, m_mask, 1.0, 2, 1, rng=RandomSource(0))  # s < |M|/2
-    with pytest.raises(ValueError):
-        derive_params(16, m_mask, 1.0, 4, 3, rng=RandomSource(0))  # s1 > s - s1
+        _split_table(16, m_mask, 1.5)
+    inst = gen_random_density(16, 1.0, RandomSource(0))
+    for s in (3, 9):  # s outside [ceil(|M|/2), |M|]
+        with pytest.raises(ValueError):
+            representation_attempt(inst, m_mask, 1.0, s, inst.target, RandomSource(0))
 
 
 def _brute_filtered(instance, side_mask, m_mask, s_i, p, residue):
@@ -354,15 +359,16 @@ def test_records_carry_clamps():
         representation_attempt(inst, m_mask, gamma, s, inst.target, rng, tables=tables)
         rows = [r for r in tables.records.values() if r["attempts"]]
         assert rows and all(r["s"] == s and r["clamped_prime"] is clamped for r in rows)
-        # the attempt draws (p, t_L) as derive_params does, and nothing else
+        # the attempt draws (p, t_L) from its split's p_min, and nothing else
+        _, p_min, clamped_prime, shapes = _split_table(12, m_mask, gamma)[s]
         par_rng = RandomSource(74)
-        par = derive_params(12, m_mask, gamma, s, 0, rng=par_rng)
+        p = random_prime(p_min, par_rng)
+        par_rng.randrange(p)  # t_L
         assert rng.randrange(1 << 30) == par_rng.randrange(1 << 30)
-        assert par.clamped_prime is clamped
+        assert clamped_prime is clamped
         for r in rows:
-            par = derive_params(12, m_mask, gamma, s, r["s1"], rng=RandomSource(74))
-            assert r["p_min"] <= par.p <= 2 * r["p_min"]
-            assert r["clamped_left"] is par.clamped_left
+            assert r["p_min"] == p_min <= p <= 2 * p_min
+            assert r["clamped_left"] is shapes[r["s1"]][0]
         if s == 6:  # s1 = 0 wants ell = ceil(0.75 n) = 9 of the 6 items outside M
             assert rows[0]["clamped_left"]
 
