@@ -21,7 +21,6 @@ from .combinatorics import (
     UdcpPair,
     bin_l2,
     check_udcp,
-    count_zero_ternary,
     l2_identity_terms,
     udcp_from_instance,
     zero_ternary_counts_by_l1,
@@ -77,11 +76,9 @@ from .numeric import (
 )
 from .oracle import (
     ENUM_LIMIT,
-    SumHistogram,
     all_subset_sums,
     brute_solve,
     distinct_sums,
-    enumerate_histogram,
     max_bin,
     sumset_with_witness,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "RegimeReport",
     "SolverOutcome",
     "StepMeter",
-    "SumHistogram",
     "UdcpPair",
     "all_subset_sums",
     "bellman_dp",
@@ -116,12 +112,10 @@ __all__ = [
     "check_reduction_properties",
     "check_udcp",
     "classify",
-    "count_zero_ternary",
     "density",
     "distinct_sums",
     "entropy",
     "entropy_around_half_bound",
-    "enumerate_histogram",
     "full_mask",
     "gen_all_equal",
     "gen_geometric_pairs",

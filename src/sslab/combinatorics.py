@@ -132,13 +132,6 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
     return out
 
 
-def count_zero_ternary(instance: Instance, ell1: int) -> int:
-    """#{y in {-1,0,1}^n : y.w = 0, ||y||_1 = ell1}; ell1 = 0 counts only y = 0."""
-    if not 0 <= ell1 <= instance.n:
-        raise ValueError("ell1 must lie in [0, n]")
-    return zero_ternary_counts_by_l1(instance)[ell1]
-
-
 def l2_identity_terms(instance: Instance) -> tuple[int, int]:
     """(bin_l2, sum over k of counts[k] * 2^(n-k)): the two sides of the norm identity."""
     counts = zero_ternary_counts_by_l1(instance)

@@ -159,11 +159,6 @@ class Instance:
     def total(self) -> int:
         return sum(self.weights)
 
-    def subset_sum(self, mask: int) -> int:
-        if mask < 0 or mask >> self.n:
-            raise ValueError("mask outside the instance's index space")
-        return mask_sum(self.weights, mask)
-
 
 def density(instance: Instance) -> float:
     """n / log2(t). Undefined for t < 2."""

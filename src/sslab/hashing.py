@@ -31,15 +31,6 @@ class ReductionRecord:
     rounds: int
     chain: tuple     # ((p, r), ...) for every round, first to last
 
-    def replay(self, original: Instance) -> Instance:
-        """Recompute the reduced instance from the original and the chain."""
-        cur = original
-        for p, r in self.chain:
-            cur = Instance(
-                tuple(w % p for w in cur.weights), (cur.target % p) + r * p
-            )
-        return cur
-
 
 def output_bound(n: int, B: int) -> float:
     """Every reduced value is strictly below 4*n*B*log2(B)."""

@@ -10,7 +10,6 @@ object arrays of Python ints. `_table_dtype` alone makes that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,13 +33,6 @@ ENUM_LIMIT = 26       # items brute_solve scans, which streams in constant memor
 _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
 _INT64_SAFE = 1 << 62
-
-
-@dataclass
-class SumHistogram:
-    """Multiset of subset sums over a coordinate subset: sum -> number of achieving subsets."""
-
-    entries: dict
 
 
 def _subset_weights(instance: Instance, subset_mask: int | None) -> tuple[list[int], int]:
@@ -152,16 +144,6 @@ def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable
     ws, smask = _subset_weights(instance, subset_mask)
     dtype = _table_dtype(ws, mask_bits=smask.bit_length())
     return _sum_table(instance.weights, mask_indices(smask), dtype)
-
-
-def enumerate_histogram(instance: Instance, subset_mask: int | None = None) -> SumHistogram:
-    """Exact histogram of w(2^S): every sum with its multiplicity; counts total 2^|S|."""
-    table = _block_table(instance, subset_mask)
-    # the dict and the two lists it is built from, measured with tracemalloc at density 1,
-    # n = 16-20: 139 bytes a row next to an int64 table, 172 and one sum's width a Python-int one
-    row = 172 + _wide_sum_bytes(table.sums[-1]) if table.sums.dtype == object else 140
-    check_bytes(table.sums.size * row, "the histogram's dict")
-    return SumHistogram(entries=dict(zip(table.sums.tolist(), table.counts.tolist())))
 
 
 def max_bin(instance: Instance, subset_mask: int | None = None) -> int:

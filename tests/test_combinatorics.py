@@ -11,9 +11,7 @@ from sslab import (
     UdcpPair,
     bin_l2,
     check_udcp,
-    count_zero_ternary,
     distinct_sums,
-    enumerate_histogram,
     gen_all_equal,
     gen_random_density,
     gen_super_increasing,
@@ -22,6 +20,7 @@ from sslab import (
     udcp_from_instance,
     zero_ternary_counts_by_l1,
 )
+from sslab.oracle import _block_table
 
 
 def test_frozen_1133_norm_and_pair():
@@ -36,8 +35,8 @@ def test_frozen_1133_norm_and_pair():
 
 
 def test_zero_ternary_frozen():
-    assert count_zero_ternary(Instance(weights=(1, 1), target=1), 2) == 2
-    assert count_zero_ternary(Instance(weights=(5, 9, 13), target=1), 0) == 1
+    assert zero_ternary_counts_by_l1(Instance(weights=(1, 1), target=1))[2] == 2
+    assert zero_ternary_counts_by_l1(Instance(weights=(5, 9, 13), target=1))[0] == 1
     counts = zero_ternary_counts_by_l1(Instance(weights=(1, 1, 3, 3), target=1))
     assert counts == [1, 0, 4, 0, 4]
 
@@ -163,8 +162,8 @@ def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
 def test_bin_l2_subset_restriction():
     inst = Instance(weights=(1, 1, 3, 3, 10), target=4)
     sub = 0b01111
-    hist = enumerate_histogram(inst, sub)
-    assert bin_l2(inst, sub) == sum(c * c for c in hist.entries.values()) == 36
+    counts = _block_table(inst, sub).counts.tolist()
+    assert bin_l2(inst, sub) == sum(c * c for c in counts) == 36
 
 
 def test_bin_l2_past_int64_is_exact():
@@ -207,11 +206,3 @@ def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):
             finally:
                 tracemalloc.stop()
             assert peak <= charges[0]
-
-
-def test_count_zero_ternary_domain():
-    inst = Instance(weights=(1, 2), target=1)
-    with pytest.raises(ValueError):
-        count_zero_ternary(inst, 3)
-    with pytest.raises(ValueError):
-        count_zero_ternary(inst, -1)

@@ -8,6 +8,7 @@ from sslab import (
     distinct_sums,
     gen_planted,
     gen_random_density,
+    mask_sum,
     max_bin,
     output_bound,
     reduce_bitlength,
@@ -44,7 +45,11 @@ def test_replay_reproduces_reduction():
     rng = RandomSource(42)
     inst = gen_random_density(12, 0.5, rng)
     record = reduce_bitlength(inst, 4096, rng.split("x"))
-    assert record.replay(inst) == record.reduced
+    # each round maps w to w mod p and t to (t mod p) + r*p
+    cur = inst
+    for p, r in record.chain:
+        cur = Instance(tuple(w % p for w in cur.weights), cur.target % p + r * p)
+    assert cur == record.reduced
 
 
 def test_exact_preservation_when_modulus_dominates():
@@ -78,7 +83,7 @@ def test_solution_preservation_frequency():
         if record.rounds != 1:
             continue
         single_round += 1
-        if record.reduced.subset_sum(mask) == record.reduced.target:
+        if mask_sum(record.reduced.weights, mask) == record.reduced.target:
             preserved += 1
     assert single_round >= 80
     assert 2 <= preserved <= single_round // 2

@@ -13,7 +13,6 @@ from sslab import (
     bin_l2,
     brute_solve,
     distinct_sums,
-    enumerate_histogram,
     gen_all_equal,
     gen_random_density,
     gen_super_increasing,
@@ -22,6 +21,13 @@ from sslab import (
     max_bin,
     sumset_with_witness,
 )
+from sslab.oracle import _block_table
+
+
+def _histogram(inst, subset=None):
+    """The exact histogram of w(2^S), sum -> number of subsets, from the library's table."""
+    t = _block_table(inst, subset)
+    return dict(zip(t.sums.tolist(), t.counts.tolist()))
 
 
 def _python_histogram(weights, indices):
@@ -62,9 +68,9 @@ def _table_cases():
 
 def test_frozen_histogram_1133():
     inst = Instance(weights=(1, 1, 3, 3), target=4)
-    hist = enumerate_histogram(inst)
-    assert hist.entries == {0: 1, 1: 2, 2: 1, 3: 2, 4: 4, 5: 2, 6: 1, 7: 2, 8: 1}
-    assert sum(hist.entries.values()) == 16
+    hist = _histogram(inst)
+    assert hist == {0: 1, 1: 2, 2: 1, 3: 2, 4: 4, 5: 2, 6: 1, 7: 2, 8: 1}
+    assert sum(hist.values()) == 16
     assert max_bin(inst) == 4
     assert bin_l2(inst) == 36
     assert distinct_sums(inst) == 9
@@ -80,16 +86,16 @@ def test_histogram_matches_python_enumeration():
     for k in range(40):
         n = rng.randint(1, 10)
         inst = gen_random_density(n, rng.choice((0.5, 1.0, 2.0, 4.0)), rng.split(str(k)))
-        assert enumerate_histogram(inst).entries == _python_histogram(inst.weights, range(n))
+        assert _histogram(inst) == _python_histogram(inst.weights, range(n))
 
 
 def test_histogram_subset_restriction():
     rng = RandomSource(12)
     inst = gen_random_density(12, 1.0, rng)
     subset = mask_from_indices([0, 3, 5, 8, 11])
-    hist = enumerate_histogram(inst, subset)
-    assert hist.entries == _python_histogram(inst.weights, [0, 3, 5, 8, 11])
-    assert sum(hist.entries.values()) == 2**5
+    hist = _histogram(inst, subset)
+    assert hist == _python_histogram(inst.weights, [0, 3, 5, 8, 11])
+    assert sum(hist.values()) == 2**5
 
 
 def test_big_weight_fallback_agrees():
@@ -97,24 +103,23 @@ def test_big_weight_fallback_agrees():
     rng = RandomSource(13)
     small = tuple(rng.randint(1, 100) for _ in range(10))
     big = tuple(w + (1 << 70) for w in small)
-    small_hist = enumerate_histogram(Instance(weights=small, target=1))
-    big_hist = enumerate_histogram(Instance(weights=big, target=1))
+    small_hist = _histogram(Instance(weights=small, target=1))
+    big_hist = _histogram(Instance(weights=big, target=1))
     # low bits carry the small sums, high bits the popcount; folding the
     # popcount away must reproduce the small histogram exactly
     folded = Counter()
     popcounts = Counter()
-    for s, c in big_hist.entries.items():
+    for s, c in big_hist.items():
         folded[s & ((1 << 70) - 1)] += c
         popcounts[s >> 70] += c
-    assert dict(folded) == small_hist.entries
-    assert popcounts == Counter(enumerate_histogram(
-        Instance(weights=(1,) * 10, target=1)).entries)
+    assert dict(folded) == small_hist
+    assert popcounts == Counter(_histogram(Instance(weights=(1,) * 10, target=1)))
     # sums at or past 2^62 and masks past bit 62 take object arrays; both merge past 12 items
     for weights, indices in _table_cases():
         inst = Instance(weights=weights, target=1)
         subset = mask_from_indices(indices)
         expect = _python_histogram(weights, indices)
-        assert enumerate_histogram(inst, subset).entries == expect
+        assert _histogram(inst, subset) == expect
         assert max_bin(inst, subset) == max(expect.values())
         assert distinct_sums(inst, subset) == len(expect)
 
@@ -209,7 +214,7 @@ def test_enum_limit_guard():
     # only the brute-force scan, which streams in constant memory, counts items;
     # the 28-row histogram of 27 equal weights is answered
     wide = Instance(weights=(1,) * 27, target=3)
-    assert enumerate_histogram(wide).entries == {k: math.comb(27, k) for k in range(28)}
+    assert _histogram(wide) == {k: math.comb(27, k) for k in range(28)}
     with pytest.raises(CapacityError):
         brute_solve(wide)
 
@@ -240,7 +245,7 @@ def test_sumset_with_witness_properties():
 def test_tables_refuse_over_memory_limit(monkeypatch):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     with pytest.raises(CapacityError):
-        enumerate_histogram(gen_super_increasing(20))
+        distinct_sums(gen_super_increasing(20))
     with pytest.raises(CapacityError):
         sumset_with_witness(gen_super_increasing(30).weights, range(30))
 
@@ -289,27 +294,6 @@ def test_sum_table_charges_its_dense_start(monkeypatch, charges):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
     charges.clear()
     assert _traced_peak(distinct_sums, inst) <= max(charges)
-
-
-def test_histogram_charges_its_dict(monkeypatch, charges):
-    # 2^18 distinct sums: the last merge peaks at 14 MB (56 bytes a row), but
-    # the dict and the lists it is built from peak at about 36 MB (139 a row)
-    inst = gen_super_increasing(18)
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "20")
-    assert distinct_sums(inst) == 1 << 18
-    with pytest.raises(CapacityError):
-        enumerate_histogram(inst)
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "40")
-    assert len(enumerate_histogram(inst).entries) == 1 << 18
-    # the charge covers what the dict really takes, next to an int64 and a Python-int table
-    wide = _wide_super_increasing(16, 63)
-    for inst, row_bytes in ((gen_super_increasing(16), 140), (wide, 172)):
-        assert _traced_peak(enumerate_histogram, inst) <= row_bytes * (1 << 16)
-    # and next to tables of Python ints of about 63, 200 and 1000 bits
-    for bits in (63, 200, 1000):
-        charges.clear()
-        peak = _traced_peak(enumerate_histogram, _wide_super_increasing(16, bits))
-        assert peak <= max(charges)
 
 
 def test_counts_past_int64_are_exact():
