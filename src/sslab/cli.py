@@ -316,10 +316,11 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     if args.n_from < 1 or args.n_to < args.n_from:
         raise ValueError("need 1 <= --n-from <= --n-to")
+    # every instance is made before any solve, so that a generator error loses no solved row
+    sweep = [(n, _GENERATORS[args.kind](n, args.d, n, 1, RandomSource(args.seed).split(f"bench:{n}"))[0])
+             for n in range(args.n_from, args.n_to + 1)]
     rows = []
-    for n in range(args.n_from, args.n_to + 1):
-        rng = RandomSource(args.seed)
-        instance, _ = _GENERATORS[args.kind](n, args.d, n, 1, rng.split(f"bench:{n}"))
+    for n, instance in sweep:
         out = _SOLVERS[args.alg](args, instance, RandomSource(args.seed))
         rows.append({"n": n, **out.cost})
     fields = ["n"] + sorted({k for row in rows for k in row} - {"n"})
@@ -357,33 +358,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", type=_integer, default=1, help="weight for --kind equal")
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True, help="destination instance file")
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("analyze", help="report structure statistics per instance")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("classify", help="emit the regime report for an instance")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve", parents=[solver], help="run one solver on an instance file")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("hash", help="reduce an instance's bit length")
     p.add_argument("file")
     p.add_argument("--B", type=_integer, required=True, help="bin-size budget of the reduction")
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", default=None, help="write the reduced instance here")
-    p.set_defaults(func=_cmd_hash)
 
     p = sub.add_parser("verify", help="check combinatorial invariants on a corpus")
     p.add_argument("file", nargs="?", default=None, help="single instance file (default: generated corpus)")
     p.add_argument("--checks", default=",".join(_CHECKS), help="comma-separated subset of checks")
     p.add_argument("--n-max", dest="n_max", type=_integer, default=12)
     p.add_argument("--seed", type=_integer, default=0)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", parents=[solver], help="sweep n for one algorithm, counters to CSV")
     p.add_argument("--n-from", dest="n_from", type=_integer, required=True)
@@ -391,16 +386,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=_GENERATORS, default="density")
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--csv", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
+# Every command: args -> exit code, looked up by name at call time, so that the parser,
+# built once per process, holds no function that a wrapper may replace.
+_COMMANDS = {
+    "gen": lambda args: _cmd_gen(args),
+    "analyze": lambda args: _cmd_analyze(args),
+    "classify": lambda args: _cmd_classify(args),
+    "solve": lambda args: _cmd_solve(args),
+    "hash": lambda args: _cmd_hash(args),
+    "verify": lambda args: _cmd_verify(args),
+    "bench": lambda args: _cmd_bench(args),
+}
+_parser = None  # build_parser(), made on the first main call: importing sslab.cli stays cheap
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (CapacityError, ValueError, OverflowError, ReductionNotApplicable, BudgetExhausted, RuntimeError,
             OSError) as exc:
         _note(f"error: {exc}")

@@ -82,6 +82,16 @@ class StepMeter:
         if self.limit is not None and self.count > self.limit:
             raise BudgetExhausted
 
+    def add_each(self, *ks: int) -> None:
+        """add(k) for each of the non-negative `ks` in turn, in one call while
+        they all fit under the limit, so BudgetExhausted fires at the same count."""
+        total = sum(ks)
+        if self.limit is None or self.count + total <= self.limit:
+            self.count += total
+        else:
+            for k in ks:
+                self.add(k)
+
     @property
     def cost(self) -> dict:
         return {**self.counters, "steps": self.count}

@@ -10,6 +10,7 @@ sum sets, so an exact sorted join is already cheap.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations
 
 from .core import (
@@ -38,9 +39,9 @@ from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sums
 # It holds up to two sums, since both lists are alive.
 _LIST_ENTRY_BYTES = 336
 # What a solve keeps, per entry, measured with tracemalloc at n = 24 (48 and 70-bit
-# weights): a kept enumeration at most 137 B, a dictionary half's buckets for one p at
-# most 156 B (one bucket an entry); two more entries' worth covers each one's containers.
-# A kept entry holds one sum, a bucket none: it holds the kept entries themselves.
+# weights): a kept enumeration at most 137 B, a dictionary half's buckets of sums for one
+# p at most 159 B (one bucket an entry, n = 24-28); two more entries' worth covers each
+# one's containers. A kept entry holds one sum, a bucket none: it holds the kept sums.
 _KEPT_ENTRY_BYTES = 144
 _BUCKET_ENTRY_BYTES = 160
 
@@ -90,48 +91,62 @@ def _list_bytes(side: tuple, n_combos: int, dict_size: int, p: int, wide: int) -
 
 
 def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tuple:
-    """The (p, t_L)-independent part of a filtered list: the dictionary half's
-    (mask, sum) entries, the scan half's size, C(|M|, s_i), and the (mask, sum)
-    entries of (rest of side) x (s_i-subsets of M), scan outer."""
+    """The (p, t_L)-independent part of a filtered list: the dictionary half's masks
+    and sums, the scan half's size, C(|M|, s_i), and the masks and sums of (rest of
+    side) x (s_i-subsets of M), scan outer. Masks and sums are parallel lists."""
     dtype = _table_dtype([weights[i] for i in side], mask_bits=len(weights))
-    dict_items, scan = (  # (mask, sum) of every subset of the half, in mask-index order
-        list(zip(_dense_sums([1 << i for i in half], dtype).tolist(),
-                 _dense_sums([weights[i] for i in half], dtype).tolist()))
+    dict_half, (scan_masks, scan_sums) = (  # every subset of the half, in mask-index order
+        (_dense_sums([1 << i for i in half], dtype).tolist(),
+         _dense_sums([weights[i] for i in half], dtype).tolist())
         for half in (side[:dict_size], side[dict_size:]))
-    combos = [(sum(1 << i for i in c), sum(weights[i] for i in c))
-              for c in combinations(m_indices, s_i)]
-    product = [(y_mask | c_mask, y_sum + c_sum) for y_mask, y_sum in scan for c_mask, c_sum in combos]
-    return dict_items, len(scan), len(combos), product
+    combos = list(combinations(m_indices, s_i))
+    c_masks = [sum(1 << i for i in c) for c in combos]
+    c_sums = [sum(weights[i] for i in c) for c in combos]
+    product = ([y | c for y in scan_masks for c in c_masks], [y + c for y in scan_sums for c in c_sums])
+    return dict_half, len(scan_masks), len(combos), product
 
 
-def _buckets(dict_items: list, p: int) -> dict[int, list[tuple[int, int]]]:
-    """The dictionary half's entries by their sum's residue mod p, in dictionary order."""
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for entry in dict_items:
-        buckets.setdefault(entry[1] % p, []).append(entry)
+def _buckets(sums: list, p: int) -> dict[int, list[int]]:
+    """The dictionary half's sums by their residue mod p, in dictionary order."""
+    buckets: dict[int, list[int]] = {}
+    for sm in sums:
+        buckets.setdefault(sm % p, []).append(sm)
     return buckets
 
 
-def _filter(
-    table: tuple, p: int, residue: int, meter: StepMeter, buckets: dict | None = None
-) -> list[tuple[int, int]]:
+def _filter(table: tuple, p: int, residue: int) -> list[tuple[int, int]]:
     """Each product entry of `table` joined with each dictionary entry that
-    completes it to `residue` mod p, in product order, then dictionary order.
-    The meter is charged as if the enumerations were made here. `buckets`,
-    the dictionary half's `_buckets` for p, are built here when not given."""
-    dict_items, n_scan, n_combos, product = table
-    meter.add(len(dict_items))
-    meter.add(n_scan)
-    meter.add(n_combos)
-    get = (_buckets(dict_items, p) if buckets is None else buckets).get
+    completes it to `residue` mod p, in product order, then dictionary order,
+    through buckets of the dictionary half's (mask, sum) entries made here."""
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for entry in zip(*table[0]):
+        buckets.setdefault(entry[1] % p, []).append(entry)
+    get = buckets.get
     out = []
-    for y_mask, y_sum in product:
+    for y_mask, y_sum in zip(*table[3]):
         hits = get((residue - y_sum) % p)
         if hits:
             for d_mask, d_sum in hits:
                 out.append((y_mask | d_mask, y_sum + d_sum))
-    meter.add(n_scan * n_combos + len(out))
     return out
+
+
+def _filter_sums(table: tuple, p: int, residue: int, buckets: dict) -> list[int]:
+    """The sums of `_filter`'s list, in its order, walked without a mask."""
+    get = buckets.get
+    out = []
+    for y_sum in table[3][1]:
+        hits = get((residue - y_sum) % p)
+        if hits:
+            for d_sum in hits:
+                out.append(y_sum + d_sum)
+    return out
+
+
+def _charge(meter: StepMeter, table: tuple, n_out: int) -> None:
+    """Charge a filtered list of `n_out` entries as if its enumerations were made for it."""
+    _, n_scan, n_combos, _ = table
+    meter.add_each(len(table[0][0]), n_scan, n_combos, n_scan * n_combos + n_out)
 
 
 def build_filtered_list(
@@ -165,7 +180,10 @@ def build_filtered_list(
     wide = _wide_sum_bytes(instance.total())
     check_bytes(_list_bytes(side, n_combos, dict_size, p, wide), "a filtered list")
     table = _side_table(instance.weights, side, m_indices, s_i, dict_size)
-    return _filter(table, p, residue % p, StepMeter() if meter is None else meter)
+    out = _filter(table, p, residue % p)
+    if meter is not None:
+        _charge(meter, table, len(out))
+    return out
 
 
 class _AttemptTables:
@@ -201,22 +219,31 @@ class _AttemptTables:
         self._room -= nbytes
         return True
 
-    def filtered(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> list[tuple[int, int]]:
-        """build_filtered_list for a list of `splits`, on the kept enumerations and buckets."""
-        side, s_i, n_combos, dict_size = shape
-        check_bytes(_list_bytes(side, n_combos, dict_size, p, self._wide), "a filtered list", self._limit)
+    def filtered_sums(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> tuple:
+        """The sums of build_filtered_list for a list of `splits`, in its order and
+        charged as it charges, and a function that returns the list itself; both
+        on the kept enumerations and buckets where they are kept."""
         kept = self._tables.get(shape)
-        if kept is None:
-            table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
-            entry_bytes = _KEPT_ENTRY_BYTES + self._wide
-            if not self._keep((len(table[0]) + len(table[3]) + 2) * entry_bytes):
-                return _filter(table, p, residue, meter)
-            kept = self._tables[shape] = (table, {})
-        table, by_p = kept  # buckets are kept only beside a kept table, whose entries they hold
-        buckets = by_p.get(p)
-        if buckets is None and self._keep((len(table[0]) + 2) * _BUCKET_ENTRY_BYTES):
-            buckets = by_p[p] = _buckets(table[0], p)
-        return _filter(table, p, residue, meter, buckets)
+        buckets = None if kept is None else kept[1].get(p)
+        if buckets is None:  # a (shape, p) with kept buckets has passed this check
+            side, s_i, n_combos, dict_size = shape
+            check_bytes(_list_bytes(side, n_combos, dict_size, p, self._wide), "a filtered list", self._limit)
+            if kept is None:
+                table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
+                entry_bytes = _KEPT_ENTRY_BYTES + self._wide
+                if not self._keep((len(table[0][0]) + len(table[3][0]) + 2) * entry_bytes):
+                    out = _filter(table, p, residue)
+                    _charge(meter, table, len(out))
+                    return [sm for _, sm in out], lambda: out
+                kept = self._tables[shape] = (table, {})
+            table, by_p = kept  # buckets are kept only beside a kept table, whose sums they hold
+            buckets = _buckets(table[0][1], p)
+            if self._keep((len(table[0][1]) + 2) * _BUCKET_ENTRY_BYTES):
+                by_p[p] = buckets
+        table = kept[0]
+        sums = _filter_sums(table, p, residue, buckets)
+        _charge(meter, table, len(sums))
+        return sums, partial(_filter, table, p, residue)
 
 
 def representation_attempt(
@@ -251,18 +278,20 @@ def representation_attempt(
         row = tables.records[s, s1]
         row["attempts"] += 1
         try:
-            left_list = tables.filtered(left, p, t_l % p, meter)
-            right_list = tables.filtered(right, p, (target - t_l) % p, meter)
+            left_sums, left_list = tables.filtered_sums(left, p, t_l, meter)
+            right_sums, right_list = tables.filtered_sums(right, p, (target - t_l) % p, meter)
         except CapacityError:
             row["skipped"] += 1
             continue
-        row["size_left"] += len(left_list)
-        row["size_right"] += len(right_list)
+        row["size_left"] += len(left_sums)
+        row["size_right"] += len(right_sums)
+        meter.add(len(left_sums) + len(right_sums), "sums_enumerated")
+        if set(left_sums).isdisjoint(map(target.__sub__, right_sums)):
+            continue  # no pair meets the target, so no mask is walked
         by_sum: dict[int, list[int]] = {}
-        for m, sm in left_list:
+        for m, sm in left_list():
             by_sum.setdefault(sm, []).append(m)
-        meter.add(len(left_list) + len(right_list), "sums_enumerated")
-        for t_mask, t_sum in right_list:
+        for t_mask, t_sum in right_list():
             for s_mask in by_sum.get(target - t_sum, ()):
                 row["pairs_scanned"] += 1
                 meter.add(1, "pairs_scanned")

@@ -383,3 +383,33 @@ def test_solve_output_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["solve", str(path), "--alg", "auto", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+def test_bench_makes_every_instance_before_any_solve(tmp_path, capsys, monkeypatch):
+    # n = 3 has no geometric instance: the sweep fails before it solves n = 2
+    import sslab.cli
+
+    solved = []
+    dp = sslab.cli.bellman_dp
+    monkeypatch.setattr("sslab.cli.bellman_dp", lambda inst: solved.append(inst.n) or dp(inst))
+    out = tmp_path / "b.csv"
+    code, lines, err = _run(capsys, "bench", "--alg", "dp", "--kind", "geometric", "--n-from", "2",
+                            "--n-to", "5", "--csv", str(out))
+    assert (code, lines, solved) == (1, [], [])
+    assert "n must be even" in err and not out.exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # the parser is built on the first call and reused; a command replaced on the
+    # module after that still runs, since main looks each one up by name
+    import sslab.cli
+
+    built = []
+    build = sslab.cli.build_parser
+    monkeypatch.setattr("sslab.cli._parser", None)
+    monkeypatch.setattr("sslab.cli.build_parser", lambda: built.append(1) or build())
+    path = tmp_path / "g.ss"
+    assert _run(capsys, "gen", "--kind", "geometric", "--n", "8", "--out", str(path))[0] == 0
+    monkeypatch.setattr("sslab.cli._cmd_solve", lambda args: 7)
+    assert _run(capsys, "solve", "--alg", "mim", str(path))[0] == 7
+    assert built == [1]

@@ -184,6 +184,29 @@ def test_step_meter_budget():
     assert free.count == 10**9
 
 
+def test_step_meter_add_each_raises_where_adds_do():
+    # add_each(*ks) ends at the count that add(k) for each k reaches, raising with it
+    rng = RandomSource(23)
+    for _ in range(2000):
+        limit = None if rng.randrange(5) == 0 else rng.randrange(60)
+        charges = [tuple(rng.randrange(12) for _ in range(rng.randrange(5))) for _ in range(6)]
+        ends = []
+        for each in (True, False):
+            meter = StepMeter(limit)
+            raised = None
+            try:
+                for i, ks in enumerate(charges):
+                    if each:
+                        meter.add_each(*ks)
+                    else:
+                        for k in ks:
+                            meter.add(k)
+            except BudgetExhausted:
+                raised = i
+            ends.append((raised, meter.count))
+        assert ends[0] == ends[1]
+
+
 def test_solver_outcome_and_verification():
     out = SolverOutcome()
     assert not out.found and out.witness is None

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from sslab import (
+    BudgetExhausted,
     CapacityError,
     Instance,
     RandomSource,
@@ -245,12 +246,13 @@ def test_representation_attempt_standalone_matches_solve(monkeypatch):
 def _kept_table_bytes(inst, tables, shape):
     side, s_i, _, dict_size = shape
     table = _side_table(inst.weights, side, tables.m_indices, s_i, dict_size)
-    return (len(table[0]) + len(table[3]) + 2) * _KEPT_ENTRY_BYTES
+    return (len(table[0][0]) + len(table[3][0]) + 2) * _KEPT_ENTRY_BYTES
 
 
 def test_attempt_tables_filter_as_build_filtered_list():
     # a list filtered on kept enumerations and kept buckets, on some of them, or on
-    # none, is the standalone list, and charges the meter the same steps
+    # none, is the standalone list, its sums are that list's sums, and it charges
+    # the meter the same steps
     inst, _ = rich_planted(14, 6, 14, seed=75)
     m_mask = mask_from_indices(range(6))
     shapes = _AttemptTables(inst, m_mask, 1.0).splits[5][3][1][1:]
@@ -263,13 +265,86 @@ def test_attempt_tables_filter_as_build_filtered_list():
             tables._room = {"all": 1 << 30, "tables": table_bytes, "none": 0}[room]
             for p, residue in calls:
                 got_meter, want_meter = StepMeter(), StepMeter()
-                got = tables.filtered(shape, p, residue, got_meter)
+                sums, entries = tables.filtered_sums(shape, p, residue, got_meter)
                 want = build_filtered_list(inst, mask_from_indices(side), m_mask, s_i, p,
                                            residue, dict_size, want_meter)
-                assert got == want and got_meter.count == want_meter.count
+                assert sums == [sm for _, sm in want] and got_meter.count == want_meter.count
+                assert entries() == want and entries() == want  # the list, as often as asked
             kept = tables._tables.get(shape)
             assert (kept is None) == (room == "none")
             assert sorted(kept[1] if kept else ()) == ([5, 7, 11] if room == "all" else [])
+
+
+def _reference_attempt(inst, m_mask, s, target, rng, meter, records):
+    """representation_attempt at gamma = 1 as a plain join: each list from
+    build_filtered_list, the left one put into a dict of lists by sum, then
+    every pair that meets the target walked."""
+    _, p_min, _, shapes = _split_table(inst.n, m_mask, 1.0)[s]
+    p = random_prime(p_min, rng)
+    t_l = rng.randrange(p)
+    for s1, (_, left, right) in shapes.items():
+        row = records[s, s1]
+        row["attempts"] += 1
+        try:
+            left_list, right_list = (
+                build_filtered_list(inst, mask_from_indices(side), m_mask, s_i, p, residue, dict_size, meter)
+                for (side, s_i, _, dict_size), residue in ((left, t_l), (right, (target - t_l) % p)))
+        except CapacityError:
+            row["skipped"] += 1
+            continue
+        row["size_left"] += len(left_list)
+        row["size_right"] += len(right_list)
+        by_sum = {}
+        for mask, sm in left_list:
+            by_sum.setdefault(sm, []).append(mask)
+        meter.add(len(left_list) + len(right_list), "sums_enumerated")
+        for t_mask, t_sum in right_list:
+            for s_mask in by_sum.get(target - t_sum, ()):
+                row["pairs_scanned"] += 1
+                meter.add(1, "pairs_scanned")
+                if s_mask & t_mask == 0 and mask_sum(inst.weights, s_mask | t_mask) == target:
+                    return s_mask | t_mask
+    return None
+
+
+def _attempt_log(inst, m_mask, limit, seed, room=None, reference=False):
+    """(witness, cost, rows) after each attempt of a run of attempts on one meter,
+    and ("exhausted", cost, rows) where its budget ran out."""
+    tables = _AttemptTables(inst, m_mask, 1.0)
+    if room is not None:
+        tables._room = room
+    records = {key: dict(row) for key, row in tables.records.items()}
+    rows = records if reference else tables.records
+    rng, meter, log = RandomSource(seed), StepMeter(limit), []
+    try:
+        for target in (inst.target, inst.total() - inst.target, inst.total() + 1):
+            for s in tables.splits:
+                if reference:
+                    wit = _reference_attempt(inst, m_mask, s, target, rng, meter, records)
+                else:
+                    wit = representation_attempt(inst, m_mask, 1.0, s, target, rng, meter, tables)
+                log.append((wit, meter.cost, [dict(r) for r in rows.values()]))
+    except BudgetExhausted:
+        log.append(("exhausted", meter.cost, [dict(r) for r in rows.values()]))
+    return log
+
+
+@pytest.mark.parametrize("room", [None, 0, 30_000])  # all kept, nothing kept, some kept
+def test_sums_first_join_matches_a_plain_join(room):
+    # small weights give many equal sums, so lists meet on sums with overlapping masks:
+    # those attempts walk the masks, scan pairs and may still find no witness
+    m_mask = mask_from_indices(range(6))
+    slow = 0
+    for seed in range(8):
+        for bits in (3, 5):
+            inst, _ = gen_planted(12, bits, RandomSource(seed))
+            for limit in (None, 300, 3000, 30_000):
+                want = _attempt_log(inst, m_mask, limit, seed, room, reference=True)
+                assert _attempt_log(inst, m_mask, limit, seed, room) == want
+                scanned = [cost.get("pairs_scanned", 0) for _, cost, _ in want]
+                slow += sum(wit is None and now > before
+                            for (wit, _, _), before, now in zip(want, [0] + scanned, scanned))
+    assert slow >= 40  # 47 such attempts at each room
 
 
 def test_kept_buckets_take_room():
@@ -279,7 +354,7 @@ def test_kept_buckets_take_room():
     tables._room = room = 1 << 30
     rooms = []
     for p in (5, 7, 5, 11, 7):
-        tables.filtered(shape, p, 1, StepMeter())
+        tables.filtered_sums(shape, p, 1, StepMeter())
         rooms.append(tables._room)
     # the first call keeps the table and the buckets for 5; a new p takes more room
     first = room - _kept_table_bytes(inst, tables, shape)
