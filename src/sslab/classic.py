@@ -23,7 +23,7 @@ from .core import (
     verified_outcome,
 )
 from .numeric import random_prime
-from .oracle import SumTable, _dense_sums, _sorted_join, _sum_table, _table_dtype
+from .oracle import SumTable, _dense_sums, _run_rows, _sorted_join, _sum_table, _table_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +92,7 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
 
 def _pair_rows(a: SumTable, b: SumTable, start: np.ndarray, stop: np.ndarray):
     """The pairs (a-row i, b-row j) with start[i] <= j < stop[i], a-row major: (sums, masks)."""
-    width = stop - start
-    i = np.repeat(np.arange(width.size), width)
-    j = np.arange(i.size) + np.repeat(start + width - np.cumsum(width), width)
+    i, j = _run_rows(start, stop)
     return a.sums[i] + b.sums[j], a.masks[i] | b.masks[j]
 
 

@@ -39,7 +39,6 @@ from .hashing import ReductionNotApplicable, reduce_bitlength
 from .oracle import distinct_sums, max_bin
 from .structured import solve_few_sums, solve_many_sums
 
-_CHECKS = ("udcp", "l2identity", "cauchyschwarz", "sumsvsbin")
 _DEFAULT_SAMPLER_BUDGET = 100000
 
 
@@ -212,67 +211,55 @@ def _verify_corpus(n_max: int, rng: RandomSource):
         yield f"planted-n{n}", inst
 
 
-def _check_one(check: str, name: str, instance: Instance, violations: list) -> bool:
-    """Runs one named invariant check; returns False when the instance is outside
-    the check's range of n."""
+def _udcp(instance: Instance):
+    pair = udcp_from_instance(instance)
+    if not check_udcp(pair):
+        return "pair not uniquely decodable"
+    if len(pair.a_masks) != distinct_sums(instance) or len(pair.b_masks) != max_bin(instance):
+        return "extracted sizes mismatch"
+    return None
+
+
+def _l2identity(instance: Instance):
+    lhs, rhs = l2_identity_terms(instance)
+    return None if lhs == rhs else f"bin_l2 {lhs} != ternary expansion {rhs}"
+
+
+def _cauchyschwarz(instance: Instance):
     n = instance.n
-    if check == "udcp":
-        if n > 14:
-            return False
-        pair = udcp_from_instance(instance)
-        ok = check_udcp(pair)
-        sizes_ok = (
-            len(pair.a_masks) == distinct_sums(instance)
-            and len(pair.b_masks) == max_bin(instance)
-        )
-        if not (ok and sizes_ok):
-            violations.append({
-                "check": check, "instance": name,
-                "detail": "pair not uniquely decodable" if not ok else "extracted sizes mismatch",
-            })
-        return True
-    if check == "l2identity":
-        if n > 14:
-            return False
-        lhs, rhs = l2_identity_terms(instance)
-        if lhs != rhs:
-            violations.append({
-                "check": check, "instance": name,
-                "detail": f"bin_l2 {lhs} != ternary expansion {rhs}",
-            })
-        return True
-    if check == "cauchyschwarz":
-        if n < 2 or n > 16:
-            return False
-        beta = max_bin(instance)
-        half = n // 2
-        if n <= 10:
-            # a split and its complement give one product: for even n, check
-            # only the splits that hold item 0; they come first, so the first
-            # violation found is the same
-            splits = [s for s in combinations(range(n), half) if n % 2 or s[0] == 0]
-        else:
-            splits = [tuple(range(half))]
-        everything = full_mask(n)
-        for left in splits:
-            s_mask = mask_from_indices(left)
-            prod = bin_l2(instance, s_mask) * bin_l2(instance, everything ^ s_mask)
-            if beta * beta > prod:
-                violations.append({
-                    "check": check, "instance": name,
-                    "detail": f"beta^2 {beta * beta} > {prod} on split {list(left)}",
-                })
-                return True
-        return True
-    if n < 1:  # sumsvsbin: classify needs an item
-        return False
+    beta = max_bin(instance)
+    half = n // 2
+    if n <= 10:
+        # a split and its complement give one product: for even n, check only the
+        # splits that hold item 0; they come first, so the first violation is the same
+        splits = [s for s in combinations(range(n), half) if n % 2 or s[0] == 0]
+    else:
+        splits = [tuple(range(half))]
+    everything = full_mask(n)
+    for left in splits:
+        s_mask = mask_from_indices(left)
+        prod = bin_l2(instance, s_mask) * bin_l2(instance, everything ^ s_mask)
+        if beta * beta > prod:
+            return f"beta^2 {beta * beta} > {prod} on split {list(left)}"
+    return None
+
+
+def _sumsvsbin(instance: Instance):
     report = classify(instance)
-    if not report.sums_vs_bin_holds:
-        violations.append({
-            "check": check, "instance": name,
-            "detail": f"distinct {report.distinct} rich but beta {report.beta} over bound",
-        })
-    return True
+    if report.sums_vs_bin_holds:
+        return None
+    return f"distinct {report.distinct} rich but beta {report.beta} over bound"
+
+
+# Every check: (the smallest n it is defined on, instance -> a violation's detail or None).
+# An instance below the floor, or one whose tables the memory limit refuses, is skipped;
+# nothing else is. Each function reaches the library through the module's globals.
+_CHECKS = {
+    "udcp": (1, _udcp),
+    "l2identity": (0, _l2identity),
+    "cauchyschwarz": (2, _cauchyschwarz),
+    "sumsvsbin": (1, _sumsvsbin),  # classify needs an item
+}
 
 
 def _cmd_verify(args) -> int:
@@ -289,28 +276,38 @@ def _cmd_verify(args) -> int:
     else:
         corpus = list(_verify_corpus(args.n_max, RandomSource(args.seed)))
     violations: list = []
-    idle = []  # the checks that skipped every instance
+    idle = []  # the checks that ran on no instance
+    refused = []  # for each check that ran, a note of how many instances the memory limit skipped
     for check in checks:
-        ran = 0
+        floor, run = _CHECKS[check]
+        ran = over = 0
         before = len(violations)
         for name, instance in corpus:
+            if instance.n < floor:
+                continue
             try:
-                ran += _check_one(check, name, instance, violations)
-            except CapacityError:  # past the memory limit: skipped like an n out of range
-                pass
+                detail = run(instance)
+            except CapacityError:
+                over += 1
+                continue
+            ran += 1
+            if detail is not None:
+                violations.append({"check": check, "instance": name, "detail": detail})
         _emit({"check": check, "instances": ran, "violations": len(violations) - before})
         if not ran:
             idle.append(check)
+        elif over:
+            refused.append(f"{check} skipped {over} of {len(corpus)} instance(s) past the memory limit")
     for v in violations:
         _emit(v)
     if violations:
-        _note(f"{len(violations)} invariant violation(s)")
-        return 3
-    if idle:  # a check that ran on no instance passed nothing; a skip still exits 0
-        _note(f"no violations, but {', '.join(idle)} ran on none of {len(corpus)} instance(s)")
+        head = f"{len(violations)} invariant violation(s)"
+    elif idle:  # a check that ran on no instance passed nothing; a skip still exits 0
+        head = f"no violations, but {', '.join(idle)} ran on none of {len(corpus)} instance(s)"
     else:
-        _note(f"all checks passed on {len(corpus)} instance(s)")
-    return 0
+        head = "no violations" if refused else f"all checks passed on {len(corpus)} instance(s)"
+    _note("; ".join([head] + refused))
+    return 3 if violations else 0
 
 
 def _cmd_bench(args) -> int:

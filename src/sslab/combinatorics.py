@@ -13,13 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapacityError, Instance, _wide_sum_bytes, check_bytes
-from .oracle import _block_table, _dense_sums, _run_starts, _sorted_join, _table_dtype, all_subset_sums
+from .core import Instance, _wide_sum_bytes, check_bytes
+from .oracle import _block_table, _dense_sums, _run_rows, _run_starts, _table_dtype, all_subset_sums
 
-# a pair sum peaks at about 40 bytes in the last deduplication: five int64
-# entries (the blocks' distinct sums, their concatenation, its sorted copy,
-# the run starts and the sums they pick)
-_UDCP_PAIR_BYTES = 40
 
 @dataclass(frozen=True)
 class UdcpPair:
@@ -37,12 +33,12 @@ class UdcpPair:
             raise ValueError("mask sets must not contain duplicates")
 
 
-def _spread(masks: Sequence[int], n: int) -> np.ndarray:
-    """0/1 vectors packed 2 bits per coordinate, so vector sums stay carry-free."""
-    out = np.zeros(len(masks), dtype=np.int64)
-    arr = np.asarray(masks, dtype=np.int64)
+def _spread(masks: Sequence[int], n: int, dtype) -> np.ndarray:
+    """0/1 vectors read as base-3 numbers, so that the sum of two stays carry-free."""
+    arr = np.array(masks, dtype=dtype)
+    out = np.zeros(len(masks), dtype=dtype)
     for j in range(n):
-        out |= ((arr >> j) & 1) << (2 * j)
+        out += ((arr >> j) & 1) * 3 ** j
     return out
 
 
@@ -52,15 +48,20 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def check_udcp(pair: UdcpPair) -> bool:
-    """Whether |A + B| = |A| * |B| with componentwise integer sums in {0,1,2}^n."""
+    """Whether |A + B| = |A| * |B| with componentwise integer sums in {0,1,2}^n, each
+    read as a base-3 number."""
     na, nb = len(pair.a_masks), len(pair.b_masks)
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
-    if 2 * pair.n > 62:
-        raise CapacityError("dimension too large for packed coordinate sums")
-    check_bytes(na * nb * _UDCP_PAIR_BYTES, f"|A|*|B| = {na * nb} pair sums")
-    a = _spread(pair.a_masks, pair.n)
-    b = _spread(pair.b_masks, pair.n)
+    dtype = _table_dtype((), 3 ** pair.n)  # int64 up to n = 39, Python ints past that
+    # a pair sum peaks at 40 bytes in the last deduplication with int64: five entries (the
+    # blocks' distinct sums, their concatenation, its sorted copy, the run starts and the
+    # sums they pick); with Python ints, measured with tracemalloc in a fresh process at
+    # n = 40-90, at most 73 bytes, plus the width of the one sum it holds
+    pair_bytes = 40 if dtype is np.int64 else 76 + _wide_sum_bytes(3 ** pair.n)
+    check_bytes(na * nb * pair_bytes, f"|A|*|B| = {na * nb} pair sums")
+    a = _spread(pair.a_masks, pair.n, dtype)
+    b = _spread(pair.b_masks, pair.n, dtype)
     block = max(1, (1 << 22) // max(1, nb))
     parts = [_distinct((a[i : i + block, None] + b[None, :]).ravel()) for i in range(0, na, block)]
     return int(_distinct(np.concatenate(parts)).size) == na * nb
@@ -73,7 +74,7 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
     """
     n = instance.n
     if n < 1:
-        raise CapacityError("extraction needs n >= 1")
+        raise ValueError("extraction needs n >= 1")
     table = _block_table(instance)
     # the mask tuple and the set that checks it, measured with tracemalloc at density 1,
     # n = 16-20: 117 bytes a row next to an int64 table; a Python-int one 152 and the widths
@@ -110,26 +111,34 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
 
     Half-split meet: 3^(n/2) vectors a side, each keyed by dot * (n + 1) + l1.
     As 0 <= l1 <= n, a left and a right key add up to k in [0, n] exactly when
-    their dots cancel and their l1s add up to k.
+    their dots cancel and their l1s add up to k. So the right keys a left key l
+    meets are one run of the sorted right keys, those in [-l, n - l].
     """
     n = instance.n
     h = n // 2
     scaled = [w * (n + 1) for w in instance.weights]
     dtype = _table_dtype(scaled)
     # a vector's peak, measured with tracemalloc at n = 13-20: at most 42 bytes with int64
-    # keys; with Python ints of at most 70 bits 108, plus the widths of the two ints a right
-    # vector holds in the join (its key and k minus it)
+    # keys; with Python ints of at most 70 bits 108, plus the widths of the two ints a left
+    # vector holds in the join (the ends of its run, -l and n - l)
     vector_bytes = 42 if dtype is np.int64 else 108 + 2 * _wide_sum_bytes(sum(scaled) + n)
-    check_bytes((3 ** h + 3 ** (n - h)) * vector_bytes, "the two ternary halves")
+    halves = (3 ** h + 3 ** (n - h)) * vector_bytes
+    check_bytes(halves, "the two ternary halves")
     l_keys, l_counts = _ternary_half(scaled[:h], dtype)
     r_keys, r_counts = _ternary_half(scaled[h:], dtype)
+    start = np.searchsorted(r_keys, -l_keys)
+    stop = np.searchsorted(r_keys, n - l_keys, "right")
+    pairs = int(np.sum(stop - start))
+    # a pair that meets peaks at 47 bytes, measured with tracemalloc at n = 20-22 with int64
+    # and Python-int keys: its two rows, their keys (the sum is at most n), k and a product
+    check_bytes(halves + pairs * 48, f"the two ternary halves and their {pairs} pairs")
+    l_rows, r_rows = _run_rows(start, stop)
+    del start, stop
     count_dtype = _table_dtype((), 3 ** n)  # no count exceeds 3^n
-    l_counts, r_counts = l_counts.astype(count_dtype), r_counts.astype(count_dtype)
-    out = []
-    for k in range(n + 1):
-        r_rows, l_rows = _sorted_join(l_keys, r_keys, k)
-        out.append(int(np.dot(l_counts[l_rows], r_counts[r_rows])))
-    return out
+    out = np.zeros(n + 1, dtype=count_dtype)
+    k = (l_keys[l_rows] + r_keys[r_rows]).astype(np.int64)
+    np.add.at(out, k, l_counts[l_rows].astype(count_dtype) * r_counts[r_rows])
+    return out.tolist()
 
 
 def l2_identity_terms(instance: Instance) -> tuple[int, int]:

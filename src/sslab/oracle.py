@@ -122,6 +122,14 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
         masks = np.concatenate([masks, masks | (1 << i)])
 
 
+def _run_rows(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with start[i] <= j < stop[i], in order of i, then of j: (the i, the j)."""
+    width = stop - start
+    i = np.repeat(np.arange(width.size), width)
+    j = np.arange(i.size) + np.repeat(start + width - np.cumsum(width), width)
+    return i, j
+
+
 def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int):
     """Match right entries r against sorted distinct `left_sums` on target - r.
 

@@ -224,6 +224,26 @@ def test_verify_skips_what_the_ternary_count_refuses(tmp_path, capsys, monkeypat
     assert code == 0 and lines == _run(capsys, "verify", "--checks", "l2identity", "--n-max", "14")[1]
 
 
+def test_verify_runs_every_check_past_14_items(capsys):
+    checks = ("udcp", "l2identity", "cauchyschwarz")
+    code, lines, err = _run(capsys, "verify", "--n-max", "16", "--checks", ",".join(checks))
+    assert code == 0
+    assert lines == [{"check": c, "instances": 113, "violations": 0} for c in checks]
+    assert "all checks passed on 113 instance(s)" in err
+
+
+def test_verify_names_what_the_memory_limit_skipped(capsys, monkeypatch):
+    # under 1 MB the tables of the larger instances are refused: each check that ran
+    # says how many of the corpus it skipped, and the run still exits 0
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    code, lines, err = _run(capsys, "verify", "--n-max", "17", "--checks", "l2identity,udcp")
+    assert code == 0
+    assert lines == [{"check": "l2identity", "instances": 104, "violations": 0},
+                     {"check": "udcp", "instances": 89, "violations": 0}]
+    assert "passed" not in err
+    assert "l2identity skipped 16 of 120 instance(s)" in err and "udcp skipped 31 of 120 instance(s)" in err
+
+
 def test_verify_never_says_passed_over_no_instance(tmp_path, capsys, monkeypatch):
     # a check that skipped every instance passed nothing: the closing note names
     # it instead, stdout keeps one line per check, and the exit code stays 0

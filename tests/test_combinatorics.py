@@ -13,6 +13,7 @@ from sslab import (
     check_udcp,
     distinct_sums,
     gen_all_equal,
+    gen_geometric_pairs,
     gen_random_density,
     gen_super_increasing,
     l2_identity_terms,
@@ -76,6 +77,17 @@ def test_l2_identity_random_and_big_weights():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_l2_identity_past_14_items(n):
+    rng = RandomSource(94)
+    cases = [gen_random_density(n, d, rng.split(f"{n}:{d}")) for d in (1.0, 2.0)]
+    if n % 2 == 0:
+        cases.append(gen_geometric_pairs(n))
+    for inst in cases:
+        lhs, rhs = l2_identity_terms(inst)
+        assert lhs == rhs
+
+
 def test_udcp_extraction_sizes_match_oracle():
     rng = RandomSource(93)
     for k in range(20):
@@ -102,6 +114,18 @@ def test_check_udcp_rejects_colliding_pair():
     assert not check_udcp(pair)
 
 
+@pytest.mark.parametrize("n", [40, 64])
+def test_check_udcp_past_62_bits(n):
+    # A = {00, 11} and B = {00, 01, 10} in the top two coordinates give six distinct sums,
+    # and a fourth B vector 11 makes 00 + 11 = 11 + 00. Every mask also holds one pattern
+    # of alternating low bits, so the low coordinates of every sum hold 2s
+    top = n - 2
+    low = int("01" * 32, 2) & ((1 << top) - 1)
+    a = tuple(low | d << top for d in (0, 3))
+    assert check_udcp(UdcpPair(a, tuple(low | d << top for d in (0, 1, 2)), n))
+    assert not check_udcp(UdcpPair(a, tuple(low | d << top for d in (0, 1, 2, 3)), n))
+
+
 def test_udcp_pair_validation():
     with pytest.raises(ValueError):
         UdcpPair(a_masks=(0, 0), b_masks=(1,), n=2)
@@ -109,6 +133,8 @@ def test_udcp_pair_validation():
         UdcpPair(a_masks=(4,), b_masks=(1,), n=2)
     with pytest.raises(ValueError):
         check_udcp(UdcpPair(a_masks=(), b_masks=(1,), n=2))
+    with pytest.raises(ValueError):  # a domain error, not a capacity one
+        udcp_from_instance(Instance(weights=(), target=0))
 
 
 def test_udcp_capacity_guard():
