@@ -36,7 +36,7 @@ from .core import (
 )
 from .dispatch import classify, measured_gamma, solve_auto, solve_large_bin, solve_small_bin
 from .hashing import ReductionNotApplicable, reduce_bitlength
-from .oracle import distinct_sums, max_bin
+from .oracle import _block_table, max_bin
 from .structured import solve_few_sums, solve_many_sums
 
 _DEFAULT_SAMPLER_BUDGET = 100000
@@ -149,13 +149,10 @@ def _cmd_analyze(args) -> int:
             dens = density(instance)
         except ValueError:
             dens = None
-        _emit({
-            "n": instance.n,
-            "density": dens,
-            "beta": max_bin(instance),
-            "distinct_sums": distinct_sums(instance),
-            "l2_norm_squared": bin_l2(instance),
-        })
+        table = _block_table(instance)
+        stats = {"beta": int(table.counts.max()), "distinct_sums": int(table.sums.size)}
+        del table  # before bin_l2 builds its own
+        _emit({"n": instance.n, "density": dens, **stats, "l2_norm_squared": bin_l2(instance)})
         _note(f"analyzed {path}")
     return 0
 
@@ -215,7 +212,8 @@ def _udcp(instance: Instance):
     pair = udcp_from_instance(instance)
     if not check_udcp(pair):
         return "pair not uniquely decodable"
-    if len(pair.a_masks) != distinct_sums(instance) or len(pair.b_masks) != max_bin(instance):
+    table = _block_table(instance)  # a second computation of |w(2^[n])| and beta
+    if pair.a_masks.size != table.sums.size or pair.b_masks.size != table.counts.max():
         return "extracted sizes mismatch"
     return None
 

@@ -17,28 +17,35 @@ from .core import Instance, _wide_sum_bytes, check_bytes
 from .oracle import _block_table, _dense_sums, _run_rows, _run_starts, _table_dtype, all_subset_sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UdcpPair:
-    """Two sets of n-bit masks interpreted as 0/1 vectors in Z^n."""
+    """Two sets of n-bit masks interpreted as 0/1 vectors in Z^n, each a 1-D array of
+    int64 up to n = 62 and of Python ints past that (one already so is kept as it is)."""
 
-    a_masks: tuple
-    b_masks: tuple
+    a_masks: np.ndarray
+    b_masks: np.ndarray
     n: int
 
     def __post_init__(self):
-        for m in self.a_masks + self.b_masks:
-            if m < 0 or m >> self.n:
-                raise ValueError("mask outside the declared dimension")
-        if len(set(self.a_masks)) != len(self.a_masks) or len(set(self.b_masks)) != len(self.b_masks):
-            raise ValueError("mask sets must not contain duplicates")
+        for name in ("a_masks", "b_masks"):
+            try:  # a Python int past int64 is past bit 62 as well
+                masks = np.asarray(getattr(self, name), dtype=_table_dtype((), mask_bits=self.n))
+                if masks.size and (masks.min() < 0 or masks.max() >> self.n):
+                    raise OverflowError
+            except OverflowError:
+                raise ValueError("mask outside the declared dimension") from None
+            ordered = np.sort(masks)  # a sorted copy and one compare: 9 bytes a mask with int64
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("mask sets must not contain duplicates")
+            object.__setattr__(self, name, masks)
 
 
-def _spread(masks: Sequence[int], n: int, dtype) -> np.ndarray:
+def _spread(masks: np.ndarray, n: int, dtype) -> np.ndarray:
     """0/1 vectors read as base-3 numbers, so that the sum of two stays carry-free."""
-    arr = np.array(masks, dtype=dtype)
-    out = np.zeros(len(masks), dtype=dtype)
+    masks = masks.astype(dtype, copy=False)
+    out = np.zeros(masks.size, dtype=dtype)
     for j in range(n):
-        out += ((arr >> j) & 1) * 3 ** j
+        out += ((masks >> j) & 1) * 3 ** j
     return out
 
 
@@ -50,7 +57,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def check_udcp(pair: UdcpPair) -> bool:
     """Whether |A + B| = |A| * |B| with componentwise integer sums in {0,1,2}^n, each
     read as a base-3 number."""
-    na, nb = len(pair.a_masks), len(pair.b_masks)
+    na, nb = pair.a_masks.size, pair.b_masks.size
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
     dtype = _table_dtype((), 3 ** pair.n)  # int64 up to n = 39, Python ints past that
@@ -60,32 +67,29 @@ def check_udcp(pair: UdcpPair) -> bool:
     # n = 40-90, at most 73 bytes, plus the width of the one sum it holds
     pair_bytes = 40 if dtype is np.int64 else 76 + _wide_sum_bytes(3 ** pair.n)
     check_bytes(na * nb * pair_bytes, f"|A|*|B| = {na * nb} pair sums")
-    a = _spread(pair.a_masks, pair.n, dtype)
-    b = _spread(pair.b_masks, pair.n, dtype)
+    a, b = (_spread(masks, pair.n, dtype) for masks in (pair.a_masks, pair.b_masks))
     block = max(1, (1 << 22) // max(1, nb))
     parts = [_distinct((a[i : i + block, None] + b[None, :]).ravel()) for i in range(0, na, block)]
     return int(_distinct(np.concatenate(parts)).size) == na * nb
 
 
-
 def udcp_from_instance(instance: Instance) -> UdcpPair:
     """Extract (A, B): lexicographically-smallest mask per distinct sum, and the
-    modal bin's masks (smallest modal sum on ties). |A| = |w(2^[n])|, |B| = beta.
-    """
+    modal bin's masks (smallest modal sum on ties). |A| = |w(2^[n])|, |B| = beta."""
     n = instance.n
     if n < 1:
         raise ValueError("extraction needs n >= 1")
     table = _block_table(instance)
-    # the mask tuple and the set that checks it, measured with tracemalloc at density 1,
-    # n = 16-20: 117 bytes a row next to an int64 table; a Python-int one 152 and the widths
-    # of two sums (the table's and the dense sums')
-    row = 152 + 2 * _wide_sum_bytes(table.sums[-1]) if table.sums.dtype == object else 120
-    check_bytes(table.sums.size * row, "the mask tuple")
-    modal = table.sums[int(np.argmax(table.counts))]  # first maximum = smallest modal sum
+    modal_row = int(np.argmax(table.counts))  # first maximum = smallest modal sum
+    modal, beta, masks = table.sums[modal_row], int(table.counts[modal_row]), table.masks
+    del table  # its sums and counts go before the dense sums are made
+    # held at once (tracemalloc, fresh process, n = 14-20): a mask per distinct sum, 8 B (as a
+    # Python int 40, charged 48 for masks up to 2^62); a dense sum and its compare per subset, 9 B
+    # or 49 and the sum's width, charged a byte more; 8 B a modal mask. UdcpPair's checks take less.
+    mask_row, sum_row = (48, 50 + _wide_sum_bytes(instance.total())) if masks.dtype == object else (8, 10)
+    check_bytes(masks.size * mask_row + (sum_row << n) + beta * 8, "the UDCP extraction")
     b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask
-    return UdcpPair(
-        a_masks=tuple(int(m) for m in table.masks), b_masks=tuple(int(m) for m in b_masks), n=n
-    )
+    return UdcpPair(masks, b_masks, n)
 
 
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
@@ -143,7 +147,5 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
 
 def l2_identity_terms(instance: Instance) -> tuple[int, int]:
     """(bin_l2, sum over k of counts[k] * 2^(n-k)): the two sides of the norm identity."""
-    counts = zero_ternary_counts_by_l1(instance)
-    n = instance.n
-    rhs = sum(c << (n - k) for k, c in enumerate(counts))
+    rhs = sum(c << (instance.n - k) for k, c in enumerate(zero_ternary_counts_by_l1(instance)))
     return bin_l2(instance), rhs

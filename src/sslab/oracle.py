@@ -94,11 +94,11 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     Arrays are rebound as soon as they are replaced, which keeps the peak down.
     """
     idx = sorted(indices)
-    # a merged row's peak, measured with tracemalloc at n = 16-20: 56 bytes with int64
-    # (sums, counts, masks and four 8-byte temporaries: the sort order, the run starts,
-    # the rows they pick, the reordered masks); with Python ints, at most 133 with 70-bit
-    # sums and masks, plus the widths of the largest sum and the largest mask
-    row = 56 if dtype is np.int64 else (
+    # a merged row's peak, measured with tracemalloc at n = 16-20: 56 bytes with int64 (sums,
+    # counts, masks, the sort order, the run starts, the rows they pick, the reordered masks),
+    # and a 57th covers the 1.6 KB a table takes beyond them (fresh process, n = 13-18); with
+    # Python ints, at most 133 with 70-bit sums and masks, plus the widths of the largest sum and mask
+    row = 57 if dtype is np.int64 else (
         136 + _wide_sum_bytes(sum(weights[i] for i in idx)) + _wide_sum_bytes(sum(1 << i for i in idx)))
     head, rest = idx[:_DENSE_BITS], iter(idx[_DENSE_BITS:])
     check_bytes((1 << len(head)) * row, f"a subset-sum table of {1 << len(head)} rows")

@@ -33,15 +33,15 @@ from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sums
 
 # Per-entry charges, measured on sums of at most 70 bits; each adds the widths of the sums
 # an entry holds, counted with tracemalloc at n = 24-30 on 200 and 1000-bit weights.
-# A filtered list's charge per entry it enumerates: the most an attempt peaked at (both
-# lists, the join dict and the tables it built) per entry of its largest list, measured
-# with tracemalloc at n = 30-36: 266 B with a one-item M at n = 36, 333 B with |M| = 4.
-# It holds up to two sums, since both lists are alive.
+# A filtered list's charge per entry it enumerates, holding up to two sums: the most an
+# attempt peaked at (both lists, the join dict and the tables it built) per entry of its
+# largest list, in a fresh process per attempt at n = 30-36 (|M| = 1 and 4): up to 298 B,
+# but 357 B once (|M| = 1, n = 34); the constant is kept, so the same lists are refused.
 _LIST_ENTRY_BYTES = 336
-# What a solve keeps, per entry, measured with tracemalloc at n = 24 (48 and 70-bit
-# weights): a kept enumeration at most 137 B, a dictionary half's buckets of sums for one
-# p at most 159 B (one bucket an entry, n = 24-28); two more entries' worth covers each
-# one's containers. A kept entry holds one sum, a bucket none: it holds the kept sums.
+# What a solve keeps, per entry, in a fresh process per case: a kept enumeration at most
+# 125 B (n = 24, 48 and 70-bit weights), a dictionary half's buckets of sums for one p at
+# most 158 B (one bucket an entry, n = 24-28); two more entries' worth covers each one's
+# containers. A kept entry holds one sum, a bucket none: it holds the kept sums.
 _KEPT_ENTRY_BYTES = 144
 _BUCKET_ENTRY_BYTES = 160
 

@@ -15,6 +15,7 @@ from sslab import (
     read_instance,
     write_instance,
 )
+from sslab import oracle
 from sslab.cli import main
 
 
@@ -64,6 +65,26 @@ def test_analyze_frozen_values(tmp_path, capsys):
         "n": 4, "density": 4 / 2.0, "beta": 4, "distinct_sums": 9,
         "l2_norm_squared": 36,
     }
+
+
+def test_udcp_check_and_analyze_build_two_tables_an_instance(tmp_path, capsys, monkeypatch):
+    # udcp: the extraction's table and the one its sizes are checked against;
+    # analyze: one table for beta and the distinct sums, and bin_l2's
+    builds = []
+    real = oracle._sum_table
+
+    def spy(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_sum_table", spy)
+    path = tmp_path / "i.txt"
+    write_instance(gen_random_density(10, 1.0, RandomSource(3)), path)
+    assert _run(capsys, "verify", str(path), "--checks", "udcp")[0] == 0
+    assert len(builds) == 2
+    builds.clear()
+    assert _run(capsys, "analyze", str(path), str(path))[0] == 0
+    assert len(builds) == 4
 
 
 def test_classify_reports_regimes(tmp_path, capsys):
@@ -239,9 +260,9 @@ def test_verify_names_what_the_memory_limit_skipped(capsys, monkeypatch):
     code, lines, err = _run(capsys, "verify", "--n-max", "17", "--checks", "l2identity,udcp")
     assert code == 0
     assert lines == [{"check": "l2identity", "instances": 104, "violations": 0},
-                     {"check": "udcp", "instances": 89, "violations": 0}]
+                     {"check": "udcp", "instances": 91, "violations": 0}]
     assert "passed" not in err
-    assert "l2identity skipped 16 of 120 instance(s)" in err and "udcp skipped 31 of 120 instance(s)" in err
+    assert "l2identity skipped 16 of 120 instance(s)" in err and "udcp skipped 29 of 120 instance(s)" in err
 
 
 def test_verify_never_says_passed_over_no_instance(tmp_path, capsys, monkeypatch):

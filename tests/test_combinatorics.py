@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from sslab import (
@@ -135,6 +136,18 @@ def test_udcp_pair_validation():
         check_udcp(UdcpPair(a_masks=(), b_masks=(1,), n=2))
     with pytest.raises(ValueError):  # a domain error, not a capacity one
         udcp_from_instance(Instance(weights=(), target=0))
+    # arrays: int64 masks up to n = 62, object masks of Python ints past it
+    for n, dtype in ((3, np.int64), (64, object)):
+        top = 1 << (n - 1)
+        pair = UdcpPair(np.array([0, top], dtype=dtype), np.array([1], dtype=dtype), n)
+        assert pair.a_masks.dtype == dtype and check_udcp(pair)
+        for masks in ([top, 1, top], [1, 2 * top], [-1, 1]):  # a duplicate, past bit n - 1, negative
+            with pytest.raises(ValueError):
+                UdcpPair(np.array(masks, dtype=dtype), np.array([1], dtype=dtype), n)
+            with pytest.raises(ValueError):
+                UdcpPair(np.array([1], dtype=dtype), np.array(masks, dtype=dtype), n)
+    with pytest.raises(ValueError):  # past int64, where the masks are int64
+        UdcpPair(np.array([1 << 64], dtype=object), (1,), 62)
 
 
 def test_udcp_capacity_guard():
@@ -155,14 +168,16 @@ def test_udcp_memory_limit(monkeypatch):
 
 
 def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
-    # 2^16 distinct sums: the last merge peaks at 3.7 MB and the dense sums at
-    # 0.8 MB, but the mask tuple and its set peak at about 7.7 MB (117 B a row)
-    inst = gen_super_increasing(16)
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "5")
-    with pytest.raises(CapacityError):
-        udcp_from_instance(inst)
+    # 16 zero weights: one distinct sum, but 2^16 dense sums and 2^16 modal masks, which
+    # the extraction charges 1,179,656 bytes; its table is charged less
+    zeros = Instance((0,) * 16, 1)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    with pytest.raises(CapacityError, match="UDCP extraction"):
+        udcp_from_instance(zeros)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
+    assert udcp_from_instance(zeros).b_masks.size == 1 << 16
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "9")
-    assert len(udcp_from_instance(inst).a_masks) == 1 << 16
+    assert len(udcp_from_instance(gen_super_increasing(16)).a_masks) == 1 << 16
     # the charge covers what the extraction really takes, with int64 and Python-int tables
     wide = Instance(tuple((1 << 63) + (1 << i) for i in range(14)), 1)
     for inst, row_bytes in ((gen_super_increasing(14), 120), (wide, 152)):
@@ -183,6 +198,26 @@ def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
         finally:
             tracemalloc.stop()
         assert peak <= max(charges)
+
+
+@pytest.mark.parametrize("case", ["equal16", "zeros14", "zeros16", "superinc14", "wide63", "wide200", "wide1000"])
+def test_udcp_extraction_peak_stays_under_its_charges(monkeypatch, charges, case):
+    # a big modal bin (all-equal, all-zero weights) as well as many distinct sums, with
+    # int64 tables and Python-int ones; the modal masks used to go uncharged
+    if case.startswith("wide"):
+        inst = Instance(tuple((1 << int(case[4:])) + (1 << i) for i in range(14)), 1)
+    else:
+        n = int(case[-2:])
+        inst = {"equal": gen_all_equal, "zeros": lambda n: Instance((0,) * n, 1),
+                "superinc": gen_super_increasing}[case[:-2]](n)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
+    tracemalloc.start()
+    try:
+        udcp_from_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charges)
 
 
 def test_bin_l2_subset_restriction():
