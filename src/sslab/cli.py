@@ -31,6 +31,7 @@ from .core import (
     gen_super_increasing,
     mask_from_indices,
     mask_sum,
+    memory_limit_bytes,
     read_instance,
     write_instance,
 )
@@ -405,6 +406,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        memory_limit_bytes()  # every command refuses a malformed limit, before it does anything
         return _COMMANDS[args.command](args)
     except (CapacityError, ValueError, OverflowError, ReductionNotApplicable, BudgetExhausted, RuntimeError,
             OSError) as exc:

@@ -95,8 +95,9 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     """Exact squared l2 norm of the bin histogram: sum over sums of count^2."""
     counts = _block_table(instance, subset_mask).counts
-    if (instance.n if subset_mask is None else subset_mask.bit_count()) <= 31:
-        return int(np.dot(counts, counts))  # at most 4^|S|, inside int64
+    size = instance.n if subset_mask is None else subset_mask.bit_count()
+    if _table_dtype((), 4 ** size) is np.int64:  # the norm is at most 4^|S|
+        return int(np.dot(counts, counts))
     return sum(c * c for c in counts.tolist())  # exact in Python ints
 
 

@@ -40,10 +40,10 @@ def memory_limit_bytes() -> int:
     return megabytes << 20
 
 
-def check_bytes(nbytes: int, what: str, limit: int | None = None) -> None:
+def check_bytes(nbytes: int, what: str) -> None:
     """The one capacity rule: raises CapacityError, before `what` is allocated, when its
-    peak of `nbytes` would exceed `limit`, by default memory_limit_bytes() read now."""
-    limit = memory_limit_bytes() if limit is None else limit
+    peak of `nbytes` would exceed memory_limit_bytes(), read now."""
+    limit = memory_limit_bytes()
     if nbytes > limit:
         raise CapacityError(f"{what} would take {nbytes} bytes, over the memory limit of {limit}")
 

@@ -35,15 +35,6 @@ _DENSE_BITS = 12      # items a sum table enumerates densely before its first so
 _INT64_SAFE = 1 << 62
 
 
-def _subset_weights(instance: Instance, subset_mask: int | None) -> tuple[list[int], int]:
-    if subset_mask is None:
-        subset_mask = full_mask(instance.n)
-    if subset_mask < 0 or subset_mask >> instance.n:
-        raise ValueError("subset mask outside the instance's index space")
-    idx = mask_indices(subset_mask)
-    return [instance.weights[i] for i in idx], subset_mask
-
-
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
     """np.int64 when every subset sum of `weights`, every `extra` value (a
     target) and every mask below bit `mask_bits` stays under 2^62; object
@@ -149,9 +140,12 @@ def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int):
 
 def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:
     """w(2^S) of the instance's block S (every item when None)."""
-    ws, smask = _subset_weights(instance, subset_mask)
-    dtype = _table_dtype(ws, mask_bits=smask.bit_length())
-    return _sum_table(instance.weights, mask_indices(smask), dtype)
+    smask = full_mask(instance.n) if subset_mask is None else subset_mask
+    if smask < 0 or smask >> instance.n:
+        raise ValueError("subset mask outside the instance's index space")
+    idx = mask_indices(smask)
+    dtype = _table_dtype([instance.weights[i] for i in idx], mask_bits=smask.bit_length())
+    return _sum_table(instance.weights, idx, dtype)
 
 
 def max_bin(instance: Instance, subset_mask: int | None = None) -> int:
@@ -165,9 +159,9 @@ def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
     return int(_block_table(instance, subset_mask).sums.size)
 
 
-def all_subset_sums(instance: Instance, subset_mask: int | None = None) -> np.ndarray:
-    """Materialized sums for every mask (index = mask). Verification helper; 2^|S| memory."""
-    ws, _ = _subset_weights(instance, subset_mask)
+def all_subset_sums(instance: Instance) -> np.ndarray:
+    """Materialized sums for every mask (index = mask). Verification helper; 2^n memory."""
+    ws = instance.weights
     dtype = _table_dtype(ws)
     # a row peaks at 8 bytes with int64 (the sum) and at 48 with Python ints of at most 70 bits,
     # plus the largest sum's width; 4 more a row cover brute_solve's compare of a block

@@ -10,7 +10,6 @@ sum sets, so an exact sorted join is already cheap.
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import combinations
 
 from .core import (
@@ -35,8 +34,8 @@ from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sums
 # an entry holds, counted with tracemalloc at n = 24-30 on 200 and 1000-bit weights.
 # A filtered list's charge per entry it enumerates, holding up to two sums: the most an
 # attempt peaked at (both lists, the join dict and the tables it built) per entry of its
-# largest list, in a fresh process per attempt at n = 30-36 (|M| = 1 and 4): up to 298 B,
-# but 357 B once (|M| = 1, n = 34); the constant is kept, so the same lists are refused.
+# largest list, in a fresh process per attempt at n = 30-34 (|M| = 1 and 4, two seeds):
+# 308 B (|M| = 1, n = 34), on a split whose sums meet and which lists its entries.
 _LIST_ENTRY_BYTES = 336
 # What a solve keeps, per entry, in a fresh process per case: a kept enumeration at most
 # 125 B (n = 24, 48 and 70-bit weights), a dictionary half's buckets of sums for one p at
@@ -192,7 +191,8 @@ class _AttemptTables:
     enumerations behind each filtered list and, per prime, the residue buckets
     of a list's dictionary half, built on first use. What is kept takes at most
     what the largest list the limit admits, charged at its smallest p, leaves
-    of SSLAB_MEM_LIMIT_MB; a list beyond that is rebuilt on every use."""
+    of SSLAB_MEM_LIMIT_MB, read once here; a list beyond that is rebuilt on
+    every use and filtered as a kept one is."""
 
     def __init__(self, instance: Instance, m_mask: int, gamma: float):
         self.instance, self.m_mask, self.gamma = instance, m_mask, gamma
@@ -204,13 +204,13 @@ class _AttemptTables:
                         for s, (pi, p_min, clamped_prime, shapes) in self.splits.items()
                         for s1, (clamped_left, *_) in shapes.items()}
         self._tables: dict = {}  # list shape -> (enumerations, {p: buckets})
-        self._limit = memory_limit_bytes()  # read once, for every list of every attempt
         self._wide = _wide_sum_bytes(instance.total())
+        limit = memory_limit_bytes()
         charges = [_list_bytes(side, n_combos, dict_size, p_min, self._wide)
                    for _, p_min, _, shapes in self.splits.values()
                    for _, *lists in shapes.values()
                    for side, _, n_combos, dict_size in lists]
-        self._room = self._limit - max((c for c in charges if c <= self._limit), default=0)
+        self._room = limit - max((c for c in charges if c <= limit), default=0)
 
     def _keep(self, nbytes: int) -> bool:
         """Whether `nbytes` more fit in the room; if they do, they are taken from it."""
@@ -220,30 +220,26 @@ class _AttemptTables:
         return True
 
     def filtered_sums(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> tuple:
-        """The sums of build_filtered_list for a list of `splits`, in its order and
-        charged as it charges, and a function that returns the list itself; both
-        on the kept enumerations and buckets where they are kept."""
+        """The sums of build_filtered_list for a list of `splits`, in its order and charged
+        as it charges, and the enumerations that `_filter` lists its entries from. The room
+        only decides whether those enumerations and their buckets for p are kept."""
         kept = self._tables.get(shape)
-        buckets = None if kept is None else kept[1].get(p)
+        table, by_p = kept or (None, {})
+        buckets = by_p.get(p)
         if buckets is None:  # a (shape, p) with kept buckets has passed this check
             side, s_i, n_combos, dict_size = shape
-            check_bytes(_list_bytes(side, n_combos, dict_size, p, self._wide), "a filtered list", self._limit)
+            check_bytes(_list_bytes(side, n_combos, dict_size, p, self._wide), "a filtered list")
             if kept is None:
                 table = _side_table(self.instance.weights, side, self.m_indices, s_i, dict_size)
                 entry_bytes = _KEPT_ENTRY_BYTES + self._wide
-                if not self._keep((len(table[0][0]) + len(table[3][0]) + 2) * entry_bytes):
-                    out = _filter(table, p, residue)
-                    _charge(meter, table, len(out))
-                    return [sm for _, sm in out], lambda: out
-                kept = self._tables[shape] = (table, {})
-            table, by_p = kept  # buckets are kept only beside a kept table, whose sums they hold
+                if self._keep((len(table[0][0]) + len(table[3][0]) + 2) * entry_bytes):
+                    kept = self._tables[shape] = (table, by_p)
             buckets = _buckets(table[0][1], p)
-            if self._keep((len(table[0][1]) + 2) * _BUCKET_ENTRY_BYTES):
-                by_p[p] = buckets
-        table = kept[0]
+            if kept and self._keep((len(table[0][1]) + 2) * _BUCKET_ENTRY_BYTES):
+                by_p[p] = buckets  # only beside a kept table, whose sums they hold
         sums = _filter_sums(table, p, residue, buckets)
         _charge(meter, table, len(sums))
-        return sums, partial(_filter, table, p, residue)
+        return sums, table
 
 
 def representation_attempt(
@@ -274,12 +270,13 @@ def representation_attempt(
     _, p_min, _, shapes = tables.splits[s]
     p = random_prime(p_min, rng)  # the filter: a prime from [p_min, 2 p_min] and a residue
     t_l = rng.randrange(p)
+    t_r = (target - t_l) % p
     for s1, (_, left, right) in shapes.items():
         row = tables.records[s, s1]
         row["attempts"] += 1
         try:
-            left_sums, left_list = tables.filtered_sums(left, p, t_l, meter)
-            right_sums, right_list = tables.filtered_sums(right, p, (target - t_l) % p, meter)
+            left_sums, left_table = tables.filtered_sums(left, p, t_l, meter)
+            right_sums, right_table = tables.filtered_sums(right, p, t_r, meter)
         except CapacityError:
             row["skipped"] += 1
             continue
@@ -288,10 +285,11 @@ def representation_attempt(
         meter.add(len(left_sums) + len(right_sums), "sums_enumerated")
         if set(left_sums).isdisjoint(map(target.__sub__, right_sums)):
             continue  # no pair meets the target, so no mask is walked
+        del left_sums, right_sums  # the lists walked below hold their sums again
         by_sum: dict[int, list[int]] = {}
-        for m, sm in left_list():
+        for m, sm in _filter(left_table, p, t_l):
             by_sum.setdefault(sm, []).append(m)
-        for t_mask, t_sum in right_list():
+        for t_mask, t_sum in _filter(right_table, p, t_r):
             for s_mask in by_sum.get(target - t_sum, ()):
                 row["pairs_scanned"] += 1
                 meter.add(1, "pairs_scanned")

@@ -17,9 +17,9 @@ def charges(monkeypatch):
     check_bytes records the bytes it is asked about, then checks them."""
     made = []
 
-    def record(nbytes, what, limit=None):
+    def record(nbytes, what):
         made.append(nbytes)
-        check_bytes(nbytes, what, limit)
+        check_bytes(nbytes, what)
 
     for module in (classic, combinatorics, oracle, structured):
         monkeypatch.setattr(module, "check_bytes", record)

@@ -245,6 +245,19 @@ def test_verify_skips_what_the_ternary_count_refuses(tmp_path, capsys, monkeypat
     assert code == 0 and lines == _run(capsys, "verify", "--checks", "l2identity", "--n-max", "14")[1]
 
 
+@pytest.mark.parametrize("command", ["gen", "hash"])
+def test_every_command_refuses_a_malformed_memory_limit(tmp_path, capsys, monkeypatch, command):
+    # gen and hash charge no bytes, yet they refuse the limit as solve does, before they write
+    inst, out = tmp_path / "i.txt", tmp_path / "out.ss"
+    write_instance(gen_random_density(8, 1.0, RandomSource(3)), inst)
+    argv = {"gen": ["gen", "--kind", "density", "--n", "8", "--out", str(out)],
+            "hash": ["hash", str(inst), "--B", "4096", "--out", str(out)]}[command]
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "abc")
+    code, lines, err = _run(capsys, *argv)
+    assert (code, lines) == (1, []) and "SSLAB_MEM_LIMIT_MB" in err
+    assert not out.exists()
+
+
 def test_verify_runs_every_check_past_14_items(capsys):
     checks = ("udcp", "l2identity", "cauchyschwarz")
     code, lines, err = _run(capsys, "verify", "--n-max", "16", "--checks", ",".join(checks))

@@ -228,8 +228,10 @@ def test_bin_l2_subset_restriction():
 
 
 def test_bin_l2_past_int64_is_exact():
-    # the squares of C(34, k) sum to C(68, 34), past 2^63
-    assert bin_l2(gen_all_equal(34)) == math.comb(68, 34)
+    # the squares of C(n, k) sum to C(2n, n): past 2^63 at n = 34, and near the
+    # int64 choice at n = 30-32
+    for n in (30, 31, 32, 34):
+        assert bin_l2(gen_all_equal(n)) == math.comb(2 * n, n)
 
 
 def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):

@@ -28,6 +28,7 @@ from sslab.numeric import is_prime, random_prime
 from sslab.structured import (
     _KEPT_ENTRY_BYTES,
     _AttemptTables,
+    _filter,
     _predicted_attempt_steps,
     _side_table,
     _split_table,
@@ -251,8 +252,8 @@ def _kept_table_bytes(inst, tables, shape):
 
 def test_attempt_tables_filter_as_build_filtered_list():
     # a list filtered on kept enumerations and kept buckets, on some of them, or on
-    # none, is the standalone list, its sums are that list's sums, and it charges
-    # the meter the same steps
+    # none, has that standalone list's sums and charges the meter the same steps, and
+    # the table it returns lists the standalone list itself
     inst, _ = rich_planted(14, 6, 14, seed=75)
     m_mask = mask_from_indices(range(6))
     shapes = _AttemptTables(inst, m_mask, 1.0).splits[5][3][1][1:]
@@ -265,11 +266,11 @@ def test_attempt_tables_filter_as_build_filtered_list():
             tables._room = {"all": 1 << 30, "tables": table_bytes, "none": 0}[room]
             for p, residue in calls:
                 got_meter, want_meter = StepMeter(), StepMeter()
-                sums, entries = tables.filtered_sums(shape, p, residue, got_meter)
+                sums, table = tables.filtered_sums(shape, p, residue, got_meter)
                 want = build_filtered_list(inst, mask_from_indices(side), m_mask, s_i, p,
                                            residue, dict_size, want_meter)
                 assert sums == [sm for _, sm in want] and got_meter.count == want_meter.count
-                assert entries() == want and entries() == want  # the list, as often as asked
+                assert _filter(table, p, residue) == want
             kept = tables._tables.get(shape)
             assert (kept is None) == (room == "none")
             assert sorted(kept[1] if kept else ()) == ([5, 7, 11] if room == "all" else [])
@@ -359,6 +360,19 @@ def test_kept_buckets_take_room():
     # the first call keeps the table and the buckets for 5; a new p takes more room
     first = room - _kept_table_bytes(inst, tables, shape)
     assert first > rooms[0] > rooms[1] == rooms[2] > rooms[3] == rooms[4]
+
+
+def test_meeting_split_peaks_inside_its_charge(charges):
+    # the split of this attempt whose sums meet walks its (mask, sum) lists: it must hold
+    # them without its sums lists, since both copies together pass its largest charge
+    inst = gen_planted(34, 34, RandomSource(34))[0]
+    tracemalloc.start()
+    try:
+        representation_attempt(inst, mask_from_indices([0]), 0.5, 1, inst.target, RandomSource(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charges)
 
 
 def test_solve_keeps_tables_inside_the_limit(monkeypatch):
