@@ -20,11 +20,8 @@ from .core import (
     StepMeter,
     density,
     mask_from_indices,
-    mask_sum,
-    verified_outcome,
 )
-from .hashing import reduce_bitlength
-from .classic import bellman_dp, meet_in_middle
+from .classic import schroeppel_shamir
 from .oracle import _block_table, brute_solve, distinct_sums
 from .structured import _AttemptTables, _many_sums, _split_join, solve_few_sums
 
@@ -191,33 +188,20 @@ def solve_auto(
     epsilon: float = 0.0004,
 ) -> SolverOutcome:
     """Two-step pipeline: run the small-bin driver under a step budget of
-    ~4 * 2^(0.49991 n) * n^2; on exhaustion, hash the instance dense with
-    B = 10*2^(ceil(0.997 n)) and hand it to meet-in-the-middle, amplified
-    over up to n^2 independent reductions. Witnesses are always re-verified
-    against the original instance; there are no false positives.
+    ~4 * 2^(0.49991 n) * n^2 (or `budget`, which bounds this step only); if it
+    ran out of budget or the memory limit skipped its whole search, run one
+    Schroeppel-Shamir join on the instance itself, branch "ss": O*(2^(n/2))
+    time, O*(2^(n/4)) memory, and exact, so its "no" is too. Its `steps`
+    include step 1's, and it keeps step 1's `iterations`.
     """
     n = instance.n
-    if n < 1:
-        return brute_solve(instance)
     if budget is None:
         budget = math.ceil(4.0 * 2.0 ** (0.49991 * n) * n * n)
     step1 = solve_small_bin(instance, epsilon, rng, step_budget=budget)
     if not step1.exhausted:
         step1.branch = f"small-bin/{step1.branch}"
         return step1
-    if instance.target < max(2, 2 * n):
-        out = bellman_dp(instance)
-        out.branch = "dp"
-        out.cost["steps"] += step1.cost["steps"]  # the DP runs after step 1's work
-        return out
-    B = 10 * (1 << math.ceil(0.997 * n))
-    meter = StepMeter(keys=("reductions", "sums_enumerated"))
-    meter.add(step1.cost["steps"])
-    for _ in range(n * n):
-        record = reduce_bitlength(instance, B, rng)
-        meter.counters["reductions"] += 1
-        sub = meet_in_middle(record.reduced)
-        meter.add(sub.cost["sums_enumerated"], "sums_enumerated")
-        if sub.witness is not None and mask_sum(instance.weights, sub.witness) == instance.target:
-            return verified_outcome(instance, sub.witness, meter.cost, branch="hash+mim")
-    return SolverOutcome(cost=meter.cost, branch="hash+mim")
+    out = schroeppel_shamir(instance)
+    out.branch, out.iterations = "ss", step1.iterations
+    out.cost["steps"] += step1.cost["steps"]  # the join runs after step 1's work
+    return out

@@ -326,7 +326,8 @@ def solve_many_sums(
     solution's M-part can be assumed to have s >= |M|/2; amplifies over n^2
     independent (p, t_L) draws. The attempts share one `_AttemptTables`,
     which lives for this call only.
-    Witnesses are exact; 'none' may be a false negative.
+    Witnesses are exact; 'none' may be a false negative. A solve whose every
+    attempt the memory limit skipped searched nothing: it is `exhausted`.
     """
     tables = _AttemptTables(instance, m_mask, gamma)  # checks |M| and gamma
     if math.log2(distinct_sums(instance, m_mask)) < gamma * len(tables.m_indices) - 1e-9:
@@ -361,7 +362,10 @@ def _many_sums(tables: _AttemptTables, rng: RandomSource, meter: StepMeter) -> S
                         return verified_outcome(instance, wit, meter.cost, iterations=iterations)
     except BudgetExhausted:
         return SolverOutcome(cost=meter.cost, exhausted=True, iterations=iterations)
-    return SolverOutcome(cost=meter.cost, iterations=iterations)
+    # the memory limit skipped every attempt made: nothing was searched, so this is no "no"
+    skipped_all = meter.counters["attempts"] > 0 and all(
+        row["skipped"] == row["attempts"] for row in iterations)
+    return SolverOutcome(cost=meter.cost, exhausted=skipped_all, iterations=iterations)
 
 
 def solve_few_sums(instance: Instance, m_mask: int, gamma: float) -> SolverOutcome:

@@ -44,19 +44,24 @@ def _smallbin_representation():
     return out, REPR, lambda c: c["steps"] == scan + sub.cost["steps"]
 
 
-def _auto_hash_mim():
-    # step 1 runs out of its budget of 10, and its steps stay on the count
+def _auto_ss():
+    # step 1 runs out of its budget of 10, and its steps stay on the join's count
+    step1 = solve_small_bin(_planted(), 0.0004, RandomSource(83), step_budget=10)
     out = solve_auto(_planted(), RandomSource(83), budget=10)
-    assert out.branch == "hash+mim"
-    return out, {"reductions", "sums_enumerated"}, lambda c: c["steps"] - c["sums_enumerated"] > 10
+    join = schroeppel_shamir(_planted()).cost["sums_enumerated"]
+    assert out.branch == "ss" and step1.exhausted
+    return out, CLASSIC | {"peak_retained_sums"}, (
+        lambda c: c["sums_enumerated"] == join and c["steps"] == join + step1.cost["steps"])
 
 
-def _auto_dp():
-    # step 1 runs out of its budget of 1, and the DP charges its 12 * 7 sums after it
+def _auto_ss_small_target():
+    # step 1 runs out of its budget of 1 on target 6 < 2n, and the join charges after it
     step1 = solve_small_bin(gen_all_equal(12), 0.0004, RandomSource(81), step_budget=1)
     out = solve_auto(gen_all_equal(12), RandomSource(81), budget=1)
-    assert out.branch == "dp" and step1.exhausted
-    return out, CLASSIC, lambda c: c["steps"] == 84 + step1.cost["steps"] and c["sums_enumerated"] == 84
+    join = schroeppel_shamir(gen_all_equal(12)).cost["sums_enumerated"]
+    assert out.branch == "ss" and step1.exhausted
+    return out, CLASSIC | {"peak_retained_sums"}, (
+        lambda c: c["sums_enumerated"] == join and c["steps"] == join + step1.cost["steps"])
 
 
 def _branch(out, branch, keys, steps_ok):
@@ -95,8 +100,8 @@ CASES = {
     "auto-small-bin": lambda: _branch(
         solve_auto(_planted(), RandomSource(1)), "small-bin/representation", REPR,
         lambda c: c["steps"] > c["sums_enumerated"] + c["pairs_scanned"]),
-    "auto-hash+mim": _auto_hash_mim,
-    "auto-dp": _auto_dp,
+    "auto-ss": _auto_ss,
+    "auto-ss-small-target": _auto_ss_small_target,
 }
 
 

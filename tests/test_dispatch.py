@@ -21,6 +21,7 @@ from sslab import (
     small_bin_time_exponents,
     solve_auto,
     solve_large_bin,
+    solve_many_sums,
     solve_partition_join,
     solve_small_bin,
 )
@@ -228,27 +229,64 @@ def test_solve_auto_planted_and_no_instance():
     out = solve_auto(inst, RandomSource(78))
     assert out.found
     assert mask_sum(inst.weights, out.witness) == inst.target
-    assert out.branch.startswith("small-bin/") or out.branch in ("dp", "hash+mim")
+    assert out.branch.startswith("small-bin/") or out.branch == "ss"
     no = rich_no_instance(12, 6, 12, seed=79)
     out = solve_auto(no, RandomSource(80))
     assert not out.found
 
 
-def test_solve_auto_small_target_uses_dp():
+def test_solve_auto_small_target_falls_through_to_ss():
     inst = gen_all_equal(12)  # target 6 < 2n
     out = solve_auto(inst, RandomSource(81))
     assert out.found
     assert mask_sum(inst.weights, out.witness) == inst.target
-    # with no budget left and an unhashable target, the fallback is the DP
+    # with no budget left, a small target takes the one exact join as well
     out = solve_auto(inst, RandomSource(81), budget=1)
-    assert out.branch == "dp"
+    assert out.branch == "ss"
     assert out.found
+    assert mask_sum(inst.weights, out.witness) == inst.target
 
 
-def test_solve_auto_tiny_budget_falls_through_to_hashing():
+def test_solve_auto_tiny_budget_falls_through_to_ss():
     inst, _ = gen_planted(12, 16, RandomSource(82))
     out = solve_auto(inst, RandomSource(83), budget=8)
-    assert out.branch in ("hash+mim", "dp")
-    assert out.found  # n^2 amplified reductions make a miss vanishingly rare
+    assert out.branch == "ss"
+    assert out.found  # the join is exact: no miss to amplify away
     assert mask_sum(inst.weights, out.witness) == inst.target
-    assert out.cost["reductions"] >= 1
+    no = Instance(inst.weights, inst.target + 1)
+    assert not brute_solve(no).found
+    out = solve_auto(no, RandomSource(83), budget=8)
+    assert out.branch == "ss"
+    assert not out.found and not out.exhausted  # an exact "no"
+
+
+def test_solve_auto_joins_when_the_memory_limit_skips_every_list(monkeypatch):
+    # at 1 MB every representation list is refused, so step 1 searched nothing: repr and
+    # smallbin say exhausted, not "no", and auto's exact join finds the planted witness
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    inst, _ = gen_planted(30, 30, RandomSource(1030))
+    rep = solve_many_sums(inst, 1, 1.0, RandomSource(0))
+    assert rep.iterations and all(row["skipped"] == row["attempts"] for row in rep.iterations)
+    assert not rep.found and rep.exhausted
+    above = solve_many_sums(Instance(inst.weights, inst.total() + 1), 1, 1.0, RandomSource(0))
+    assert above.cost["attempts"] == 0 and not above.found and not above.exhausted  # exact "no"
+    small = solve_small_bin(inst, 0.0004, RandomSource(0))
+    assert small.branch == "representation" and not small.found and small.exhausted
+    out = solve_auto(inst, RandomSource(0))
+    assert out.branch == "ss" and out.found
+    assert mask_sum(inst.weights, out.witness) == inst.target
+    assert out.iterations == small.iterations  # step 1's rows say why the join ran
+
+
+def test_solve_auto_both_steps_stay_under_the_limit(monkeypatch):
+    # step 1 skips every list and the join runs after it: the whole run peaks under 1 MB
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    inst, _ = gen_planted(30, 30, RandomSource(1030))
+    tracemalloc.start()
+    try:
+        out = solve_auto(inst, RandomSource(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.branch == "ss" and out.iterations
+    assert peak <= 1 << 20
