@@ -23,7 +23,7 @@ from .core import (
     verified_outcome,
 )
 from .numeric import random_prime
-from .oracle import SumTable, _dense_sums, _run_rows, _sorted_join, _sum_table, _table_dtype
+from .oracle import SumTable, _dense_sums, _run_rows, _sorted, _sorted_join, _sum_table, _table_dtype
 
 
 # ---------------------------------------------------------------------------
@@ -65,26 +65,27 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     k = (n + 1) // 2
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
-    dtype = _table_dtype(instance.weights, t, mask_bits=n)
-    # a row's peak, measured with tracemalloc: the dense right half and the join's arrays
-    # 41 bytes a right row, the left table 24 a row; with Python ints of at most 70 bits,
-    # 120 and 96, plus the widths of the ints a row holds, none wider than the total or t:
-    # two a right row (its sum and t minus it), one a left row (its sum). The right half
-    # alone is charged before the left table is built
+    dtype = _table_dtype(instance.weights, t)
+    # a row's peak, measured with tracemalloc: 16 bytes a left row (the dense left half and
+    # its sorted copy) and 42 a right row (the dense right half and the join's arrays, when
+    # every right row meets); with Python ints of at most 70 bits, 57 and 154, plus the
+    # widths of the ints a row holds, none wider than the total or t: one a left row (its
+    # sum), three a right row (its sum, t minus it, and t minus it again in the first-hit
+    # scan). Both halves are charged before either is built
     wide = _wide_sum_bytes(max(instance.total(), t))
-    what = f"the meet-in-the-middle join at n={n}"
-    right_bytes = (1 << (n - k)) * (120 + 2 * wide if dtype is object else 41)
-    check_bytes(right_bytes, what)
-    left = _sum_table(instance.weights, range(k), dtype)
-    check_bytes(right_bytes + left.sums.size * (96 + wide if dtype is object else 24), what)
+    left_row, right_row = (57 + wide, 154 + 3 * wide) if dtype is object else (16, 42)
+    check_bytes((1 << k) * left_row + (1 << (n - k)) * right_row, f"the meet-in-the-middle join at n={n}")
+    left = _dense_sums(instance.weights[:k], dtype)  # index = left mask
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
-    r_masks, l_rows = _sorted_join(left.sums, right, t)
+    hits, r_mask = _sorted_join(_sorted(left), right, t)
     meter.counters["dict_lookups"] = int(right.size)
-    meter.counters["pairs_checked"] = int(r_masks.size)
-    if not r_masks.size:
+    meter.counters["pairs_checked"] = hits
+    if not hits:
         return SolverOutcome(cost=meter.cost)
-    # the right mask holds the high bits, so the first right hit gives the smallest witness
-    return verified_outcome(instance, (int(r_masks[0]) << k) | int(left.masks[l_rows[0]]), meter.cost)
+    # the right mask holds the high bits, so the first right hit, with the smallest left
+    # mask that meets it, gives the smallest witness
+    l_mask = int(np.flatnonzero(left == t - right[r_mask])[0])
+    return verified_outcome(instance, (r_mask << k) | l_mask, meter.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +145,11 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
             r_sums, r_masks = _pair_rows(q3, q4, r_hi, r_lo)
             meter.add(l_sums.size + r_sums.size, "sums_enumerated")
             peak = max(peak, rows + l_sums.size + r_sums.size)
-            order = np.argsort(l_sums)
-            l_sums = l_sums[order]
-            r_rows, l_rows = _sorted_join(l_sums, r_sums, t)
-            if r_rows.size:
-                meter.counters.update(peak_retained_sums=peak, pairs_checked=int(r_rows.size))
-                mask = int(l_masks[order[l_rows[0]]]) | int(r_masks[r_rows[0]])
-                return verified_outcome(instance, mask, meter.cost)
+            hits, r_row = _sorted_join(_sorted(l_sums), r_sums, t)
+            if hits:
+                meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
+                l_row = np.flatnonzero(l_sums == t - r_sums[r_row])[0]
+                return verified_outcome(instance, int(l_masks[l_row]) | int(r_masks[r_row]), meter.cost)
         # the next window holds about 9/10 of `cap` rows at this window's density
         width = max(1, (hi - lo) * 9 * cap // (10 * max(n_l, n_r, 1)))
         lo, l_lo, r_lo = hi, l_hi, r_hi

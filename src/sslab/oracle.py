@@ -2,8 +2,11 @@
 
 Everything here is exact. One kernel, `_sum_table`, builds w(2^S) for a block
 S: the sorted distinct subset sums, how many subsets reach each, and the
-smallest mask reaching each. `_sorted_join` matches a second list of sums
-against such a table, as in the Horowitz-Sahni two-list join. Values live in
+smallest mask reaching each. `_sorted_join`, the Horowitz-Sahni two-list join,
+matches a second list of sums against any sorted list of sums, such a table's
+or a sorted copy of dense sums: it sorts the needed values, not their indices,
+and returns how many right rows meet and the first that does, which is all an
+exact join reads; the caller looks up the left row it meets. Values live in
 int64 arrays while every sum and mask fits; otherwise the same code runs on
 object arrays of Python ints. `_table_dtype` alone makes that choice.
 """
@@ -33,6 +36,7 @@ ENUM_LIMIT = 26       # items brute_solve scans, which streams in constant memor
 _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
 _INT64_SAFE = 1 << 62
+_JOIN_BLOCK = 1 << 16  # right rows a join scans at a time for its first hit
 
 
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
@@ -121,21 +125,40 @@ def _run_rows(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return i, j
 
 
-def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int):
-    """Match right entries r against sorted distinct `left_sums` on target - r.
+def _sorted(values: np.ndarray) -> np.ndarray:
+    """A sorted copy of `values`. Python's list sort orders Python ints about twice as
+    fast as numpy orders an object array, so an object array is sorted as a list."""
+    if values.dtype != object:
+        return np.sort(values)
+    return np.array(sorted(values.tolist()), dtype=object)
 
-    Returns (right rows, left rows): every right row that hits, ascending, and
-    the row of the left sum each one meets. `target` must fit the arrays' dtype.
+
+def _found_in(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which of `values` occur in the sorted, non-empty `sorted_values`: a bool array."""
+    pos = np.searchsorted(sorted_values, values)
+    np.minimum(pos, sorted_values.size - 1, out=pos)
+    return sorted_values[pos] == values
+
+
+def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int) -> tuple[int, int]:
+    """Match right entries r against sorted `left_sums` on target - r.
+
+    Returns (hits, first): how many right rows meet a left sum, and the first
+    such row (-1 when none does). `left_sums` may repeat a value. The needs
+    target - r are sorted as values and searched once in `left_sums`; only when
+    some meet are the right rows scanned, _JOIN_BLOCK at a time, for the first
+    whose need is a met value. Which left row it meets is the caller's to find.
+    `target` must fit the arrays' dtype.
     """
-    need = target - right_sums
-    order = np.argsort(need)  # sorted needles keep the binary searches cache-friendly
-    need = need[order]
-    pos = np.searchsorted(left_sums, need)
-    np.minimum(pos, left_sums.size - 1, out=pos)
-    right_rows = order[left_sums[pos] == need]
-    del need, order, pos  # the hits are searched again, so that the peak stays the search's
-    right_rows.sort()
-    return right_rows, np.searchsorted(left_sums, target - right_sums[right_rows])
+    need = _sorted(target - right_sums)  # sorted needles keep the binary searches cache-friendly
+    met = need[_found_in(left_sums, need)]
+    del need
+    # every met need is some right row's, so the scan returns once anything met
+    for start in range(0, right_sums.size if met.size else 0, _JOIN_BLOCK):
+        rows = np.flatnonzero(_found_in(met, target - right_sums[start : start + _JOIN_BLOCK]))
+        if rows.size:
+            return met.size, start + int(rows[0])
+    return 0, -1
 
 
 def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:

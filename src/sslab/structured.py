@@ -403,9 +403,9 @@ def _split_join(
     meter.counters.update(dict_lookups=len(r_sums), pairs_checked=0)
     t = instance.target
     if t <= instance.total():  # no pair sums higher, and t stays inside the tables' dtype
-        r_rows, l_rows = _sorted_join(l_sums, r_sums, t)
-        if r_rows.size:
+        hits, r_row = _sorted_join(l_sums, r_sums, t)
+        if hits:
             meter.counters["pairs_checked"] = 1
-            mask = int(l_masks[l_rows[0]]) | int(r_masks[r_rows[0]])
+            mask = int(l_masks[l_sums.searchsorted(t - r_sums[r_row])]) | int(r_masks[r_row])
             return verified_outcome(instance, mask, meter.cost, branch=branch)
     return SolverOutcome(cost=meter.cost, branch=branch)

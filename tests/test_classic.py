@@ -63,6 +63,20 @@ def test_meet_in_middle_matches_brute():
             assert got.witness == expect.witness
 
 
+@pytest.mark.parametrize("inst", [
+    *(pytest.param(gen_all_equal(20, t), id=f"equal-{t}") for t in (0, 1, 7, 10, 19, 20, 21)),
+    *(pytest.param(Instance(gen_geometric_pairs(20).weights, t), id=f"geometric-{t}")
+      for t in (0, 1, 5, 9841, 29524, 59048, 59049)),
+    *(pytest.param(gen_random_density(22, 4, RandomSource(k)), id=f"density4-{k}") for k in range(4)),
+])
+def test_meet_in_middle_smallest_witness_on_repeated_sums(inst):
+    # the left half's sums repeat, so the smallest left mask must be picked among many
+    expect = brute_solve(inst)
+    got = meet_in_middle(inst)
+    assert got.found == expect.found
+    assert got.witness == expect.witness
+
+
 def test_meet_in_middle_frozen():
     out = meet_in_middle(_FROZEN)
     assert out.found and out.witness == 0xAA
@@ -169,35 +183,39 @@ def _traced(fn, *args):
 
 
 def test_meet_in_middle_memory_cap(monkeypatch, charges):
-    # all-equal halves keep the left table at n/2 + 1 rows, so the dense right
-    # half and the join decide: 41 bytes a right row, 10.7 MB at n = 36
+    # all-equal: every right row hits, so a right row takes its 42 bytes and a
+    # left row its 16, 15.2 MB at n = 36
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "8")
     out, peak = _traced(meet_in_middle, gen_all_equal(36))
     assert isinstance(out, CapacityError)
-    assert peak < 8 * (1 << 18)  # below the dense right half alone: refused before it
+    assert peak < 8 * (1 << 18)  # below one dense half alone: refused before either
     # the charge covers what the solve really allocates
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "3")
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "4")
     out, peak = _traced(meet_in_middle, gen_all_equal(32))
     assert out.found
-    assert peak <= 41 * (1 << 16) + (64 << 10)
-    # also when its rows hold Python ints of up to 63, 200 and 1000 bits
+    assert peak <= (16 + 42) * (1 << 16)
+    # also when its rows hold Python ints of up to 63, 200 and 1000 bits, with
+    # no right row that hits and with every right row a hit
     for bits in (63, 200, 1000):
         inst, _ = gen_planted(24, bits, RandomSource(bits))
-        charges.clear()
-        out, peak = _traced(meet_in_middle, Instance(inst.weights, inst.target + 1))
-        assert not out.found
-        assert peak <= max(charges)
+        equal = Instance((3 << bits,) * 24, (3 << bits) * 12)
+        for case, found in ((Instance(inst.weights, inst.target + 1), False), (equal, True)):
+            charges.clear()
+            out, peak = _traced(meet_in_middle, case)
+            assert out.found == found
+            assert peak <= max(charges)
 
 
 def test_meet_in_middle_refuses_before_the_left_table(monkeypatch):
-    # the dense right half of n = 52 alone, 2^26 rows at 41 bytes, passes 512 MB
+    # at 512 MB n = 46 fits and n = 47 does not, whatever its sums: neither dense
+    # half may be enumerated before the refusal
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "512")
 
-    def no_table(*args):
-        raise AssertionError("the left table was built before the refusal")
+    def no_half(*args):
+        raise AssertionError("a half was enumerated before the refusal")
 
-    monkeypatch.setattr(classic, "_sum_table", no_table)
-    inst, _ = gen_planted(52, 60, RandomSource(5))
+    monkeypatch.setattr(classic, "_dense_sums", no_half)
+    inst, _ = gen_planted(47, 40, RandomSource(5))
     with pytest.raises(CapacityError):
         meet_in_middle(inst)
 

@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from sslab import (
@@ -21,7 +22,7 @@ from sslab import (
     max_bin,
     sumset_with_witness,
 )
-from sslab.oracle import _block_table
+from sslab.oracle import _JOIN_BLOCK, _block_table, _sorted_join
 
 
 def _histogram(inst, subset=None):
@@ -309,3 +310,34 @@ def test_sumset_witness_prefers_smallest_mask():
     sums, masks = sumset_with_witness((3,) * 40, range(40))
     assert [int(s) for s in sums] == [3 * k for k in range(41)]
     assert [int(m) for m in masks] == [(1 << k) - 1 for k in range(41)]
+
+
+def _join_reference(left, right, target):
+    """(right rows that meet a left sum, the first of them or -1), by a Python scan."""
+    have = set(left)
+    rows = [j for j, r in enumerate(right) if target - r in have]
+    return len(rows), rows[0] if rows else -1
+
+
+def _join_cases():
+    rng = np.random.default_rng(22)
+    repeats = np.sort(rng.integers(0, 50, 400))
+    yield "left sums that repeat", repeats, rng.integers(0, 100, 3000), 90
+    yield "no hit", np.arange(0, 1000, 2), 2 * rng.integers(0, 600, 5000), 999
+    yield "every row a hit", np.arange(1000), rng.integers(0, 1000, 5000), 999
+    late = np.full(3 * _JOIN_BLOCK, 10**9)
+    late[_JOIN_BLOCK + 12345] = late[2 * _JOIN_BLOCK + 7] = 40
+    yield "first hit past the first block", np.arange(0, 100, 3), late, 100
+    # most needs t - r fall below zero, and some meet the negative left sums
+    yield "needs below zero", np.arange(-500, 50, 7), rng.integers(0, 2000, 5000), 300
+    big = 1 << 70
+    left = np.array(sorted(big + x for x in range(0, 3000, 3)) * 2, dtype=object)
+    left.sort()
+    right = np.array([big + int(x) for x in rng.integers(0, 4000, 4000)], dtype=object)
+    yield "object arrays past 2^62", left, right, 2 * big + 3500
+
+
+@pytest.mark.parametrize("case", list(_join_cases()), ids=lambda case: case[0])
+def test_sorted_join_matches_a_python_scan(case):
+    _, left, right, target = case
+    assert _sorted_join(left, right, target) == _join_reference(left.tolist(), right.tolist(), target)
