@@ -101,6 +101,46 @@ def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     return sum(c * c for c in counts.tolist())  # exact in Python ints
 
 
+def bin_l2_rows(instance: Instance, items: Sequence[Sequence[int]]) -> list[int]:
+    """bin_l2 of every row's block at once: `items` holds k rows of h item indices,
+    distinct within a row, and entry j of the result is bin_l2(instance, mask of items[j]).
+
+    The 2^h subset sums of each row are enumerated densely and sorted in place; one
+    flat pass over the k * 2^h sums finds every run of equal sums, each row's first
+    column starting one, and the runs' squared lengths are summed per row. A row
+    holds 2^h dense sums, so every norm, at most 4^h, is far inside int64.
+    """
+    if not items:
+        return []
+    k, h = len(items), len(items[0])
+    width = 1 << h
+    rows = [[instance.weights[i] for i in row] for row in items]
+    widest = max(map(sum, rows))
+    dtype = _table_dtype((), widest)
+    # a dense sum peaks at 18 bytes with int64 (the sum and its compare, then a run's start and
+    # length) and at 58 with Python ints, charged 60, plus the widest sum's width; 4 KB more
+    # cover numpy's fixed costs, which lead below h = 4 (tracemalloc, fresh process, n = 2-14
+    # with h = n // 2 and n - n // 2, int64 weights and weights of 63, 200 and 1000 bits)
+    row = 18 if dtype is np.int64 else 60 + _wide_sum_bytes(widest)
+    check_bytes(k * width * row + 4096, f"{k} rows of {width} dense sums")
+    sums = _dense_sums(np.array(rows, dtype=dtype), dtype)
+    del rows
+    sums.sort(axis=1)
+    new = np.empty((k, width), dtype=bool, order="F")  # laid out as the sums: no buffered compare
+    new[:, 0] = True  # a row's first sum starts a run, whatever the row before ends with
+    np.not_equal(sums[:, 1:], sums[:, :-1], out=new[:, 1:])
+    del sums
+    starts = np.flatnonzero(new)  # one flat pass over every row's runs
+    del new
+    firsts = np.searchsorted(starts, np.arange(0, k * width, width))  # each row's first run
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = k * width - starts[-1]
+    del starts
+    lengths *= lengths
+    return np.add.reduceat(lengths, firsts).tolist()
+
+
 def _ternary_half(scaled: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct keys dot * (n + 1) + l1 over all {-1,0,1} vectors y of a half,
     where `scaled` holds its weights times n + 1, and how many vectors have each key."""
@@ -124,9 +164,10 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
     scaled = [w * (n + 1) for w in instance.weights]
     dtype = _table_dtype(scaled)
     # a vector's peak, measured with tracemalloc at n = 13-20: at most 42 bytes with int64
-    # keys; with Python ints of at most 70 bits 108, plus the widths of the two ints a left
-    # vector holds in the join (the ends of its run, -l and n - l)
-    vector_bytes = 42 if dtype is np.int64 else 108 + 2 * _wide_sum_bytes(sum(scaled) + n)
+    # keys; with Python ints (fresh process, n = 13-18, weights near 2^63, 2^200, 2^1000 and
+    # 2^3000) at most 87 and one and a half widths: every vector's key, and a left vector's
+    # end of its run, -l or n - l, made one at a time; the left half is at most half of them
+    vector_bytes = 42 if dtype is np.int64 else 88 + 3 * _wide_sum_bytes(sum(scaled) + n) // 2
     halves = (3 ** h + 3 ** (n - h)) * vector_bytes
     check_bytes(halves, "the two ternary halves")
     l_keys, l_counts = _ternary_half(scaled[:h], dtype)

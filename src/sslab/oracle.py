@@ -48,19 +48,26 @@ def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
     return np.int64 if fits else object
 
 
-def _dense_sums(weights: Sequence[int], dtype=np.int64, coefficients: Sequence[int] = (1,)) -> np.ndarray:
+def _dense_sums(weights, dtype=np.int64, coefficients: Sequence[int] = (1,)) -> np.ndarray:
     """Every sum of c_i * weights[i] with each c_i in {0, *coefficients}, indexed by
     base-(1 + len(coefficients)) digits (digit i = 0 for c_i = 0, else 1 + the
     position of c_i in `coefficients`). The default gives all 2^k subset sums,
-    indexed by mask (bit i = weights[i])."""
+    indexed by mask (bit i = weights[i]). `weights` may also be a (k, h) array:
+    then row j of the result holds the sums of weights[j]. It is a transposed
+    view, so that each digit's block of sums, written from the blocks before it,
+    stays one contiguous range (numpy copies an operand that may overlap its output)."""
     base = 1 + len(coefficients)
-    arr = np.zeros(base ** len(weights), dtype=dtype)
+    if isinstance(weights, np.ndarray) and weights.ndim == 2:
+        columns, rows = weights.T, weights.shape[:1]
+    else:  # a 1-D block adds Python ints, which numpy adds faster than scalars of its own
+        columns, rows = weights, ()
+    arr = np.zeros((base ** len(columns),) + rows, dtype=dtype)
     size = 1
-    for w in weights:
+    for w in columns:
         for digit, c in enumerate(coefficients, 1):
             np.add(arr[:size], c * w, out=arr[digit * size : (digit + 1) * size])
         size *= base
-    return arr
+    return arr.T if rows else arr
 
 
 class SumTable(NamedTuple):

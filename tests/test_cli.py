@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from itertools import combinations
 
 import pytest
 
@@ -8,15 +10,19 @@ from sslab import (
     RandomSource,
     bin_l2,
     brute_solve,
+    full_mask,
     gen_planted,
     gen_random_density,
     gen_super_increasing,
+    mask_from_indices,
     mask_sum,
+    max_bin,
     read_instance,
     write_instance,
 )
 from sslab import oracle
 from sslab.cli import main
+from sslab.combinatorics import bin_l2_rows
 
 
 def _run(capsys, *argv):
@@ -200,22 +206,70 @@ def test_verify_single_file(tmp_path, capsys):
 
 
 def test_verify_cauchyschwarz_checks_each_split_once(tmp_path, capsys, monkeypatch):
-    # n = 10 has 252 balanced splits, which pair up with their complements:
-    # 126 products of two norms each
-    calls = []
+    # n = 10 has 252 balanced splits, which pair up with their complements: one
+    # batched call takes the 126 that hold item 0, a second their 126 complements,
+    # and no split's norm is computed on its own
+    batches, singles = [], []
 
-    def counted(instance, subset_mask=None):
-        calls.append(subset_mask)
-        return bin_l2(instance, subset_mask)
+    def batched(instance, items):
+        batches.append([tuple(row) for row in items])
+        return bin_l2_rows(instance, items)
 
-    monkeypatch.setattr("sslab.cli.bin_l2", counted)
+    monkeypatch.setattr("sslab.cli.bin_l2_rows", batched)
+    monkeypatch.setattr("sslab.cli.bin_l2", lambda *args: singles.append(args))
     path = tmp_path / "i.txt"
     write_instance(gen_random_density(10, 1.0, RandomSource(5)), path)
     code, lines, _ = _run(capsys, "verify", str(path), "--checks", "cauchyschwarz")
     assert code == 0
     assert lines == [{"check": "cauchyschwarz", "instances": 1, "violations": 0}]
-    assert len(calls) == 252
-    assert len({min(m, 1023 ^ m) for m in calls}) == 126
+    assert singles == [] and len(batches) == 2
+    splits, others = batches
+    assert len(set(splits)) == 126 and all(len(s) == 5 and s[0] == 0 for s in splits)
+    assert [set(o) for o in others] == [set(range(10)) - set(s) for s in splits]
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_verify_cauchyschwarz_reports_the_first_violating_split(tmp_path, capsys, monkeypatch, n):
+    # a beta forced just past the smallest product: the detail names the first split, in
+    # the order of combinations, whose two norms multiply to less than beta^2, as the
+    # split-by-split loop of bin_l2 calls finds it (one split past n = 10); at density 2
+    # the smallest product is not the first split's
+    inst = gen_random_density(n, 2.0, RandomSource(1))
+    splits = [s for s in combinations(range(n), n // 2) if n % 2 or s[0] == 0] if n <= 10 else [tuple(range(6))]
+    masks = [mask_from_indices(s) for s in splits]
+    products = [bin_l2(inst, m) * bin_l2(inst, full_mask(n) ^ m) for m in masks]
+    beta = math.isqrt(min(products)) + 1
+    first = next(i for i, p in enumerate(products) if beta * beta > p)
+    assert first > 0 or n > 10  # not merely the first split
+    monkeypatch.setattr("sslab.cli.max_bin", lambda instance: beta)
+    path = tmp_path / "i.txt"
+    write_instance(inst, path)
+    code, lines, _ = _run(capsys, "verify", str(path), "--checks", "cauchyschwarz")
+    assert code == 3
+    assert lines == [{"check": "cauchyschwarz", "instances": 1, "violations": 1},
+                     {"check": "cauchyschwarz", "instance": str(path),
+                      "detail": f"beta^2 {beta * beta} > {products[first]} on split {list(splits[first])}"}]
+
+
+def test_verify_skips_cauchyschwarz_past_the_batched_charge(tmp_path, capsys, monkeypatch, charges):
+    # the dense sums of n = 10's 126 splits are charged before they are made: a limit a
+    # byte under that charge, and over max_bin's table, skips the instance through the
+    # CapacityError path; at the charge itself the check runs
+    inst = gen_random_density(10, 1.0, RandomSource(5))
+    max_bin(inst)
+    table = max(charges)
+    charges.clear()
+    bin_l2_rows(inst, [s for s in combinations(range(10), 5) if s[0] == 0])
+    (rows,) = charges
+    assert table < rows
+    path = tmp_path / "i.txt"
+    write_instance(inst, path)
+    for limit, ran in ((rows - 1, 0), (rows, 1)):
+        monkeypatch.setattr("sslab.core.memory_limit_bytes", lambda: limit)
+        code, lines, err = _run(capsys, "verify", str(path), "--checks", "cauchyschwarz")
+        assert code == 0
+        assert lines == [{"check": "cauchyschwarz", "instances": ran, "violations": 0}]
+        assert ("ran on none" in err) == (not ran)
 
 
 def test_verify_skips_what_classify_refuses(tmp_path, capsys, monkeypatch):

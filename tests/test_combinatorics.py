@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -18,10 +18,13 @@ from sslab import (
     gen_random_density,
     gen_super_increasing,
     l2_identity_terms,
+    mask_from_indices,
     max_bin,
     udcp_from_instance,
     zero_ternary_counts_by_l1,
 )
+from sslab.cli import _verify_corpus
+from sslab.combinatorics import bin_l2_rows
 from sslab.oracle import _block_table
 
 
@@ -234,11 +237,50 @@ def test_bin_l2_past_int64_is_exact():
         assert bin_l2(gen_all_equal(n)) == math.comb(2 * n, n)
 
 
+def test_bin_l2_rows_matches_bin_l2_on_every_balanced_split():
+    # every split of verify's default corpus up to n = 10 into halves of n // 2 and
+    # n - n // 2 items; then big bins (all-equal, geometric pairs, all-zero weights) and
+    # object sums of 200 and 1000 bits, the all-equal ones among them with big bins too
+    corpus = [inst for _, inst in _verify_corpus(10, RandomSource(0))]
+    corpus += [gen_all_equal(12), gen_geometric_pairs(12), Instance((0,) * 12, 0)]
+    for bits in (200, 1000):
+        dense = gen_random_density(10, 1.0, RandomSource(bits))
+        corpus += [Instance(tuple((1 << bits) + w for w in dense.weights), 0), Instance((1 << bits,) * 12, 0)]
+    for inst in corpus:
+        n = inst.n
+        for h in {n // 2, n - n // 2}:
+            splits = list(combinations(range(n), h))
+            assert bin_l2_rows(inst, splits) == [bin_l2(inst, mask_from_indices(s)) for s in splits]
+    assert bin_l2_rows(gen_all_equal(4), []) == []
+    assert bin_l2_rows(gen_all_equal(4), [(), ()]) == [1, 1]
+
+
+@pytest.mark.parametrize("bits", [0, 63, 200, 1000])
+def test_bin_l2_rows_peak_stays_under_its_charge(monkeypatch, charges, bits):
+    # the splits verify batches at n = 9 and 10, and the 924 halves of n = 12, with int64
+    # sums and with Python ints, whose charge grows with the widest row's sum
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
+    for n in (9, 10, 12):
+        inst = gen_random_density(n, 1.0, RandomSource(n))
+        if bits:
+            inst = Instance(tuple((1 << bits) - 1 + w for w in inst.weights), 1)
+        for h in {n // 2, n - n // 2}:
+            splits = list(combinations(range(n), h))
+            charges.clear()
+            tracemalloc.start()
+            try:
+                bin_l2_rows(inst, splits)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charges[0]
+
+
 def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):
     # a 1.0-density half has a distinct key per vector, 42 B each with int64 keys:
     # the 2 x 3^9 vectors of n = 18 are refused under 1 MB before either half is
     # built, and the 3^6 + 3^7 of n = 13 fit under it; with 1000-bit weights a
-    # vector is charged 356 B, so the 2 x 3^7 of n = 14 are refused
+    # vector is charged 274 B, so the 2 x 3^7 of n = 14 are refused
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     cases = [(gen_random_density(n, 1.0, RandomSource(n)), n == 18) for n in (18, 13)]
     wide = gen_random_density(14, 1.0, RandomSource(14))
