@@ -66,15 +66,23 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
     dtype = _table_dtype(instance.weights, t)
-    # a row's peak, measured with tracemalloc: 16 bytes a left row (the dense left half and
-    # its sorted copy) and 42 a right row (the dense right half and the join's arrays, when
-    # every right row meets); with Python ints of at most 70 bits, 57 and 154, plus the
-    # widths of the ints a row holds, none wider than the total or t: one a left row (its
-    # sum), three a right row (its sum, t minus it, and t minus it again in the first-hit
-    # scan). Both halves are charged before either is built
+    # a row's peak: 16 bytes a left row (the dense left half and its sorted copy) and 42 a
+    # right row (the dense right half and the join's arrays, when every right row meets);
+    # with Python ints of at most 70 bits, 57 and 154, plus the widths of the ints a row
+    # holds, none wider than the total or t: one a left row (its sum), three a right row
+    # (its sum, t minus it, and t minus it again in the first-hit scan). The join's bitmap
+    # of the left sums' low bits, 8 bytes a left row here, is freed before its needs are
+    # sorted, and fits in the right rows' share while the left half is at most twice the
+    # right. 4 KB more cover numpy's fixed costs, which all-equal int64 weights at n = 20
+    # otherwise passed by 312 bytes. Measured with tracemalloc in a fresh process per case
+    # at n = 20-36 (int64) and 20-31 (63, 200 and 1000 bits): at target + 1 of a planted
+    # instance a solve peaks at most at 0.97 of this charge with int64 sums and 0.985, 0.90
+    # and 0.81 with Python ints, and with all-equal weights, where every right row meets,
+    # at 0.99, 0.99, 0.99 and 1.00. Both halves are charged before either is built
     wide = _wide_sum_bytes(max(instance.total(), t))
     left_row, right_row = (57 + wide, 154 + 3 * wide) if dtype is object else (16, 42)
-    check_bytes((1 << k) * left_row + (1 << (n - k)) * right_row, f"the meet-in-the-middle join at n={n}")
+    charge = 4096 + (1 << k) * left_row + (1 << (n - k)) * right_row
+    check_bytes(charge, f"the meet-in-the-middle join at n={n}")
     left = _dense_sums(instance.weights[:k], dtype)  # index = left mask
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask = _sorted_join(_sorted(left), right, t)

@@ -6,8 +6,14 @@ smallest mask reaching each. `_sorted_join`, the Horowitz-Sahni two-list join,
 matches a second list of sums against any sorted list of sums, such a table's
 or a sorted copy of dense sums: it sorts the needed values, not their indices,
 and returns how many right rows meet and the first that does, which is all an
-exact join reads; the caller looks up the left row it meets. Values live in
-int64 arrays while every sum and mask fits; otherwise the same code runs on
+exact join reads; the caller looks up the left row it meets. From _FILTER_ROWS
+left rows on it first drops every need whose low bits no left sum shares, by a
+bitmap of those bits. Beyond its two lists a join holds, measured with
+tracemalloc, at most 34 bytes a right row with int64 sums (the needs, their
+sorted copy, the search's positions and picks, when every need meets) and,
+while it filters, 16 a left row (the bitmap and a block of low bits); with
+Python ints, 105 and 52, plus the widths of two needs a right row. Values live
+in int64 arrays while every sum and mask fits; otherwise the same code runs on
 object arrays of Python ints. `_table_dtype` alone makes that choice.
 """
 
@@ -36,7 +42,13 @@ ENUM_LIMIT = 26       # items brute_solve scans, which streams in constant memor
 _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
 _INT64_SAFE = 1 << 62
-_JOIN_BLOCK = 1 << 16  # right rows a join scans at a time for its first hit
+_JOIN_BLOCK = 1 << 16  # right rows a join filters, or scans for its first hit, at a time
+# left rows from which a join prefilters its needs. Nearly every need misses the left sums,
+# so nearly every binary search is wasted: mim's join of two 2^20-row halves (n = 40, random
+# 40-bit weights) fell from 65 to 24 ms. Below 2^14 rows a join is a small part of a solve:
+# Schroeppel-Shamir's windows (at most 8 * 2^(n/4) / 2 rows) solved within -3% to +6% with
+# and without the filter at n = 36-44, and at 2^8 rows the bitmap's set-up made a join 1.5x slower
+_FILTER_ROWS = 1 << 14
 
 
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
@@ -83,7 +95,7 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
-def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTable:
+def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype, held: int = 0) -> SumTable:
     """w(2^S) for S = `indices`, masks in the original coordinates.
 
     The first _DENSE_BITS items are enumerated densely and sorted once; every
@@ -92,7 +104,8 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     row. Items go in ascending index order and the sort is stable, so the
     smaller mask leads each run and every sum keeps its smallest mask. The
     memory limit is checked before the dense rows and before every doubling,
-    each time against a merge's peak per row.
+    each time against a merge's peak per row plus the `held` bytes the caller
+    keeps meanwhile.
     Arrays are rebound as soon as they are replaced, which keeps the peak down.
     """
     idx = sorted(indices)
@@ -103,7 +116,7 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
     row = 57 if dtype is np.int64 else (
         136 + _wide_sum_bytes(sum(weights[i] for i in idx)) + _wide_sum_bytes(sum(1 << i for i in idx)))
     head, rest = idx[:_DENSE_BITS], iter(idx[_DENSE_BITS:])
-    check_bytes((1 << len(head)) * row, f"a subset-sum table of {1 << len(head)} rows")
+    check_bytes(held + (1 << len(head)) * row, f"a subset-sum table of {1 << len(head)} rows")
     sums = _dense_sums([weights[i] for i in head], dtype)
     counts = np.ones(sums.size, dtype=dtype)  # at most 2^|S|, inside the masks' dtype
     masks = _dense_sums([1 << i for i in head], dtype)
@@ -118,7 +131,7 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype) -> SumTabl
         i = next(rest, None)
         if i is None:
             return SumTable(sums, counts, masks)
-        check_bytes(2 * sums.size * row, f"a subset-sum table of {2 * sums.size} rows")
+        check_bytes(held + 2 * sums.size * row, f"a subset-sum table of {2 * sums.size} rows")
         sums = np.concatenate([sums, sums + weights[i]])
         counts = np.concatenate([counts, counts])
         masks = np.concatenate([masks, masks | (1 << i)])
@@ -147,6 +160,34 @@ def _found_in(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_values[pos] == values
 
 
+def _low_bits(values: np.ndarray, low: int) -> np.ndarray:
+    """values & low, the mask of the low bits, as indices (& keeps a negative int's low bits)."""
+    return (values & low).astype(np.intp, copy=False)
+
+
+def _marked_needs(left_sums: np.ndarray, right_sums: np.ndarray, target: int) -> np.ndarray:
+    """The needs target - r whose low b bits some left sum shares, in right-row order,
+    with b = 2 + the bit length of the left row count, so that a bitmap of the left
+    sums' low bits marks at most a quarter of its 4-8 bytes a left row. Both lists are
+    read _JOIN_BLOCK rows at a time; only the surviving needs are made.
+
+    The width was measured on mim's join of random 40-bit halves: at n = 34, 38 and 40
+    it took 6.7, 24 and 52 ms with b = the bit length, 4.5, 15 and 32 with 2 more bits,
+    and 2.7, 13 and 29 with 3 more, which double the bitmap to 8-16 bytes a left row."""
+    low = (1 << (left_sums.size.bit_length() + 2)) - 1
+    marked = np.zeros(low + 1, dtype=bool)
+    for start in range(0, left_sums.size, _JOIN_BLOCK):
+        marked[_low_bits(left_sums[start : start + _JOIN_BLOCK], low)] = True
+    keep = np.empty(right_sums.size, dtype=bool)
+    for start in range(0, right_sums.size, _JOIN_BLOCK):
+        bits = _low_bits(right_sums[start : start + _JOIN_BLOCK], low)
+        # (t & low) - (r & low) is t - r mod 2^b, or that minus 2^b, which indexes the same entry
+        keep[start : start + _JOIN_BLOCK] = marked[np.subtract(target & low, bits, out=bits)]
+    del marked
+    need = right_sums[keep]
+    return np.subtract(target, need, out=need)
+
+
 def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int) -> tuple[int, int]:
     """Match right entries r against sorted `left_sums` on target - r.
 
@@ -155,9 +196,17 @@ def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int) -> 
     target - r are sorted as values and searched once in `left_sums`; only when
     some meet are the right rows scanned, _JOIN_BLOCK at a time, for the first
     whose need is a met value. Which left row it meets is the caller's to find.
-    `target` must fit the arrays' dtype.
+    From _FILTER_ROWS left rows on, only the needs that pass `_marked_needs` are
+    sorted and searched: a need it drops shares its low bits with no left sum, so
+    it meets none, and the result is the same. The filter phase holds the bitmap,
+    4-8 bytes a left row, and a flag a right row; the search phase, the needs that
+    passed and the arrays of their search, as without the filter (see the module
+    docstring for the bytes). `target` must fit the arrays' dtype.
     """
-    need = _sorted(target - right_sums)  # sorted needles keep the binary searches cache-friendly
+    if left_sums.size >= _FILTER_ROWS:
+        need = _sorted(_marked_needs(left_sums, right_sums, target))
+    else:
+        need = _sorted(target - right_sums)  # sorted needles keep the binary searches cache-friendly
     met = need[_found_in(left_sums, need)]
     del need
     # every met need is some right row's, so the scan returns once anything met
@@ -225,14 +274,15 @@ def brute_solve(instance: Instance) -> SolverOutcome:
     return SolverOutcome(cost=meter.cost)
 
 
-def sumset_with_witness(weights: Sequence[int], indices: Sequence[int]):
+def sumset_with_witness(weights: Sequence[int], indices: Sequence[int], held: int = 0):
     """Deduplicated sums over subsets of `indices` with the smallest witness mask per sum.
 
     Returns (sums, masks) sorted by sum; masks use the original coordinates.
     The dtype follows all of `weights` and their whole index range, so two
     calls on one weight list always return arrays of one dtype. Refused only
-    when a table would exceed the memory limit.
+    when a table, with the `held` bytes the caller keeps meanwhile, would
+    exceed the memory limit.
     """
     dtype = _table_dtype(weights, mask_bits=len(weights))
-    table = _sum_table(weights, indices, dtype)
+    table = _sum_table(weights, indices, dtype, held)
     return table.sums, table.masks

@@ -20,7 +20,7 @@ from sslab import (
     sample_subset_in_class,
     schroeppel_shamir,
 )
-from sslab import classic
+from sslab import classic, oracle
 from sslab.numeric import is_prime
 
 _FROZEN = Instance(weights=(1, 2, 4, 8, 16, 32, 64, 128), target=170)
@@ -75,6 +75,20 @@ def test_meet_in_middle_smallest_witness_on_repeated_sums(inst):
     got = meet_in_middle(inst)
     assert got.found == expect.found
     assert got.witness == expect.witness
+
+
+@pytest.mark.parametrize("bits", [30, 22])
+def test_meet_in_middle_matches_brute_past_the_join_filter(monkeypatch, bits):
+    # at n = 30 each half has 2^15 rows, so the join prefilters its needs by the left
+    # sums' low bits; it must find what a full scan finds, and the same smallest witness
+    monkeypatch.setattr(oracle, "ENUM_LIMIT", 30)
+    inst, _ = gen_planted(30, bits, RandomSource(bits))
+    for target in (inst.target, inst.target + 1, inst.total() // 2):
+        case = Instance(inst.weights, target)
+        expect = brute_solve(case)
+        got = meet_in_middle(case)
+        assert got.found == expect.found
+        assert got.witness == expect.witness
 
 
 def test_meet_in_middle_frozen():

@@ -572,6 +572,49 @@ def test_solve_few_sums_validation():
         solve_few_sums(inst, mask_from_indices(range(4)), 1.5)
 
 
+@pytest.mark.parametrize("n, bits", [(28, 28), (32, 32), (28, 200)])
+def test_split_join_peaks_inside_its_charge(n, bits, charges):
+    # the right table is built while the left one is held, and the join holds both
+    # tables and its own arrays: what it holds is charged, on a yes and a no target
+    inst = gen_planted(n, bits, RandomSource(n))[0]
+    m_mask = mask_from_indices(range(n // 2))
+    for target in (inst.target, inst.target + 1):
+        charges.clear()
+        tracemalloc.start()
+        try:
+            solve_few_sums(Instance(inst.weights, target), m_mask, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charges)
+
+
+def _every_right_row_meets(n, bits):
+    # two copies of c * (1, 2, 4, ...): every right sum meets a left sum at the target
+    c = (1 << bits) + 1
+    return Instance(tuple(c << i for i in range(n // 2)) * 2, c * ((1 << n // 2) - 1))
+
+
+@pytest.mark.parametrize("case, limit_mb", [
+    pytest.param(lambda: gen_planted(32, 32, RandomSource(32))[0], 4, id="int64-planted"),
+    pytest.param(lambda: _every_right_row_meets(28, 1000), 10, id="1000-bit-every-row-meets"),
+])
+def test_split_join_refuses_before_it_passes_the_limit(monkeypatch, case, limit_mb):
+    # under a limit below its peak, the split join is refused before it holds more than the
+    # limit: at int64 n = 32 while building the right table beside the left one, and at
+    # 1000 bits, where every need meets, before the join itself
+    inst = case()
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            solve_few_sums(inst, mask_from_indices(range(inst.n // 2)), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb << 20
+
+
 def test_distinct_sums_product_bound():
     # the engine behind the few-sums join: |w(2^(A u B))| <= |w(2^A)| |w(2^B)|
     rng = RandomSource(67)
