@@ -23,7 +23,16 @@ from .core import (
     verified_outcome,
 )
 from .numeric import random_prime
-from .oracle import SumTable, _dense_sums, _run_rows, _sorted, _sorted_join, _sum_table, _table_dtype
+from .oracle import (
+    SumTable,
+    _dense_sums,
+    _join_bytes,
+    _run_rows,
+    _sorted,
+    _sorted_join,
+    _sum_table,
+    _table_dtype,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -66,22 +75,18 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
     dtype = _table_dtype(instance.weights, t)
-    # a row's peak: 16 bytes a left row (the dense left half and its sorted copy) and 42 a
-    # right row (the dense right half and the join's arrays, when every right row meets);
-    # with Python ints of at most 70 bits, 57 and 154, plus the widths of the ints a row
-    # holds, none wider than the total or t: one a left row (its sum), three a right row
-    # (its sum, t minus it, and t minus it again in the first-hit scan). The join's bitmap
-    # of the left sums' low bits, 8 bytes a left row here, is freed before its needs are
-    # sorted, and fits in the right rows' share while the left half is at most twice the
-    # right. 4 KB more cover numpy's fixed costs, which all-equal int64 weights at n = 20
-    # otherwise passed by 312 bytes. Measured with tracemalloc in a fresh process per case
-    # at n = 20-36 (int64) and 20-31 (63, 200 and 1000 bits): at target + 1 of a planted
-    # instance a solve peaks at most at 0.97 of this charge with int64 sums and 0.985, 0.90
-    # and 0.81 with Python ints, and with all-equal weights, where every right row meets,
-    # at 0.99, 0.99, 0.99 and 1.00. Both halves are charged before either is built
+    # a row's peak in its own arrays: 16 bytes a left row (the dense left half and its sorted
+    # copy) and 8 a right row (the dense right half); with Python ints of at most 70 bits, 57
+    # and 49, plus the width of its sum; the join adds `_join_bytes`. Measured with
+    # tracemalloc in a fresh process per case at n = 20-36 (int64) and 20-31 (63, 200 and
+    # 1000 bits): at target + 1 of a planted instance a solve peaks at most at 0.96 of this
+    # charge with int64 sums and 0.98, 0.90 and 0.72 with Python ints, and with all-equal
+    # weights, where every right row meets, at 0.99, 0.99, 0.99 and 1.00. Both halves are
+    # charged before either is built
     wide = _wide_sum_bytes(max(instance.total(), t))
-    left_row, right_row = (57 + wide, 154 + 3 * wide) if dtype is object else (16, 42)
-    charge = 4096 + (1 << k) * left_row + (1 << (n - k)) * right_row
+    left_row, right_row = (57 + wide, 49 + wide) if dtype is object else (16, 8)
+    rows = (1 << k, 1 << (n - k))
+    charge = rows[0] * left_row + rows[1] * right_row + _join_bytes(*rows, dtype, wide)
     check_bytes(charge, f"the meet-in-the-middle join at n={n}")
     left = _dense_sums(instance.weights[:k], dtype)  # index = left mask
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
@@ -121,7 +126,11 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
     # what a dense quarter row and a window row peak at, measured with tracemalloc at n >= 24;
     # with Python ints, plus the widths of the ints a row holds: one a quarter row (its sum),
-    # up to two a window row (a pair sum and, on the right, t minus it)
+    # up to two a window row (a pair sum and, on the right, t minus it). A window row covers
+    # its join's bitmap too: in a fresh process per case, at target + 1 of a planted instance,
+    # a solve peaked at most at 0.65 of this charge with int64 sums at n = 24-40 and 0.48 at
+    # n = 44-54 (windows past 2^14 rows a side), and at 0.86, 0.80 and 0.60 with 63, 200 and
+    # 1000-bit weights at n = 24-40 (0.77 with 63 bits at n = 53)
     wide = _wide_sum_bytes(max(instance.total(), t))
     q_row, window_row = (144 + wide, 80 + 2 * wide) if dtype is object else (64, 40)
     charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * window_row

@@ -6,15 +6,12 @@ smallest mask reaching each. `_sorted_join`, the Horowitz-Sahni two-list join,
 matches a second list of sums against any sorted list of sums, such a table's
 or a sorted copy of dense sums: it sorts the needed values, not their indices,
 and returns how many right rows meet and the first that does, which is all an
-exact join reads; the caller looks up the left row it meets. From _FILTER_ROWS
-left rows on it first drops every need whose low bits no left sum shares, by a
-bitmap of those bits. Beyond its two lists a join holds, measured with
-tracemalloc, at most 34 bytes a right row with int64 sums (the needs, their
-sorted copy, the search's positions and picks, when every need meets) and,
-while it filters, 16 a left row (the bitmap and a block of low bits); with
-Python ints, 105 and 52, plus the widths of two needs a right row. Values live
-in int64 arrays while every sum and mask fits; otherwise the same code runs on
-object arrays of Python ints. `_table_dtype` alone makes that choice.
+exact join reads; the caller looks up the left row it meets. It first drops
+every need whose low bits no left sum shares, by a bitmap of those bits.
+`_join_bytes` is what a join holds beyond its two lists, which a caller charges
+with its own tables. Values live in int64 arrays while every sum and mask fits;
+otherwise the same code runs on object arrays of Python ints. `_table_dtype`
+alone makes that choice.
 """
 
 from __future__ import annotations
@@ -43,12 +40,9 @@ _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
 _INT64_SAFE = 1 << 62
 _JOIN_BLOCK = 1 << 16  # right rows a join filters, or scans for its first hit, at a time
-# left rows from which a join prefilters its needs. Nearly every need misses the left sums,
-# so nearly every binary search is wasted: mim's join of two 2^20-row halves (n = 40, random
-# 40-bit weights) fell from 65 to 24 ms. Below 2^14 rows a join is a small part of a solve:
-# Schroeppel-Shamir's windows (at most 8 * 2^(n/4) / 2 rows) solved within -3% to +6% with
-# and without the filter at n = 36-44, and at 2^8 rows the bitmap's set-up made a join 1.5x slower
-_FILTER_ROWS = 1 << 14
+# what a sum table or a join takes beyond its rows, numpy's fixed costs in a fresh process:
+# a 2-row table passed its per-row charge by 6.5 KB, a 2^10-row one by 352 bytes
+_FIXED_BYTES = 8192
 
 
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
@@ -104,8 +98,8 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype, held: int 
     row. Items go in ascending index order and the sort is stable, so the
     smaller mask leads each run and every sum keeps its smallest mask. The
     memory limit is checked before the dense rows and before every doubling,
-    each time against a merge's peak per row plus the `held` bytes the caller
-    keeps meanwhile.
+    each time against a merge's peak per row plus _FIXED_BYTES and the `held`
+    bytes the caller keeps meanwhile.
     Arrays are rebound as soon as they are replaced, which keeps the peak down.
     """
     idx = sorted(indices)
@@ -115,6 +109,7 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype, held: int 
     # Python ints, at most 133 with 70-bit sums and masks, plus the widths of the largest sum and mask
     row = 57 if dtype is np.int64 else (
         136 + _wide_sum_bytes(sum(weights[i] for i in idx)) + _wide_sum_bytes(sum(1 << i for i in idx)))
+    held += _FIXED_BYTES
     head, rest = idx[:_DENSE_BITS], iter(idx[_DENSE_BITS:])
     check_bytes(held + (1 << len(head)) * row, f"a subset-sum table of {1 << len(head)} rows")
     sums = _dense_sums([weights[i] for i in head], dtype)
@@ -196,17 +191,15 @@ def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int) -> 
     target - r are sorted as values and searched once in `left_sums`; only when
     some meet are the right rows scanned, _JOIN_BLOCK at a time, for the first
     whose need is a met value. Which left row it meets is the caller's to find.
-    From _FILTER_ROWS left rows on, only the needs that pass `_marked_needs` are
-    sorted and searched: a need it drops shares its low bits with no left sum, so
-    it meets none, and the result is the same. The filter phase holds the bitmap,
-    4-8 bytes a left row, and a flag a right row; the search phase, the needs that
-    passed and the arrays of their search, as without the filter (see the module
-    docstring for the bytes). `target` must fit the arrays' dtype.
+    Only the needs that pass `_marked_needs` are sorted and searched: a need it
+    drops shares its low bits with no left sum, so it meets none, and the result
+    is the same. Nearly every need misses, so nearly every search it spares was
+    wasted: mim's join of two 2^20-row halves (n = 40, random 40-bit weights) fell
+    from 65 to 24 ms, and a join of 2^12 random rows a side from 117 to 61 us. On
+    2^4 rows a side the bitmap adds 4 us, which moved no end-to-end metric of the
+    bench beyond the spread of its runs. `target` must fit the arrays' dtype.
     """
-    if left_sums.size >= _FILTER_ROWS:
-        need = _sorted(_marked_needs(left_sums, right_sums, target))
-    else:
-        need = _sorted(target - right_sums)  # sorted needles keep the binary searches cache-friendly
+    need = _sorted(_marked_needs(left_sums, right_sums, target))  # sorted needles stay in cache
     met = need[_found_in(left_sums, need)]
     del need
     # every met need is some right row's, so the scan returns once anything met
@@ -215,6 +208,20 @@ def _sorted_join(left_sums: np.ndarray, right_sums: np.ndarray, target: int) -> 
         if rows.size:
             return met.size, start + int(rows[0])
     return 0, -1
+
+
+def _join_bytes(left_rows: int, right_rows: int, dtype, wide: int = 0) -> int:
+    """The most `_sorted_join` holds beyond its two lists, with `wide` what the widest
+    need takes beyond a 70-bit int. Its search phase holds the needs, their sorted copy
+    and the search's positions and picks: 34 bytes a right row when every need meets,
+    with int64 sums, and 105 plus the widths of two needs with Python ints, measured
+    with tracemalloc. Its filter phase comes first and holds the bitmap (4-8 bytes a
+    left row), a flag a right row and one block of low bits: 9 bytes a block row with
+    int64 sums (the indices and what they pick), 45 with Python ints (the small ints
+    of the `&` as well). The larger phase is charged, with _FIXED_BYTES more."""
+    search = right_rows * (105 + 2 * wide if dtype is object else 34)
+    block = min(max(left_rows, right_rows), _JOIN_BLOCK) * (45 if dtype is object else 9)
+    return _FIXED_BYTES + max(search, (4 << left_rows.bit_length()) + right_rows + block)
 
 
 def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:

@@ -28,7 +28,7 @@ from .core import (
     verified_outcome,
 )
 from .numeric import h2, random_prime
-from .oracle import _dense_sums, _sorted_join, _table_dtype, distinct_sums, sumset_with_witness
+from .oracle import _dense_sums, _join_bytes, _sorted_join, _table_dtype, distinct_sums, sumset_with_witness
 
 # Per-entry charges, measured on sums of at most 70 bits; each adds the widths of the sums
 # an entry holds, counted with tracemalloc at n = 24-30 on 200 and 1000-bit weights.
@@ -396,28 +396,27 @@ def _split_join(
     """
     left_set = set(left)
     right = [i for i in range(instance.n) if i not in left_set]
-    # a table row's peak in the join: its sum and mask, 16 bytes, and the join's own bytes
-    # (see oracle): 16 more a left row (the bitmap and a block of low bits) and 34 a right
-    # row (its needs' arrays); with Python ints of at most 70 bits, 88 + 52 and 88 + 105,
-    # plus the widths of a row's sum and mask, and of two needs a right row. Measured with
-    # tracemalloc in a fresh process per case on tables of 2^6 to 2^17 rows a side, one
-    # side up to 2^8 times the other, at target + 1 of a planted instance and where every
-    # right row meets: a split join peaks at most at 0.985 of its largest charge with int64
-    # sums and at 0.996, 0.996 and 0.994 with 63, 200 and 1000-bit weights
-    left_row, right_row = 32, 50
-    if _table_dtype(instance.weights, mask_bits=instance.n) is object:
+    # a table row holds its sum and mask, 16 bytes, and with Python ints of at most 70 bits
+    # 88 plus the widths of its sum and mask; the right table is built beside the left one,
+    # and the join adds `_join_bytes`. Measured with tracemalloc in a fresh process per case
+    # on tables of 2 to 2^17 rows a side, one side up to 2^8 times the other, at target + 1
+    # of a planted instance and where every right row meets: a split join peaks at most at
+    # 0.985 of its largest charge with int64 sums and at 0.9994, 0.9990 and 0.9997 with 63,
+    # 200 and 1000-bit weights
+    dtype = _table_dtype(instance.weights, mask_bits=instance.n)
+    row, wide = 16, 0
+    if dtype is object:
         wide = _wide_sum_bytes(instance.total())
-        row = wide + _wide_sum_bytes(full_mask(instance.n))
-        left_row, right_row = 140 + row, 193 + row + 2 * wide
+        row = 88 + wide + _wide_sum_bytes(full_mask(instance.n))
     l_sums, l_masks = sumset_with_witness(instance.weights, left)
-    held = l_sums.size * left_row  # the right table is built beside the left one
-    r_sums, r_masks = sumset_with_witness(instance.weights, right, held=held)
+    r_sums, r_masks = sumset_with_witness(instance.weights, right, held=l_sums.size * row)
     meter = StepMeter() if meter is None else meter
     meter.add(len(l_sums) + len(r_sums), "sums_enumerated")
     meter.counters.update(dict_lookups=len(r_sums), pairs_checked=0)
     t = instance.target
     if t <= instance.total():  # no pair sums higher, and t stays inside the tables' dtype
-        check_bytes(held + r_sums.size * right_row, f"the join of {l_sums.size} and {r_sums.size} sums")
+        join = (l_sums.size + r_sums.size) * row + _join_bytes(l_sums.size, r_sums.size, dtype, wide)
+        check_bytes(join, f"the join of {l_sums.size} and {r_sums.size} sums")
         hits, r_row = _sorted_join(l_sums, r_sums, t)
         if hits:
             meter.counters["pairs_checked"] = 1

@@ -22,7 +22,7 @@ from sslab import (
     max_bin,
     sumset_with_witness,
 )
-from sslab.oracle import _FILTER_ROWS, _JOIN_BLOCK, _block_table, _sorted_join
+from sslab.oracle import _JOIN_BLOCK, _block_table, _sorted_join
 
 
 def _histogram(inst, subset=None):
@@ -335,19 +335,19 @@ def _join_cases():
     left.sort()
     right = np.array([big + int(x) for x in rng.integers(0, 4000, 4000)], dtype=object)
     yield "object arrays past 2^62", left, right, 2 * big + 3500
-    # from _FILTER_ROWS left rows on, the needs are first filtered by the left sums' low bits
-    size = 2 * _FILTER_ROWS
-    yield "filtered: no hit", np.arange(0, 2 * size, 2), 2 * rng.integers(0, size, 3 * size), 2 * size + 1
-    yield "filtered: first hit past the first block", np.arange(0, 3 * size, 3), late, 100
-    yield "filtered: needs below zero", np.arange(-size, size, 3), rng.integers(0, 4 * size, 4 * size), 300
+    # 2^15 left rows, whose bitmap has 2^18 entries
+    size = 1 << 15
+    yield "2^15 left rows: no hit", np.arange(0, 2 * size, 2), 2 * rng.integers(0, size, 3 * size), 2 * size + 1
+    yield "2^15 left rows: first hit past the first block", np.arange(0, 3 * size, 3), late, 100
+    yield "2^15 left rows: needs below zero", np.arange(-size, size, 3), rng.integers(0, 4 * size, 4 * size), 300
     repeats = np.sort(rng.integers(0, size // 4, size))
-    yield "filtered: left sums that repeat", repeats, rng.integers(0, size // 2, 2 * size), size // 3
+    yield "2^15 left rows: left sums that repeat", repeats, rng.integers(0, size // 2, 2 * size), size // 3
     left = np.array([big + x for x in range(0, 3 * size, 3)], dtype=object)
     right = np.array([big + int(x) for x in rng.integers(0, 4 * size, 2 * size)], dtype=object)
-    yield "filtered: object arrays past 2^62", left, right, 2 * big + 2 * size + 1
+    yield "2^15 left rows: object arrays past 2^62", left, right, 2 * big + 2 * size + 1
     # every sum a multiple of 2^40: all needs share the low bits of every left sum
     left = np.sort(rng.integers(0, size, size)) << 40
-    yield "filtered: every need passes", left, rng.integers(0, size, 2 * size) << 40, (size // 2) << 40
+    yield "2^15 left rows: every need passes", left, rng.integers(0, size, 2 * size) << 40, (size // 2) << 40
 
 
 @pytest.mark.parametrize("case", list(_join_cases()), ids=lambda case: case[0])
