@@ -129,8 +129,8 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     # up to two a window row (a pair sum and, on the right, t minus it). A window row covers
     # its join's bitmap too: in a fresh process per case, at target + 1 of a planted instance,
     # a solve peaked at most at 0.65 of this charge with int64 sums at n = 24-40 and 0.48 at
-    # n = 44-54 (windows past 2^14 rows a side), and at 0.86, 0.80 and 0.60 with 63, 200 and
-    # 1000-bit weights at n = 24-40 (0.77 with 63 bits at n = 53)
+    # n = 44-54, and at 0.86, 0.80 and 0.60 with 63, 200 and 1000-bit weights at n = 24-40;
+    # at n = 53, where windows pass 2^14 rows a side, at 0.77 and 0.57 with 63 and 1000 bits
     wide = _wide_sum_bytes(max(instance.total(), t))
     q_row, window_row = (144 + wide, 80 + 2 * wide) if dtype is object else (64, 40)
     charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * window_row
