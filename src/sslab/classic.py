@@ -41,10 +41,14 @@ from .oracle import (
 def bellman_dp(instance: Instance) -> SolverOutcome:
     """Reachable-sum DP over [0, t] with per-item snapshots for witness walk-back.
 
-    Exact; table is (n+1) x (t+1) bits, so the target must fit the memory cap.
+    Exact; its n+1 snapshots are ints of t+1 bits, so the target must fit the memory cap.
     """
     n, t = instance.n, instance.target
-    check_bytes((n + 1) * (t + 1) // 8, "the DP table of (n+1) x (t+1) bits")
+    # a row is an int of t+1 bits: 30-bit digits of 4 bytes after a 24-byte header. While
+    # item n is added, the n snapshots before it are held with the window and two
+    # temporaries: reach << w, of up to two rows, and its & window, of one
+    row = 24 + 4 * (t // 30 + 1)
+    check_bytes((n + 4) * row, f"the DP's {n + 1} snapshots of {t + 1} bits and their temporaries")
     window = (1 << (t + 1)) - 1
     reach = 1  # bit s set <=> sum s reachable
     snaps = [reach]
@@ -68,12 +72,10 @@ def bellman_dp(instance: Instance) -> SolverOutcome:
 # ---------------------------------------------------------------------------
 # meet in the middle
 
-def meet_in_middle(instance: Instance) -> SolverOutcome:
-    """Half-split join: 2*2^ceil(n/2) enumerated sums, smallest witness mask wins."""
+def _mim_bytes(instance: Instance) -> int:
+    """The peak that meet_in_middle charges before it builds either half."""
     n, t = instance.n, instance.target
     k = (n + 1) // 2
-    meter = StepMeter(keys=CLASSIC_COUNTERS)
-    meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
     dtype = _table_dtype(instance.weights, t)
     # a row's peak in its own arrays: 16 bytes a left row (the dense left half and its sorted
     # copy) and 8 a right row (the dense right half); with Python ints of at most 70 bits, 57
@@ -81,13 +83,21 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
     # tracemalloc in a fresh process per case at n = 20-36 (int64) and 20-31 (63, 200 and
     # 1000 bits): at target + 1 of a planted instance a solve peaks at most at 0.96 of this
     # charge with int64 sums and 0.98, 0.90 and 0.72 with Python ints, and with all-equal
-    # weights, where every right row meets, at 0.99, 0.99, 0.99 and 1.00. Both halves are
-    # charged before either is built
+    # weights, where every right row meets, at 0.99, 0.99, 0.99 and 1.00
     wide = _wide_sum_bytes(max(instance.total(), t))
     left_row, right_row = (57 + wide, 49 + wide) if dtype is object else (16, 8)
     rows = (1 << k, 1 << (n - k))
-    charge = rows[0] * left_row + rows[1] * right_row + _join_bytes(*rows, dtype, wide)
-    check_bytes(charge, f"the meet-in-the-middle join at n={n}")
+    return rows[0] * left_row + rows[1] * right_row + _join_bytes(*rows, dtype, wide)
+
+
+def meet_in_middle(instance: Instance) -> SolverOutcome:
+    """Half-split join: 2*2^ceil(n/2) enumerated sums, smallest witness mask wins."""
+    n, t = instance.n, instance.target
+    k = (n + 1) // 2
+    check_bytes(_mim_bytes(instance), f"the meet-in-the-middle join at n={n}")
+    meter = StepMeter(keys=CLASSIC_COUNTERS)
+    meter.add((1 << k) + (1 << (n - k)), "sums_enumerated")
+    dtype = _table_dtype(instance.weights, t)
     left = _dense_sums(instance.weights[:k], dtype)  # index = left mask
     right = _dense_sums(instance.weights[k:], dtype)  # index = right mask
     hits, r_mask = _sorted_join(_sorted(left), right, t)

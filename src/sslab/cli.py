@@ -83,11 +83,6 @@ def _m_and_gamma(args, instance: Instance) -> tuple[int, float]:
     return m_mask, args.gamma if args.gamma is not None else measured_gamma(instance, m_mask)
 
 
-def _auto(args, instance: Instance, rng: RandomSource):
-    given = {} if args.epsilon is None else {"epsilon": args.epsilon}  # else solve_auto's own
-    return solve_auto(instance, rng, budget=args.budget, **given)
-
-
 # Every --kind: (n, d, bits, value, rng) -> (instance, planted mask or None). Every
 # --alg: (args, instance, rng) -> SolverOutcome. Each entry reaches its function
 # through the module's globals at call time, so that a wrapper set on this module
@@ -109,9 +104,9 @@ _SOLVERS = {
         instance, *_m_and_gamma(args, instance), rng, step_budget=args.budget),
     "fewsums": lambda args, instance, rng: solve_few_sums(instance, *_m_and_gamma(args, instance)),
     "smallbin": lambda args, instance, rng: solve_small_bin(
-        instance, 1.0 / 6.0 if args.epsilon is None else args.epsilon, rng, step_budget=args.budget),
+        instance, args.epsilon, rng, step_budget=args.budget),
     "largebin": lambda args, instance, rng: solve_large_bin(instance),
-    "auto": _auto,
+    "auto": lambda args, instance, rng: solve_auto(instance),
 }
 
 
@@ -340,13 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)  # the flags _SOLVERS reads
     solver.add_argument("--alg", choices=_SOLVERS, required=True)
-    solver.add_argument("--seed", type=_integer, default=0)
+    solver.add_argument("--seed", type=_integer, default=0,
+                        help="random seed of sampler, repr and smallbin, and of bench's instances")
     solver.add_argument("--budget", type=partial(_integer, minimum=0), default=None,
-                        help="step budget, a non-negative int")
+                        help="step budget of sampler, repr and smallbin, a non-negative int")
     solver.add_argument("--sigma", type=float, default=0.5, help="sampler residue exponent")
     solver.add_argument("--M", default="auto", help="comma-separated indices or 'auto'")
     solver.add_argument("--gamma", type=float, default=None, help="sum-richness exponent of M")
-    solver.add_argument("--epsilon", type=float, default=None, help="small-bin promise margin")
+    solver.add_argument("--epsilon", type=float, default=1.0 / 6.0,
+                        help="promise margin of smallbin, in (0, 1/6]")
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("--kind", choices=_GENERATORS, required=True)

@@ -4,6 +4,10 @@ Small maximum bin: partition [n] into ~1/mu consecutive blocks; a sum-rich
 block feeds the representation solver, otherwise the block-product bound
 makes a plain deduplicated join cheap. Large maximum bin: one of the two
 halves must be sum-poor, which the few-sums join exploits unconditionally.
+
+`solve_auto` runs neither: their gains are 2^(delta n) for a tiny delta, so at
+every n a machine can hold, meet in the middle or, past the memory it may take,
+Schroeppel-Shamir is faster, and both are exact.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .core import (
     StepMeter,
     density,
     mask_from_indices,
+    memory_limit_bytes,
 )
-from .classic import schroeppel_shamir
+from .classic import _mim_bytes, meet_in_middle, schroeppel_shamir
 from .oracle import _block_table, brute_solve, distinct_sums
 from .structured import _AttemptTables, _many_sums, _split_join, solve_few_sums
 
@@ -181,27 +186,13 @@ def classify(instance: Instance) -> RegimeReport:
     )
 
 
-def solve_auto(
-    instance: Instance,
-    rng: RandomSource,
-    budget: int | None = None,
-    epsilon: float = 0.0004,
-) -> SolverOutcome:
-    """Two-step pipeline: run the small-bin driver under a step budget of
-    ~4 * 2^(0.49991 n) * n^2 (or `budget`, which bounds this step only); if it
-    ran out of budget or the memory limit skipped its whole search, run one
-    Schroeppel-Shamir join on the instance itself, branch "ss": O*(2^(n/2))
-    time, O*(2^(n/4)) memory, and exact, so its "no" is too. Its `steps`
-    include step 1's, and it keeps step 1's `iterations`.
+def solve_auto(instance: Instance) -> SolverOutcome:
+    """One exact join: meet_in_middle where its charge passes the memory limit, branch
+    "mim", and otherwise schroeppel_shamir, branch "ss", in O*(2^(n/4)) memory; the
+    outcome, its "no" included, is that join's own. Where ss is refused as well, its
+    CapacityError propagates.
     """
-    n = instance.n
-    if budget is None:
-        budget = math.ceil(4.0 * 2.0 ** (0.49991 * n) * n * n)
-    step1 = solve_small_bin(instance, epsilon, rng, step_budget=budget)
-    if not step1.exhausted:
-        step1.branch = f"small-bin/{step1.branch}"
-        return step1
-    out = schroeppel_shamir(instance)
-    out.branch, out.iterations = "ss", step1.iterations
-    out.cost["steps"] += step1.cost["steps"]  # the join runs after step 1's work
+    fits = _mim_bytes(instance) <= memory_limit_bytes()
+    out = meet_in_middle(instance) if fits else schroeppel_shamir(instance)
+    out.branch = "mim" if fits else "ss"
     return out

@@ -336,7 +336,7 @@ def test_a9_wide_weight_completeness(capfd):
                 no.append(off)
     solvers = {
         "smallbin": lambda inst, k: solve_small_bin(inst, 1.0 / 6.0, RandomSource(9200 + k)),
-        "auto": lambda inst, k: solve_auto(inst, RandomSource(9400 + k)),
+        "auto": lambda inst, k: solve_auto(inst),
     }
     hits = Counter()
     false_pos = Counter()

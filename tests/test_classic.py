@@ -53,6 +53,19 @@ def test_bellman_capacity_guard():
         bellman_dp(Instance(weights=(1, 2, 3, 4), target=1 << 44))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_bellman_peak_stays_under_its_charge(charges, n):
+    # few items and a large t: the temporaries of each item, not the snapshots, set the peak
+    b = 24
+    for seed in range(4):
+        rng = RandomSource(100 * n + seed)
+        weights = tuple(rng.randint(1 << (b - 2), (1 << (b - 1)) + (1 << (b - 2))) for _ in range(n))
+        charges.clear()
+        out, peak = _traced(bellman_dp, Instance(weights, sum(weights) // 2 + 1))
+        assert not isinstance(out, CapacityError)
+        assert peak <= max(charges)
+
+
 def test_meet_in_middle_matches_brute():
     for inst in _loop_instances(32, 80, densities=(0.5, 1.0, 2.0, 4.0)):
         expect = brute_solve(inst)

@@ -22,6 +22,7 @@ from sslab import (
     solve_many_sums,
     solve_small_bin,
 )
+from sslab.core import memory_limit_bytes
 
 CLASSIC = {"sums_enumerated", "pairs_checked", "dict_lookups", "samples_drawn"}
 JOIN = {"sums_enumerated", "dict_lookups", "pairs_checked"}
@@ -45,23 +46,24 @@ def _smallbin_representation():
 
 
 def _auto_ss():
-    # step 1 runs out of its budget of 10, and its steps stay on the join's count
-    step1 = solve_small_bin(_planted(), 0.0004, RandomSource(83), step_budget=10)
-    out = solve_auto(_planted(), RandomSource(83), budget=10)
-    join = schroeppel_shamir(_planted()).cost["sums_enumerated"]
-    assert out.branch == "ss" and step1.exhausted
-    return out, CLASSIC | {"peak_retained_sums"}, (
-        lambda c: c["sums_enumerated"] == join and c["steps"] == join + step1.cost["steps"])
+    # at 1 MB mim's charge is refused, and auto's counters are the ss join's own
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SSLAB_MEM_LIMIT_MB", "1")
+        inst = gen_planted(30, 30, RandomSource(1030))[0]
+        out = solve_auto(inst)
+        join = schroeppel_shamir(inst).cost
+    assert out.branch == "ss"
+    return out, CLASSIC | {"peak_retained_sums"}, lambda c: c == join and _same_as_sums(c)
 
 
 def _auto_ss_small_target():
-    # step 1 runs out of its budget of 1 on target 6 < 2n, and the join charges after it
-    step1 = solve_small_bin(gen_all_equal(12), 0.0004, RandomSource(81), step_budget=1)
-    out = solve_auto(gen_all_equal(12), RandomSource(81), budget=1)
-    join = schroeppel_shamir(gen_all_equal(12)).cost["sums_enumerated"]
-    assert out.branch == "ss" and step1.exhausted
-    return out, CLASSIC | {"peak_retained_sums"}, (
-        lambda c: c["sums_enumerated"] == join and c["steps"] == join + step1.cost["steps"])
+    # past mim's charge, target 6 < 2n takes the ss join as well
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sslab.dispatch._mim_bytes", lambda instance: memory_limit_bytes() + 1)
+        out = solve_auto(gen_all_equal(12))
+    join = schroeppel_shamir(gen_all_equal(12)).cost
+    assert out.branch == "ss"
+    return out, CLASSIC | {"peak_retained_sums"}, lambda c: c == join and _same_as_sums(c)
 
 
 def _branch(out, branch, keys, steps_ok):
@@ -97,9 +99,8 @@ CASES = {
     "smallbin-join": lambda: _branch(
         solve_small_bin(gen_all_equal(12), EPS, RandomSource(73)), "join", JOIN,
         lambda c: c["steps"] > c["sums_enumerated"]),
-    "auto-small-bin": lambda: _branch(
-        solve_auto(_planted(), RandomSource(1)), "small-bin/representation", REPR,
-        lambda c: c["steps"] > c["sums_enumerated"] + c["pairs_scanned"]),
+    "auto-mim": lambda: _branch(solve_auto(_planted()), "mim", CLASSIC,
+                                lambda c: c == meet_in_middle(_planted()).cost and _same_as_sums(c)),
     "auto-ss": _auto_ss,
     "auto-ss-small-target": _auto_ss_small_target,
 }

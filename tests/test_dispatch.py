@@ -16,7 +16,9 @@ from sslab import (
     gen_random_density,
     gen_super_increasing,
     mask_sum,
+    meet_in_middle,
     partition_blocks,
+    schroeppel_shamir,
     small_bin_runtime_exponent,
     small_bin_time_exponents,
     solve_auto,
@@ -25,6 +27,9 @@ from sslab import (
     solve_partition_join,
     solve_small_bin,
 )
+
+from sslab.classic import _mim_bytes
+from sslab.core import memory_limit_bytes
 
 from _corpus import rich_no_instance
 
@@ -117,9 +122,6 @@ def test_small_bin_measures_the_block_once(monkeypatch):
     inst, _ = gen_planted(14, 14, RandomSource(74))
     out = solve_small_bin(inst, 1.0 / 6.0, RandomSource(75))
     assert out.branch == "representation" and out.found
-    out = solve_auto(inst, RandomSource(75))
-    assert out.branch == "small-bin/representation" and out.found
-    assert mask_sum(inst.weights, out.witness) == inst.target
 
 
 def test_small_bin_epsilon_domain():
@@ -224,45 +226,47 @@ def test_refused_classify_stays_under_the_limit(monkeypatch):
     assert peak <= 4 << 20
 
 
+def _same_outcome(out, join):
+    return (out.witness, out.cost, out.found, out.exhausted) == (
+        join.witness, join.cost, join.found, join.exhausted)
+
+
 def test_solve_auto_planted_and_no_instance():
+    # where mim's charge fits, auto is meet_in_middle: its witness, counters and exact "no"
     inst, _ = gen_planted(14, 14, RandomSource(77))
-    out = solve_auto(inst, RandomSource(78))
-    assert out.found
+    out = solve_auto(inst)
+    assert out.branch == "mim" and out.found
     assert mask_sum(inst.weights, out.witness) == inst.target
-    assert out.branch.startswith("small-bin/") or out.branch == "ss"
+    assert _same_outcome(out, meet_in_middle(inst))
     no = rich_no_instance(12, 6, 12, seed=79)
-    out = solve_auto(no, RandomSource(80))
-    assert not out.found
+    out = solve_auto(no)
+    assert out.branch == "mim" and not out.found and not out.exhausted
+    assert _same_outcome(out, meet_in_middle(no))
 
 
-def test_solve_auto_small_target_falls_through_to_ss():
+def test_solve_auto_small_target_falls_through_to_ss(monkeypatch):
+    # past mim's charge, auto is schroeppel_shamir, on a small target as on any other
     inst = gen_all_equal(12)  # target 6 < 2n
-    out = solve_auto(inst, RandomSource(81))
-    assert out.found
+    assert _same_outcome(solve_auto(inst), meet_in_middle(inst))
+    monkeypatch.setattr("sslab.dispatch._mim_bytes", lambda instance: memory_limit_bytes() + 1)
+    out = solve_auto(inst)
+    assert out.branch == "ss" and out.found
     assert mask_sum(inst.weights, out.witness) == inst.target
-    # with no budget left, a small target takes the one exact join as well
-    out = solve_auto(inst, RandomSource(81), budget=1)
-    assert out.branch == "ss"
-    assert out.found
-    assert mask_sum(inst.weights, out.witness) == inst.target
+    assert _same_outcome(out, schroeppel_shamir(inst))
 
 
-def test_solve_auto_tiny_budget_falls_through_to_ss():
+def test_solve_auto_tiny_budget_falls_through_to_ss(monkeypatch):
+    # with no memory to spend, ss is refused too, and auto tries nothing else
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "0")
     inst, _ = gen_planted(12, 16, RandomSource(82))
-    out = solve_auto(inst, RandomSource(83), budget=8)
-    assert out.branch == "ss"
-    assert out.found  # the join is exact: no miss to amplify away
-    assert mask_sum(inst.weights, out.witness) == inst.target
-    no = Instance(inst.weights, inst.target + 1)
-    assert not brute_solve(no).found
-    out = solve_auto(no, RandomSource(83), budget=8)
-    assert out.branch == "ss"
-    assert not out.found and not out.exhausted  # an exact "no"
+    for case in (inst, Instance(inst.weights, inst.target + 1)):
+        with pytest.raises(CapacityError):
+            solve_auto(case)
 
 
 def test_solve_auto_joins_when_the_memory_limit_skips_every_list(monkeypatch):
-    # at 1 MB every representation list is refused, so step 1 searched nothing: repr and
-    # smallbin say exhausted, not "no", and auto's exact join finds the planted witness
+    # at 1 MB every representation list is refused, so repr and smallbin searched
+    # nothing and say exhausted, not "no"; auto's exact join finds the planted witness
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     inst, _ = gen_planted(30, 30, RandomSource(1030))
     rep = solve_many_sums(inst, 1, 1.0, RandomSource(0))
@@ -272,21 +276,26 @@ def test_solve_auto_joins_when_the_memory_limit_skips_every_list(monkeypatch):
     assert above.cost["attempts"] == 0 and not above.found and not above.exhausted  # exact "no"
     small = solve_small_bin(inst, 0.0004, RandomSource(0))
     assert small.branch == "representation" and not small.found and small.exhausted
-    out = solve_auto(inst, RandomSource(0))
-    assert out.branch == "ss" and out.found
+    # mim's charge, 1.82 MB, passes 2 MB and not 1 MB
+    assert 1 << 20 < _mim_bytes(inst) <= 2 << 20
+    out = solve_auto(inst)
+    assert out.branch == "ss" and out.found and not out.iterations
     assert mask_sum(inst.weights, out.witness) == inst.target
-    assert out.iterations == small.iterations  # step 1's rows say why the join ran
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
+    out = solve_auto(inst)
+    assert out.branch == "mim" and out.found
+    assert _same_outcome(out, meet_in_middle(inst))
 
 
 def test_solve_auto_both_steps_stay_under_the_limit(monkeypatch):
-    # step 1 skips every list and the join runs after it: the whole run peaks under 1 MB
+    # at 1 MB auto runs ss, and the whole run, choice and join, peaks under 1 MB
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     inst, _ = gen_planted(30, 30, RandomSource(1030))
     tracemalloc.start()
     try:
-        out = solve_auto(inst, RandomSource(0))
+        out = solve_auto(inst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.branch == "ss" and out.iterations
+    assert out.branch == "ss" and out.found
     assert peak <= 1 << 20
