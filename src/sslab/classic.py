@@ -7,6 +7,7 @@ summation before it is reported.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -38,17 +39,25 @@ from .oracle import (
 # ---------------------------------------------------------------------------
 # pseudo-polynomial DP
 
+def _dp_bytes(instance: Instance) -> int:
+    """The peak that bellman_dp charges before it builds its first row."""
+    t = instance.target
+    # an int of bits 0..b takes b // 30 + 1 digits of 4 bytes after a 24-byte header. Snapshot
+    # i reaches at most bit min(t, w_0 + ... + w_(i-1)), a weight above t adding nothing; while
+    # the last item is added, the n snapshots before it are held with the window and three
+    # full rows of temporaries: reach << w, of up to two rows, and its & window, of one
+    tops = accumulate((w if w <= t else 0 for w in instance.weights[:-1]), initial=0)
+    snapshots = sum(24 + 4 * (min(t, top) // 30 + 1) for top in tops)
+    return snapshots + 4 * (24 + 4 * (t // 30 + 1))
+
+
 def bellman_dp(instance: Instance) -> SolverOutcome:
     """Reachable-sum DP over [0, t] with per-item snapshots for witness walk-back.
 
-    Exact; its n+1 snapshots are ints of t+1 bits, so the target must fit the memory cap.
+    Exact; its n+1 snapshots are ints of up to t+1 bits, so the target must fit the memory cap.
     """
     n, t = instance.n, instance.target
-    # a row is an int of t+1 bits: 30-bit digits of 4 bytes after a 24-byte header. While
-    # item n is added, the n snapshots before it are held with the window and two
-    # temporaries: reach << w, of up to two rows, and its & window, of one
-    row = 24 + 4 * (t // 30 + 1)
-    check_bytes((n + 4) * row, f"the DP's {n + 1} snapshots of {t + 1} bits and their temporaries")
+    check_bytes(_dp_bytes(instance), f"the DP's {n + 1} snapshots of up to {t + 1} bits and their temporaries")
     window = (1 << (t + 1)) - 1
     reach = 1  # bit s set <=> sum s reachable
     snaps = [reach]

@@ -38,9 +38,10 @@ from .oracle import _dense_sums, _join_bytes, _sorted_join, _table_dtype, distin
 # 308 B (|M| = 1, n = 34), on a split whose sums meet and which lists its entries.
 _LIST_ENTRY_BYTES = 336
 # What a solve keeps, per entry, in a fresh process per case: a kept enumeration at most
-# 125 B (n = 24, 48 and 70-bit weights), a dictionary half's buckets of sums for one p at
-# most 158 B (one bucket an entry, n = 24-28); two more entries' worth covers each one's
-# containers. A kept entry holds one sum, a bucket none: it holds the kept sums.
+# 125 B (n = 24, 48 and 70-bit weights), an entry of a half bucketed for one p at most
+# 158 B (a dictionary half, one bucket an entry, n = 24-28; a product half 109 B, n = 24-30,
+# |M| = 6-12, at the largest prime an attempt can draw); two more entries' worth covers
+# each one's containers. A kept entry holds one sum, a bucket none: it holds the kept sums.
 _KEPT_ENTRY_BYTES = 144
 _BUCKET_ENTRY_BYTES = 160
 
@@ -106,7 +107,7 @@ def _side_table(weights, side: tuple, m_indices, s_i: int, dict_size: int) -> tu
 
 
 def _buckets(sums: list, p: int) -> dict[int, list[int]]:
-    """The dictionary half's sums by their residue mod p, in dictionary order."""
+    """A half's sums by their residue mod p, in that half's order."""
     buckets: dict[int, list[int]] = {}
     for sm in sums:
         buckets.setdefault(sm % p, []).append(sm)
@@ -130,11 +131,13 @@ def _filter(table: tuple, p: int, residue: int) -> list[tuple[int, int]]:
     return out
 
 
-def _filter_sums(table: tuple, p: int, residue: int, buckets: dict) -> list[int]:
-    """The sums of `_filter`'s list, in its order, walked without a mask."""
+def _filter_sums(walked: list, buckets: dict, p: int, residue: int) -> list[int]:
+    """The sums of `_filter`'s list, as a multiset, walked without a mask: each sum of
+    one half of its table, `walked`, with each sum of the other half, bucketed by residue
+    in `buckets`, that completes it to `residue` mod p."""
     get = buckets.get
     out = []
-    for y_sum in table[3][1]:
+    for y_sum in walked:
         hits = get((residue - y_sum) % p)
         if hits:
             for d_sum in hits:
@@ -189,7 +192,8 @@ class _AttemptTables:
     """What all attempts on one (instance, M, gamma) share: the `_split_table`,
     its `records` (per split, its fixed fields and its attempts' totals), the
     enumerations behind each filtered list and, per prime, the residue buckets
-    of a list's dictionary half, built on first use. What is kept takes at most
+    of a list's dictionary half, built on first use, or of its larger half once
+    that (list, p) is filtered again. What is kept takes at most
     what the largest list the limit admits, charged at its smallest p, leaves
     of SSLAB_MEM_LIMIT_MB, read once here; a list beyond that is rebuilt on
     every use and filtered as a kept one is."""
@@ -203,7 +207,7 @@ class _AttemptTables:
                                       clamped_left=clamped_left, **totals)
                         for s, (pi, p_min, clamped_prime, shapes) in self.splits.items()
                         for s1, (clamped_left, *_) in shapes.items()}
-        self._tables: dict = {}  # list shape -> (enumerations, {p: buckets})
+        self._tables: dict = {}  # list shape -> (enumerations, {p: (sums walked, buckets)})
         self._wide = _wide_sum_bytes(instance.total())
         limit = memory_limit_bytes()
         charges = [_list_bytes(side, n_combos, dict_size, p_min, self._wide)
@@ -220,13 +224,16 @@ class _AttemptTables:
         return True
 
     def filtered_sums(self, shape: tuple, p: int, residue: int, meter: StepMeter) -> tuple:
-        """The sums of build_filtered_list for a list of `splits`, in its order and charged
-        as it charges, and the enumerations that `_filter` lists its entries from. The room
-        only decides whether those enumerations and their buckets for p are kept."""
+        """The sums of build_filtered_list for a list of `splits`, the same multiset charged
+        as it charges, and the enumerations that `_filter` lists its entries from. A first
+        filter at p walks the product half against buckets of the dictionary half; once
+        those buckets are kept, a later filter at p whose product half is the larger swaps
+        them for buckets of the product half and walks the dictionary half from then on.
+        The room only decides whether the enumerations and their buckets for p are kept."""
         kept = self._tables.get(shape)
         table, by_p = kept or (None, {})
-        buckets = by_p.get(p)
-        if buckets is None:  # a (shape, p) with kept buckets has passed this check
+        walk = by_p.get(p)  # (the sums walked, buckets of the other half's sums)
+        if walk is None:  # a (shape, p) with kept buckets has passed this check
             side, s_i, n_combos, dict_size = shape
             check_bytes(_list_bytes(side, n_combos, dict_size, p, self._wide), "a filtered list")
             if kept is None:
@@ -234,10 +241,14 @@ class _AttemptTables:
                 entry_bytes = _KEPT_ENTRY_BYTES + self._wide
                 if self._keep((len(table[0][0]) + len(table[3][0]) + 2) * entry_bytes):
                     kept = self._tables[shape] = (table, by_p)
-            buckets = _buckets(table[0][1], p)
+            walk = (table[3][1], _buckets(table[0][1], p))
             if kept and self._keep((len(table[0][1]) + 2) * _BUCKET_ENTRY_BYTES):
-                by_p[p] = buckets  # only beside a kept table, whose sums they hold
-        sums = _filter_sums(table, p, residue, buckets)
+                by_p[p] = walk  # only beside a kept table, whose sums they hold
+        elif walk[0] is table[3][1] and len(table[3][1]) > len(table[0][1]) and self._keep(
+                (len(table[3][1]) + 2) * _BUCKET_ENTRY_BYTES):
+            # a reused (list, p) buckets its larger half; the buckets it drops keep their room
+            walk = by_p[p] = (table[0][1], _buckets(table[3][1], p))
+        sums = _filter_sums(*walk, p, residue)
         _charge(meter, table, len(sums))
         return sums, table
 

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import product
 
@@ -53,17 +54,32 @@ def test_bellman_capacity_guard():
         bellman_dp(Instance(weights=(1, 2, 3, 4), target=1 << 44))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, *range(8, 17)])
 def test_bellman_peak_stays_under_its_charge(charges, n):
-    # few items and a large t: the temporaries of each item, not the snapshots, set the peak
-    b = 24
+    # few items and a large t: the temporaries of each item, not the snapshots, set the
+    # peak; from n = 8 on a 20-bit t, where the snapshots before t is reached are short
     for seed in range(4):
         rng = RandomSource(100 * n + seed)
-        weights = tuple(rng.randint(1 << (b - 2), (1 << (b - 1)) + (1 << (b - 2))) for _ in range(n))
+        lo, hi = (1 << 22, (1 << 23) + (1 << 22)) if n <= 6 else ((1 << 20) // n, (1 << 21) // n)
+        weights = tuple(rng.randint(lo, hi) for _ in range(n))
+        inst = Instance(weights, sum(weights) // 2 + 1)
+        assert n <= 6 or inst.target.bit_length() == 20
         charges.clear()
-        out, peak = _traced(bellman_dp, Instance(weights, sum(weights) // 2 + 1))
+        out, peak = _traced(bellman_dp, inst)
         assert not isinstance(out, CapacityError)
         assert peak <= max(charges)
+
+
+def test_bellman_charges_snapshots_by_their_prefix_sums():
+    # 14 weights near 2^25 and a 28-bit t: n + 4 full rows would ask 605 MB, but the early
+    # snapshots are short, and the solve peaks at 424 MB (tracemalloc)
+    rng = random.Random(1)
+    weights = tuple(rng.randint(1 << 24, (1 << 25) + (1 << 24)) for _ in range(14))
+    inst = Instance(weights, sum(weights) // 2 + 1)
+    assert classic._dp_bytes(inst) <= 512 << 20
+    # a weight above t adds nothing to the snapshots after it
+    row = 24 + 4 * (100 // 30 + 1)
+    assert classic._dp_bytes(Instance((1000, 1000, 5), 100)) == 3 * 28 + 4 * row
 
 
 def test_meet_in_middle_matches_brute():

@@ -26,6 +26,7 @@ from sslab import (
 )
 from sslab.numeric import is_prime, random_prime
 from sslab.structured import (
+    _BUCKET_ENTRY_BYTES,
     _KEPT_ENTRY_BYTES,
     _AttemptTables,
     _filter,
@@ -269,7 +270,9 @@ def test_attempt_tables_filter_as_build_filtered_list():
                 sums, table = tables.filtered_sums(shape, p, residue, got_meter)
                 want = build_filtered_list(inst, mask_from_indices(side), m_mask, s_i, p,
                                            residue, dict_size, want_meter)
-                assert sums == [sm for _, sm in want] and got_meter.count == want_meter.count
+                # a (list, p) filtered again may bucket its other half: the same multiset
+                assert sorted(sums) == sorted(sm for _, sm in want)
+                assert got_meter.count == want_meter.count
                 assert _filter(table, p, residue) == want
             kept = tables._tables.get(shape)
             assert (kept is None) == (room == "none")
@@ -350,16 +353,25 @@ def test_sums_first_join_matches_a_plain_join(room):
 
 def test_kept_buckets_take_room():
     inst, _ = rich_planted(14, 6, 14, seed=75)
-    tables = _AttemptTables(inst, mask_from_indices(range(6)), 1.0)
-    shape = tables.splits[5][3][1][1]
-    tables._room = room = 1 << 30
-    rooms = []
-    for p in (5, 7, 5, 11, 7):
-        tables.filtered_sums(shape, p, 1, StepMeter())
-        rooms.append(tables._room)
-    # the first call keeps the table and the buckets for 5; a new p takes more room
-    first = room - _kept_table_bytes(inst, tables, shape)
-    assert first > rooms[0] > rooms[1] == rooms[2] > rooms[3] == rooms[4]
+    for half in (1, 2):  # a list whose product half is the smaller, then one where it is the larger
+        tables = _AttemptTables(inst, mask_from_indices(range(6)), 1.0)
+        shape = tables.splits[5][3][1][half]
+        tables._room = room = 1 << 30
+        rooms = []
+        for p in (5, 7, 5, 11, 7, 5):
+            tables.filtered_sums(shape, p, 1, StepMeter())
+            rooms.append(tables._room)
+        table = tables._tables[shape][0]
+        larger = len(table[3][1]) > len(table[0][1])
+        assert larger == (half == 2)
+        dict_buckets, product_buckets = ((len(h[1]) + 2) * _BUCKET_ENTRY_BYTES for h in (table[0], table[3]))
+        # the first call keeps the table and the buckets for 5; a new p takes more room
+        first = room - _kept_table_bytes(inst, tables, shape)
+        assert rooms[0] == first - dict_buckets and rooms[1] == rooms[0] - dict_buckets
+        assert rooms[3] == rooms[2] - dict_buckets
+        # a second call at one p buckets the product half if it is the larger; a third takes nothing
+        swap = product_buckets if larger else 0
+        assert rooms[2] == rooms[1] - swap and rooms[4] == rooms[3] - swap and rooms[5] == rooms[4]
 
 
 def test_meeting_split_peaks_inside_its_charge(charges):
