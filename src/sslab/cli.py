@@ -37,7 +37,7 @@ from .core import (
 )
 from .dispatch import classify, measured_gamma, solve_auto, solve_large_bin, solve_small_bin
 from .hashing import ReductionNotApplicable, reduce_bitlength
-from .oracle import _block_table, max_bin
+from .oracle import _bin_stats, max_bin
 from .structured import solve_few_sums, solve_many_sums
 
 _DEFAULT_SAMPLER_BUDGET = 100000
@@ -145,10 +145,8 @@ def _cmd_analyze(args) -> int:
             dens = density(instance)
         except ValueError:
             dens = None
-        table = _block_table(instance)
-        stats = {"beta": int(table.counts.max()), "distinct_sums": int(table.sums.size)}
-        del table  # before bin_l2 builds its own
-        _emit({"n": instance.n, "density": dens, **stats, "l2_norm_squared": bin_l2(instance)})
+        beta, distinct, l2 = _bin_stats(instance)
+        _emit({"n": instance.n, "density": dens, "beta": beta, "distinct_sums": distinct, "l2_norm_squared": l2})
         _note(f"analyzed {path}")
     return 0
 
@@ -208,8 +206,8 @@ def _udcp(instance: Instance):
     pair = udcp_from_instance(instance)
     if not check_udcp(pair):
         return "pair not uniquely decodable"
-    table = _block_table(instance)  # a second computation of |w(2^[n])| and beta
-    if pair.a_masks.size != table.sums.size or pair.b_masks.size != table.counts.max():
+    beta, distinct, _ = _bin_stats(instance)  # |w(2^[n])| and beta, not from the extraction's table
+    if pair.a_masks.size != distinct or pair.b_masks.size != beta:
         return "extracted sizes mismatch"
     return None
 

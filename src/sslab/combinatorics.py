@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Instance, _wide_sum_bytes, check_bytes
-from .oracle import _block_table, _dense_sums, _run_rows, _run_starts, _table_dtype, all_subset_sums
+from .oracle import _bin_stats, _block_table, _dense_sums, _run_rows, _run_starts, _table_dtype, all_subset_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +94,7 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
 
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     """Exact squared l2 norm of the bin histogram: sum over sums of count^2."""
-    counts = _block_table(instance, subset_mask).counts
-    size = instance.n if subset_mask is None else subset_mask.bit_count()
-    if _table_dtype((), 4 ** size) is np.int64:  # the norm is at most 4^|S|
-        return int(np.dot(counts, counts))
-    return sum(c * c for c in counts.tolist())  # exact in Python ints
+    return _bin_stats(instance, subset_mask)[2]
 
 
 def bin_l2_rows(instance: Instance, items: Sequence[Sequence[int]]) -> list[int]:

@@ -27,7 +27,7 @@ from .core import (
     memory_limit_bytes,
 )
 from .classic import _mim_bytes, meet_in_middle, schroeppel_shamir
-from .oracle import _block_table, brute_solve, distinct_sums
+from .oracle import _bin_stats, brute_solve, distinct_sums
 from .structured import _AttemptTables, _many_sums, _split_join, solve_few_sums
 
 # exact constants used by the exponent accounting
@@ -166,9 +166,7 @@ def classify(instance: Instance) -> RegimeReport:
     n = instance.n
     if n < 1:
         raise ValueError("classification needs n >= 1")
-    table = _block_table(instance)
-    beta = int(table.counts.max())
-    ds = int(table.sums.size)
+    beta, ds, _ = _bin_stats(instance)
     try:
         dens = density(instance)
     except ValueError:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Instance, RandomSource
 from .numeric import random_prime
-from .oracle import _block_table, all_subset_sums
+from .oracle import _bin_stats, all_subset_sums
 
 
 class ReductionNotApplicable(RuntimeError):
@@ -81,8 +81,8 @@ class ReductionReport:
 
 
 def _sums_and_bins(instance: Instance):
-    table = _block_table(instance)
-    return all_subset_sums(instance), int(table.sums.size), int(table.counts.max())
+    beta, distinct, _ = _bin_stats(instance)
+    return all_subset_sums(instance), distinct, beta
 
 
 def check_reduction_properties(original: Instance, record: ReductionRecord) -> ReductionReport:

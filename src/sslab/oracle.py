@@ -9,9 +9,13 @@ and returns how many right rows meet and the first that does, which is all an
 exact join reads; the caller looks up the left row it meets. It first drops
 every need whose low bits no left sum shares, by a bitmap of those bits.
 `_join_bytes` is what a join holds beyond its two lists, which a caller charges
-with its own tables. Values live in int64 arrays while every sum and mask fits;
-otherwise the same code runs on object arrays of Python ints. `_table_dtype`
-alone makes that choice.
+with its own tables. `_bin_stats` folds beta, the distinct count and the sum of
+count^2 of a block that `max_bin`, `distinct_sums`, `bin_l2` and `classify` read:
+one table for a block of at most _WINDOW_ROWS sums, and past that windows of the
+pair sums of two half tables, in ascending value, so its memory is that of the
+halves and one window, not of the 2^|S| sums. Values live in int64 arrays while
+every sum and mask fits; otherwise the same code runs on object arrays of Python
+ints. `_table_dtype` alone makes that choice.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ _JOIN_BLOCK = 1 << 16  # right rows a join filters, or scans for its first hit, 
 # what a sum table or a join takes beyond its rows, numpy's fixed costs in a fresh process:
 # a 2-row table passed its per-row charge by 6.5 KB, a 2^10-row one by 352 bytes
 _FIXED_BYTES = 8192
+_WINDOW_ROWS = 1 << 16  # a block with at most this many distinct sums is one table; a window's least cap
 
 
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
@@ -224,25 +229,117 @@ def _join_bytes(left_rows: int, right_rows: int, dtype, wide: int = 0) -> int:
     return _FIXED_BYTES + max(search, (4 << left_rows.bit_length()) + right_rows + block)
 
 
-def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:
-    """w(2^S) of the instance's block S (every item when None)."""
+def _block(instance: Instance, subset_mask: int | None) -> tuple[list[int], object]:
+    """The item indices of the instance's block S (every item when None) and its tables' dtype."""
     smask = full_mask(instance.n) if subset_mask is None else subset_mask
     if smask < 0 or smask >> instance.n:
         raise ValueError("subset mask outside the instance's index space")
     idx = mask_indices(smask)
-    dtype = _table_dtype([instance.weights[i] for i in idx], mask_bits=smask.bit_length())
-    return _sum_table(instance.weights, idx, dtype)
+    return idx, _table_dtype([instance.weights[i] for i in idx], mask_bits=smask.bit_length())
+
+
+def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:
+    """w(2^S) of the instance's block S (every item when None)."""
+    return _sum_table(instance.weights, *_block(instance, subset_mask))
+
+
+def _run_totals(counts: np.ndarray, exact: bool) -> tuple[int, int, int]:
+    """(largest, how many, sum of squares) of the bin sizes `counts`; the squares are
+    summed in Python ints when `exact`, as an int64 dot otherwise."""
+    l2 = sum(c * c for c in counts.tolist()) if exact else int(np.dot(counts, counts))
+    return int(counts.max()), int(counts.size), l2
+
+
+def _bin_stats(instance: Instance, subset_mask: int | None = None) -> tuple[int, int, int]:
+    """(beta, |w(2^S)|, sum over sums of count^2) of the instance's block S (every item
+    when None), in O(2^(|S|/2) + _WINDOW_ROWS) memory.
+
+    A block of at most min(2^|S|, w(S) + 1) <= _WINDOW_ROWS distinct sums is one table.
+    A larger one is split into its first floor(|S|/2) items, A, and the rest, B, and the
+    pair sums a + b of their tables are swept in windows [lo, hi) of ascending value, as
+    Schroeppel-Shamir sweeps them. A window holds at most cap = max(_WINDOW_ROWS, 8|A|,
+    8|B|) pairs: one over it is cut to the first half of the pair sums' span in it, and
+    one of a single value holds at most one pair per a-row, since B's sums are distinct.
+    Every sum falls in one window, so each window's runs of equal pair sums, their count
+    products summed, are whole bins. The windows are charged before the first is made.
+    """
+    idx, dtype = _block(instance, subset_mask)
+    exact = _table_dtype((), 4 ** len(idx)) is object  # the norm is at most 4^|S|
+    total = sum(instance.weights[i] for i in idx)
+    if min(1 << len(idx), total + 1) <= _WINDOW_ROWS:
+        return _run_totals(_sum_table(instance.weights, idx, dtype).counts, exact)
+    # a pair row at a window's peak holds its two rows, its sum, its count product and one
+    # temporary: 40 bytes with int64 sums, and with Python ints of at most 70 bits 112 with
+    # counts under 2^30, charged 120, plus the widths of the widest sum and count. A row
+    # of A or B holds its sum and count, and an a-row a window's bounds and their
+    # temporaries, charged half to each side. Measured with tracemalloc in a fresh
+    # process, a fold peaked at 0.68-0.79 of its largest charge with int64 sums of one
+    # subset each (n = 18-24), at 0.96-0.99 on geometric pairs (n = 22-26), at 0.94 with
+    # 2^16 a-rows and 17 b-rows, and at 0.59-0.82 with sums of 63 and 1000 bits (n = 18-20)
+    if dtype is np.int64:
+        half_row, pair_row = 56, 40
+    else:
+        wide = _wide_sum_bytes(total) + _wide_sum_bytes(1 << len(idx))
+        half_row, pair_row = 136 + 2 * wide, 120 + wide
+    h = len(idx) // 2
+    a_sums, a_counts = _sum_table(instance.weights, idx[:h], dtype)[:2]
+    b_sums, b_counts = _sum_table(instance.weights, idx[h:], dtype, a_sums.size * half_row)[:2]
+    cap = max(_WINDOW_ROWS, 8 * a_sums.size, 8 * b_sums.size)
+    check_bytes(_FIXED_BYTES + (a_sums.size + b_sums.size) * half_row + cap * pair_row,
+                f"windows of {cap} pair sums over two tables of {a_sums.size} and {b_sums.size} rows")
+    unit = a_counts.max() == 1 == b_counts.max()  # every sum of A and B has one subset
+    beta = distinct = l2 = 0
+    lo, start = 0, np.zeros(a_sums.size, dtype=np.intp)  # no pair sum is negative
+    width = max(1, (total + 1) * cap // (a_sums.size * b_sums.size))
+    while lo <= total:
+        hi = min(lo + width, total + 1)
+        stop = np.searchsorted(b_sums, hi - a_sums)
+        rows = int(np.sum(stop - start))
+        if rows > cap:  # so the window holds two values: one holds at most |A| <= cap pairs
+            # halve the span from its first pair sum to its last, not [lo, hi): sums that
+            # cluster far apart (wide weights with one high part) take no halving per bit
+            paired = stop > start
+            a_paired = a_sums[paired]
+            lo = int((a_paired + b_sums[start[paired]]).min())  # no pair sum lies in [lo, first): start holds
+            width = (int((a_paired + b_sums[stop[paired] - 1]).max()) + 1 - lo) // 2
+            continue
+        if rows:
+            i, j = _run_rows(start, stop)
+            sums = a_sums[i]
+            sums += b_sums[j]
+            if unit:  # a bin's size is its run's length, and a sort without its order is faster
+                del i, j
+                starts = _run_starts(_sorted(sums))
+                del sums
+                runs = np.diff(starts, append=rows)
+                del starts
+            else:
+                counts = a_counts[i]
+                counts *= b_counts[j]
+                del i, j
+                order = np.argsort(sums)
+                sums, counts = sums[order], counts[order]
+                del order
+                runs = np.add.reduceat(counts, _run_starts(sums))
+                del sums, counts
+            w_beta, w_distinct, w_l2 = _run_totals(runs, exact)
+            del runs  # before the next window's pairs are made
+            beta, distinct, l2 = max(beta, w_beta), distinct + w_distinct, l2 + w_l2
+        # the next window holds about 9/10 of `cap` rows at this window's density
+        width = max(1, (hi - lo) * 9 * cap // (10 * max(rows, 1)))
+        lo, start = hi, stop
+    return beta, distinct, l2
 
 
 def max_bin(instance: Instance, subset_mask: int | None = None) -> int:
     """beta(w) over the subset: the largest number of subsets sharing one sum."""
-    return int(_block_table(instance, subset_mask).counts.max())
+    return _bin_stats(instance, subset_mask)[0]
 
 
 def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
-    """|w(2^S)|. The first _DENSE_BITS items are enumerated densely; past them
-    the table is deduplicated after every item, so work scales with the answer."""
-    return int(_block_table(instance, subset_mask).sums.size)
+    """|w(2^S)|, counted by `_bin_stats`: work scales with the answer, or with the
+    pairs of two half tables' sums past _WINDOW_ROWS of them."""
+    return _bin_stats(instance, subset_mask)[1]
 
 
 def all_subset_sums(instance: Instance) -> np.ndarray:

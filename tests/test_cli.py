@@ -73,9 +73,10 @@ def test_analyze_frozen_values(tmp_path, capsys):
     }
 
 
-def test_udcp_check_and_analyze_build_two_tables_an_instance(tmp_path, capsys, monkeypatch):
-    # udcp: the extraction's table and the one its sizes are checked against;
-    # analyze: one table for beta and the distinct sums, and bin_l2's
+def test_udcp_check_and_analyze_count_their_table_builds(tmp_path, capsys, monkeypatch):
+    # udcp: the extraction's table and the bin fold its sizes are checked against;
+    # analyze: the bin fold alone, for beta, the distinct sums and the norm. The fold
+    # is one table at n = 10, and two half tables at n = 18, past _WINDOW_ROWS sums
     builds = []
     real = oracle._sum_table
 
@@ -85,12 +86,14 @@ def test_udcp_check_and_analyze_build_two_tables_an_instance(tmp_path, capsys, m
 
     monkeypatch.setattr(oracle, "_sum_table", spy)
     path = tmp_path / "i.txt"
-    write_instance(gen_random_density(10, 1.0, RandomSource(3)), path)
-    assert _run(capsys, "verify", str(path), "--checks", "udcp")[0] == 0
-    assert len(builds) == 2
-    builds.clear()
-    assert _run(capsys, "analyze", str(path), str(path))[0] == 0
-    assert len(builds) == 4
+    for n, fold in ((10, 1), (18, 2)):
+        write_instance(gen_random_density(n, 1.0, RandomSource(3)), path)
+        builds.clear()
+        assert _run(capsys, "verify", str(path), "--checks", "udcp")[0] == 0
+        assert len(builds) == 1 + fold
+        builds.clear()
+        assert _run(capsys, "analyze", str(path), str(path))[0] == 0
+        assert len(builds) == 2 * fold
 
 
 def test_classify_reports_regimes(tmp_path, capsys):

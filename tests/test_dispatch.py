@@ -30,6 +30,7 @@ from sslab import (
 
 from sslab.classic import _mim_bytes
 from sslab.core import memory_limit_bytes
+from sslab.oracle import _block_table
 
 from _corpus import rich_no_instance
 
@@ -214,16 +215,18 @@ def test_all_equal_past_26_items():
 
 
 def test_refused_classify_stays_under_the_limit(monkeypatch):
-    # 2^22 distinct sums: the merge to 2^17 rows would peak past 4 MB, so it is refused first
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "4")
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            classify(gen_super_increasing(22))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 << 20
+    # 2^22 distinct sums: the table's merge to 2^17 rows would peak past 4 MB, and
+    # classify's windows of 2^16 pair sums past 2 MB, so each is refused first
+    for limit_mb, refused in ((4, _block_table), (2, classify)):
+        monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                refused(gen_super_increasing(22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb << 20
 
 
 def _same_outcome(out, join):

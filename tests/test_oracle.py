@@ -15,6 +15,7 @@ from sslab import (
     brute_solve,
     distinct_sums,
     gen_all_equal,
+    gen_geometric_pairs,
     gen_random_density,
     gen_super_increasing,
     mask_from_indices,
@@ -22,7 +23,9 @@ from sslab import (
     max_bin,
     sumset_with_witness,
 )
-from sslab.oracle import _JOIN_BLOCK, _block_table, _sorted_join
+from sslab import oracle
+from sslab.cli import _verify_corpus
+from sslab.oracle import _JOIN_BLOCK, _bin_stats, _block_table, _sorted_join
 
 
 def _histogram(inst, subset=None):
@@ -271,17 +274,17 @@ def test_table_check_counts_merge_peak(monkeypatch, charges):
     inst = gen_super_increasing(18)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "10")
     with pytest.raises(CapacityError):
-        distinct_sums(inst)
+        _block_table(inst)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "15")
-    assert distinct_sums(inst) == 1 << 18
+    assert _block_table(inst).sums.size == 1 << 18
     # the charge covers what the merge really allocates
-    peak = _traced_peak(distinct_sums, gen_super_increasing(16))
+    peak = _traced_peak(_block_table, gen_super_increasing(16))
     assert peak <= 56 * (1 << 16) + (64 << 10)
     # also when its sums are Python ints of about 63, 200 and 1000 bits
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
     for bits in (63, 200, 1000):
         charges.clear()
-        peak = _traced_peak(distinct_sums, _wide_super_increasing(16, bits))
+        peak = _traced_peak(_block_table, _wide_super_increasing(16, bits))
         assert peak <= max(charges)
 
 
@@ -300,6 +303,85 @@ def test_sum_table_charges_its_dense_start(monkeypatch, charges):
 def test_counts_past_int64_are_exact():
     # 70 mask bits put the table in Python ints, and its counts with it
     assert max_bin(gen_all_equal(70)) == math.comb(70, 35)
+
+
+def _table_stats(inst, subset=None):
+    """(beta, distinct sums, sum of count^2) read off the whole table, in Python ints."""
+    counts = _block_table(inst, subset).counts.tolist()
+    return max(counts), len(counts), sum(c * c for c in counts)
+
+
+@pytest.mark.parametrize("window_rows", [8, 64])
+def test_bin_stats_match_the_table_on_the_verify_corpus(monkeypatch, window_rows):
+    # with _WINDOW_ROWS this small, every block of more than a few sums is swept
+    # in many windows of pair sums
+    monkeypatch.setattr(oracle, "_WINDOW_ROWS", window_rows)
+    for name, inst in _verify_corpus(18, RandomSource(0)):
+        assert _bin_stats(inst) == _table_stats(inst), name
+
+
+def test_bin_stats_match_the_table_on_subset_masks(monkeypatch):
+    rng = RandomSource(28)
+    cases = [(inst, rng.getrandbits(inst.n)) for n in (12, 16, 20, 24)
+             for inst in (gen_random_density(n, 1, rng.split(f"subset:{n}")), gen_geometric_pairs(n))
+             for _ in range(3)]
+    cases.append((gen_super_increasing(20), (1 << 20) - 2))  # 2^19 sums: past _WINDOW_ROWS
+    for window_rows in (oracle._WINDOW_ROWS, 8):
+        monkeypatch.setattr(oracle, "_WINDOW_ROWS", window_rows)
+        for inst, subset in cases:
+            assert _bin_stats(inst, subset) == _table_stats(inst, subset)
+        assert _bin_stats(gen_random_density(8, 1, rng), 0) == (1, 1, 1)  # the empty block
+
+
+def test_bin_stats_past_int64_are_exact(monkeypatch):
+    # all-equal n = 70: counts up to C(70, 35) > 2^63 and a norm of C(140, 70), from one
+    # table of 71 sums, and from windows over two tables of 36 sums each
+    want = (math.comb(70, 35), 71, math.comb(140, 70))
+    assert _bin_stats(gen_all_equal(70)) == want
+    monkeypatch.setattr(oracle, "_WINDOW_ROWS", 8)
+    assert _bin_stats(gen_all_equal(70)) == want
+
+
+@pytest.mark.parametrize("bits", [200, 1000])
+def test_bin_stats_on_python_int_sums(bits):
+    # 2^17 subsets, past _WINDOW_ROWS: Python-int windows over half tables whose sums
+    # have one subset each (distinct powers) and many (repeated offsets)
+    for offsets in ([1 << i for i in range(17)], [i % 4 for i in range(17)]):
+        inst = Instance(tuple((1 << bits) + x for x in offsets), 1)
+        assert _bin_stats(inst) == _table_stats(inst)
+
+
+def _bin_stats_case(kind, n):
+    if kind == "superinc":
+        return gen_super_increasing(n)
+    if kind == "geometric":  # half sums with many subsets: the windows sort their counts too
+        return gen_geometric_pairs(n)
+    return _wide_super_increasing(n, kind)
+
+
+@pytest.mark.parametrize("kind, n", [("superinc", 18), ("superinc", 20), ("superinc", 22), ("geometric", 22),
+                                     (63, 18), (63, 20), (200, 18), (1000, 18)])
+def test_bin_stats_peak_stays_under_its_charge(monkeypatch, charges, kind, n):
+    inst = _bin_stats_case(kind, n)
+    assert _traced_peak(_bin_stats, inst) <= max(charges)
+
+
+@pytest.mark.parametrize("kind", ["superinc", 63, 1000])
+def test_bin_stats_refuse_before_their_windows(monkeypatch, charges, kind):
+    # the windows are charged before the first one is made: a byte under that charge
+    # refuses the sweep, and what was allocated until then stays under the limit
+    inst = _bin_stats_case(kind, 18)
+    _bin_stats(inst)
+    sweep = charges[-1]
+    monkeypatch.setattr("sslab.core.memory_limit_bytes", lambda: sweep - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="windows of"):
+            _bin_stats(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sweep
 
 
 def test_sumset_witness_prefers_smallest_mask():
