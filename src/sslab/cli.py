@@ -206,7 +206,7 @@ def _udcp(instance: Instance):
     pair = udcp_from_instance(instance)
     if not check_udcp(pair):
         return "pair not uniquely decodable"
-    beta, distinct, _ = _bin_stats(instance)  # |w(2^[n])| and beta, not from the extraction's table
+    beta, distinct, _ = _bin_stats(instance, norm=False)  # |w(2^[n])| and beta, not from the extraction's table
     if pair.a_masks.size != distinct or pair.b_masks.size != beta:
         return "extracted sizes mismatch"
     return None

@@ -166,7 +166,7 @@ def classify(instance: Instance) -> RegimeReport:
     n = instance.n
     if n < 1:
         raise ValueError("classification needs n >= 1")
-    beta, ds, _ = _bin_stats(instance)
+    beta, ds, _ = _bin_stats(instance, norm=False)
     try:
         dens = density(instance)
     except ValueError:

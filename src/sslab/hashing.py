@@ -81,7 +81,7 @@ class ReductionReport:
 
 
 def _sums_and_bins(instance: Instance):
-    beta, distinct, _ = _bin_stats(instance)
+    beta, distinct, _ = _bin_stats(instance, norm=False)
     return all_subset_sums(instance), distinct, beta
 
 

@@ -10,16 +10,20 @@ exact join reads; the caller looks up the left row it meets. It first drops
 every need whose low bits no left sum shares, by a bitmap of those bits.
 `_join_bytes` is what a join holds beyond its two lists, which a caller charges
 with its own tables. `_bin_stats` folds beta, the distinct count and the sum of
-count^2 of a block that `max_bin`, `distinct_sums`, `bin_l2` and `classify` read:
-one table for a block of at most _WINDOW_ROWS sums, and past that windows of the
-pair sums of two half tables, in ascending value, so its memory is that of the
-halves and one window, not of the 2^|S| sums. Values live in int64 arrays while
+count^2 of a block that `max_bin`, `distinct_sums`, `bin_l2` and `classify` read.
+It builds the block's table, unless `_sweeps` finds the table may pass
+_WINDOW_ROWS rows and the pair sums of two half tables no more than
+_PAIR_FACTOR times as many, or the table past the memory limit: then it sweeps
+those pair sums in windows of ascending value, in the memory of the halves and
+one window, not of the 2^|S| sums. Values live in int64 arrays while
 every sum and mask fits; otherwise the same code runs on object arrays of Python
 ints. `_table_dtype` alone makes that choice.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,6 +52,7 @@ _JOIN_BLOCK = 1 << 16  # right rows a join filters, or scans for its first hit, 
 # a 2-row table passed its per-row charge by 6.5 KB, a 2^10-row one by 352 bytes
 _FIXED_BYTES = 8192
 _WINDOW_ROWS = 1 << 16  # a block with at most this many distinct sums is one table; a window's least cap
+_PAIR_FACTOR = 4  # a block is swept where its pair sums are at most this many times its sums (`_sweeps`)
 
 
 def _table_dtype(weights: Sequence[int], *extra: int, mask_bits: int = 0):
@@ -94,6 +99,17 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
+def _table_row(weights: Sequence[int], indices: Sequence[int], dtype) -> int:
+    """What `_sum_table` charges a merged row of the table of `indices`."""
+    # a merged row's peak, measured with tracemalloc at n = 16-20: 56 bytes with int64 (sums,
+    # counts, masks, the sort order, the run starts, the rows they pick, the reordered masks),
+    # and a 57th covers the 1.6 KB a table takes beyond them (fresh process, n = 13-18); with
+    # Python ints, at most 133 with 70-bit sums and masks, plus the widths of the largest sum and mask
+    if dtype is np.int64:
+        return 57
+    return 136 + _wide_sum_bytes(sum(weights[i] for i in indices)) + _wide_sum_bytes(sum(1 << i for i in indices))
+
+
 def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype, held: int = 0) -> SumTable:
     """w(2^S) for S = `indices`, masks in the original coordinates.
 
@@ -108,12 +124,7 @@ def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype, held: int 
     Arrays are rebound as soon as they are replaced, which keeps the peak down.
     """
     idx = sorted(indices)
-    # a merged row's peak, measured with tracemalloc at n = 16-20: 56 bytes with int64 (sums,
-    # counts, masks, the sort order, the run starts, the rows they pick, the reordered masks),
-    # and a 57th covers the 1.6 KB a table takes beyond them (fresh process, n = 13-18); with
-    # Python ints, at most 133 with 70-bit sums and masks, plus the widths of the largest sum and mask
-    row = 57 if dtype is np.int64 else (
-        136 + _wide_sum_bytes(sum(weights[i] for i in idx)) + _wide_sum_bytes(sum(1 << i for i in idx)))
+    row = _table_row(weights, idx, dtype)
     held += _FIXED_BYTES
     head, rest = idx[:_DENSE_BITS], iter(idx[_DENSE_BITS:])
     check_bytes(held + (1 << len(head)) * row, f"a subset-sum table of {1 << len(head)} rows")
@@ -243,52 +254,88 @@ def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable
     return _sum_table(instance.weights, *_block(instance, subset_mask))
 
 
-def _run_totals(counts: np.ndarray, exact: bool) -> tuple[int, int, int]:
-    """(largest, how many, sum of squares) of the bin sizes `counts`; the squares are
-    summed in Python ints when `exact`, as an int64 dot otherwise."""
-    l2 = sum(c * c for c in counts.tolist()) if exact else int(np.dot(counts, counts))
-    return int(counts.max()), int(counts.size), l2
+def _square_sum(counts: np.ndarray, exact: bool) -> int:
+    """The sum of squares of the bin sizes `counts`: in Python ints when `exact`, as an int64 dot otherwise."""
+    return sum(c * c for c in counts.tolist()) if exact else int(np.dot(counts, counts))
 
 
-def _bin_stats(instance: Instance, subset_mask: int | None = None) -> tuple[int, int, int]:
+def _sums_bound(weights: Sequence[int]) -> int:
+    """A bound on the distinct subset sums of `weights`, read off the weights alone:
+    min(w + 1, the product over distinct values of their multiplicity + 1) <= 2^|weights|."""
+    return min(sum(weights) + 1, math.prod(m + 1 for m in Counter(weights).values()))
+
+
+def _sweeps(weights: Sequence[int], indices: Sequence[int], dtype) -> bool:
+    """Whether `_bin_stats` sweeps the pair sums of the block's two half tables, not its table.
+
+    A table's work follows its rows, at most rows = `_sums_bound` of the block; the
+    windows' follows the product of the halves' rows, at most pairs = the product of
+    their bounds. The windows are picked where the table may pass _WINDOW_ROWS rows and
+    either pairs <= _PAIR_FACTOR * rows (sum-rich blocks, where pairs = rows = 2^|S|) or
+    the table's last merge, charged at `rows`, would pass the memory limit. A sum-poor
+    block keeps its table: density-4 n = 60 has about 2^20 sums but 2^38 pairs.
+    """
+    rows = _sums_bound([weights[i] for i in indices])
+    if rows <= _WINDOW_ROWS:
+        return False
+    h = len(indices) // 2
+    pairs = _sums_bound([weights[i] for i in indices[:h]]) * _sums_bound([weights[i] for i in indices[h:]])
+    table = _FIXED_BYTES + 2 * rows * _table_row(weights, indices, dtype)
+    return pairs <= _PAIR_FACTOR * rows or table > memory_limit_bytes()
+
+
+def _bin_stats(instance: Instance, subset_mask: int | None = None,
+               norm: bool = True) -> tuple[int, int, int | None]:
     """(beta, |w(2^S)|, sum over sums of count^2) of the instance's block S (every item
-    when None), in O(2^(|S|/2) + _WINDOW_ROWS) memory.
+    when None); the last is None, and not computed, unless `norm`.
 
-    A block of at most min(2^|S|, w(S) + 1) <= _WINDOW_ROWS distinct sums is one table.
-    A larger one is split into its first floor(|S|/2) items, A, and the rest, B, and the
-    pair sums a + b of their tables are swept in windows [lo, hi) of ascending value, as
-    Schroeppel-Shamir sweeps them. A window holds at most cap = max(_WINDOW_ROWS, 8|A|,
-    8|B|) pairs: one over it is cut to the first half of the pair sums' span in it, and
-    one of a single value holds at most one pair per a-row, since B's sums are distinct.
-    Every sum falls in one window, so each window's runs of equal pair sums, their count
+    A block is one table unless `_sweeps` picks windows. Then it is split into its first
+    floor(|S|/2) items, A, and the rest, B, and the pair sums a + b of their tables are
+    swept in windows [lo, hi) of ascending value, as Schroeppel-Shamir sweeps them, in
+    O(|A| + |B| + cap) memory. A window holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|)
+    pairs: one over it is cut to the first half of the pair sums' span in it, and one of
+    a single value holds at most one pair per a-row, since B's sums are distinct. Every
+    sum falls in one window, so each window's runs of equal pair sums, their count
     products summed, are whole bins. The windows are charged before the first is made.
+    A sweep of more than 2^ENUM_LIMIT pairs, as many as the subsets brute_solve scans,
+    is not run: the block's table is built instead, and refused where it does not fit.
     """
     idx, dtype = _block(instance, subset_mask)
     exact = _table_dtype((), 4 ** len(idx)) is object  # the norm is at most 4^|S|
-    total = sum(instance.weights[i] for i in idx)
-    if min(1 << len(idx), total + 1) <= _WINDOW_ROWS:
-        return _run_totals(_sum_table(instance.weights, idx, dtype).counts, exact)
-    # a pair row at a window's peak holds its two rows, its sum, its count product and one
-    # temporary: 40 bytes with int64 sums, and with Python ints of at most 70 bits 112 with
-    # counts under 2^30, charged 120, plus the widths of the widest sum and count. A row
-    # of A or B holds its sum and count, and an a-row a window's bounds and their
-    # temporaries, charged half to each side. Measured with tracemalloc in a fresh
-    # process, a fold peaked at 0.68-0.79 of its largest charge with int64 sums of one
-    # subset each (n = 18-24), at 0.96-0.99 on geometric pairs (n = 22-26), at 0.94 with
-    # 2^16 a-rows and 17 b-rows, and at 0.59-0.82 with sums of 63 and 1000 bits (n = 18-20)
-    if dtype is np.int64:
-        half_row, pair_row = 56, 40
-    else:
-        wide = _wide_sum_bytes(total) + _wide_sum_bytes(1 << len(idx))
-        half_row, pair_row = 136 + 2 * wide, 120 + wide
-    h = len(idx) // 2
-    a_sums, a_counts = _sum_table(instance.weights, idx[:h], dtype)[:2]
-    b_sums, b_counts = _sum_table(instance.weights, idx[h:], dtype, a_sums.size * half_row)[:2]
-    cap = max(_WINDOW_ROWS, 8 * a_sums.size, 8 * b_sums.size)
-    check_bytes(_FIXED_BYTES + (a_sums.size + b_sums.size) * half_row + cap * pair_row,
-                f"windows of {cap} pair sums over two tables of {a_sums.size} and {b_sums.size} rows")
+    if _sweeps(instance.weights, idx, dtype):
+        total = sum(instance.weights[i] for i in idx)
+        # a pair row at a window's peak holds its two rows, its sum, its count product and one
+        # temporary: 40 bytes with int64 sums, and with Python ints of at most 70 bits 112 with
+        # counts under 2^30, charged 120, plus the widths of the widest sum and count. A row
+        # of A or B holds its sum and count, and an a-row a window's bounds and their
+        # temporaries, charged half to each side. Measured with tracemalloc in a fresh
+        # process, a fold peaked at 0.68-0.79 of its largest charge with int64 sums of one
+        # subset each (n = 18-24), at 0.96-0.99 on geometric pairs (n = 22-26), at 0.94 with
+        # 2^16 a-rows and 17 b-rows, and at 0.59-0.82 with sums of 63 and 1000 bits (n = 18-20)
+        if dtype is np.int64:
+            half_row, pair_row = 56, 40
+        else:
+            wide = _wide_sum_bytes(total) + _wide_sum_bytes(1 << len(idx))
+            half_row, pair_row = 136 + 2 * wide, 120 + wide
+        h = len(idx) // 2
+        a_sums, a_counts = _sum_table(instance.weights, idx[:h], dtype)[:2]
+        b_sums, b_counts = _sum_table(instance.weights, idx[h:], dtype, a_sums.size * half_row)[:2]
+        if a_sums.size * b_sums.size <= 1 << ENUM_LIMIT:
+            cap = max(_WINDOW_ROWS, 8 * a_sums.size, 8 * b_sums.size)
+            check_bytes(_FIXED_BYTES + (a_sums.size + b_sums.size) * half_row + cap * pair_row,
+                        f"windows of {cap} pair sums over two tables of {a_sums.size} and {b_sums.size} rows")
+            return _window_stats(a_sums, a_counts, b_sums, b_counts, total, cap, norm, exact)
+        del a_sums, a_counts, b_sums, b_counts
+    counts = _sum_table(instance.weights, idx, dtype).counts
+    return int(counts.max()), counts.size, _square_sum(counts, exact) if norm else None
+
+
+def _window_stats(a_sums, a_counts, b_sums, b_counts, total: int, cap: int, norm: bool, exact: bool):
+    """`_bin_stats`' sweep of the pair sums of two tables, A's (sums, counts) and B's, whose
+    pair sums lie in [0, total], in windows of at most `cap` pairs."""
     unit = a_counts.max() == 1 == b_counts.max()  # every sum of A and B has one subset
-    beta = distinct = l2 = 0
+    beta = distinct = 0
+    l2 = 0 if norm else None
     lo, start = 0, np.zeros(a_sums.size, dtype=np.intp)  # no pair sum is negative
     width = max(1, (total + 1) * cap // (a_sums.size * b_sums.size))
     while lo <= total:
@@ -322,9 +369,10 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None) -> tuple[int,
                 del order
                 runs = np.add.reduceat(counts, _run_starts(sums))
                 del sums, counts
-            w_beta, w_distinct, w_l2 = _run_totals(runs, exact)
+            beta, distinct = max(beta, int(runs.max())), distinct + runs.size
+            if norm:
+                l2 += _square_sum(runs, exact)
             del runs  # before the next window's pairs are made
-            beta, distinct, l2 = max(beta, w_beta), distinct + w_distinct, l2 + w_l2
         # the next window holds about 9/10 of `cap` rows at this window's density
         width = max(1, (hi - lo) * 9 * cap // (10 * max(rows, 1)))
         lo, start = hi, stop
@@ -333,13 +381,14 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None) -> tuple[int,
 
 def max_bin(instance: Instance, subset_mask: int | None = None) -> int:
     """beta(w) over the subset: the largest number of subsets sharing one sum."""
-    return _bin_stats(instance, subset_mask)[0]
+    return _bin_stats(instance, subset_mask, norm=False)[0]
 
 
 def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
-    """|w(2^S)|, counted by `_bin_stats`: work scales with the answer, or with the
-    pairs of two half tables' sums past _WINDOW_ROWS of them."""
-    return _bin_stats(instance, subset_mask)[1]
+    """|w(2^S)|, counted by `_bin_stats`: its work follows the answer, or, where the
+    block is swept, the pairs of two half tables' sums, at most _PAIR_FACTOR times a
+    bound on the answer unless the table would pass the memory limit."""
+    return _bin_stats(instance, subset_mask, norm=False)[1]
 
 
 def all_subset_sums(instance: Instance) -> np.ndarray:

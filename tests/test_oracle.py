@@ -313,9 +313,10 @@ def _table_stats(inst, subset=None):
 
 @pytest.mark.parametrize("window_rows", [8, 64])
 def test_bin_stats_match_the_table_on_the_verify_corpus(monkeypatch, window_rows):
-    # with _WINDOW_ROWS this small, every block of more than a few sums is swept
-    # in many windows of pair sums
+    # with _WINDOW_ROWS this small and no pair count too large, every block of more
+    # than a few sums is swept in many windows of pair sums, sum-poor ones too
     monkeypatch.setattr(oracle, "_WINDOW_ROWS", window_rows)
+    monkeypatch.setattr(oracle, "_PAIR_FACTOR", 1 << 62)
     for name, inst in _verify_corpus(18, RandomSource(0)):
         assert _bin_stats(inst) == _table_stats(inst), name
 
@@ -326,8 +327,9 @@ def test_bin_stats_match_the_table_on_subset_masks(monkeypatch):
              for inst in (gen_random_density(n, 1, rng.split(f"subset:{n}")), gen_geometric_pairs(n))
              for _ in range(3)]
     cases.append((gen_super_increasing(20), (1 << 20) - 2))  # 2^19 sums: past _WINDOW_ROWS
-    for window_rows in (oracle._WINDOW_ROWS, 8):
+    for window_rows, pair_factor in ((oracle._WINDOW_ROWS, oracle._PAIR_FACTOR), (8, 1 << 62)):
         monkeypatch.setattr(oracle, "_WINDOW_ROWS", window_rows)
+        monkeypatch.setattr(oracle, "_PAIR_FACTOR", pair_factor)
         for inst, subset in cases:
             assert _bin_stats(inst, subset) == _table_stats(inst, subset)
         assert _bin_stats(gen_random_density(8, 1, rng), 0) == (1, 1, 1)  # the empty block
@@ -339,16 +341,71 @@ def test_bin_stats_past_int64_are_exact(monkeypatch):
     want = (math.comb(70, 35), 71, math.comb(140, 70))
     assert _bin_stats(gen_all_equal(70)) == want
     monkeypatch.setattr(oracle, "_WINDOW_ROWS", 8)
+    monkeypatch.setattr(oracle, "_PAIR_FACTOR", 1 << 62)  # 36^2 pairs, 71 sums
     assert _bin_stats(gen_all_equal(70)) == want
 
 
 @pytest.mark.parametrize("bits", [200, 1000])
-def test_bin_stats_on_python_int_sums(bits):
-    # 2^17 subsets, past _WINDOW_ROWS: Python-int windows over half tables whose sums
-    # have one subset each (distinct powers) and many (repeated offsets)
+def test_bin_stats_on_python_int_sums(monkeypatch, bits):
+    # 2^17 subsets: Python-int windows over half tables whose sums have one subset each
+    # (distinct powers, 2^17 sums) and many (repeated offsets, 750 sums, swept only
+    # because the rule is patched to sweep every block of more than 8 sums)
+    monkeypatch.setattr(oracle, "_WINDOW_ROWS", 8)
+    monkeypatch.setattr(oracle, "_PAIR_FACTOR", 1 << 62)
     for offsets in ([1 << i for i in range(17)], [i % 4 for i in range(17)]):
         inst = Instance(tuple((1 << bits) + x for x in offsets), 1)
         assert _bin_stats(inst) == _table_stats(inst)
+
+
+def test_bin_stats_skip_the_norm_unless_asked(monkeypatch):
+    # max_bin, distinct_sums and classify read beta and the distinct count alone
+    cases = [gen_super_increasing(18), gen_geometric_pairs(22), gen_all_equal(70)]
+    want = [_bin_stats(inst)[:2] for inst in cases]
+
+    def unread(counts, exact):
+        raise AssertionError("the norm was computed")
+
+    monkeypatch.setattr(oracle, "_square_sum", unread)
+    assert [_bin_stats(inst, norm=False) for inst in cases] == [(*w, None) for w in want]
+
+
+def test_sum_poor_blocks_keep_their_table():
+    # density 4, n = 48: about 10^5 sums but 2.4 * 10^9 pairs of the halves' sums, a
+    # sweep of minutes where the table takes a tenth of a second; at n = 60, 2^20 sums
+    # and 2^38 pairs. The rule reads the weights alone, before anything is built.
+    for n in (48, 60):
+        inst = gen_random_density(n, 4, RandomSource(n))
+        assert not oracle._sweeps(inst.weights, range(n), np.int64), n
+    assert _bin_stats(inst := gen_random_density(48, 4, RandomSource(48))) == _table_stats(inst)
+
+
+def test_a_table_past_the_limit_is_swept(monkeypatch):
+    # density 1.5, n = 22: 2^22 pairs and at most about 2.9 * 10^5 sums, so the table
+    # does less work; under a limit its last merge would pass, the windows run instead
+    inst = gen_random_density(22, 1.5, RandomSource(22))
+    idx = list(range(22))
+    assert not oracle._sweeps(inst.weights, idx, np.int64)
+    want = _table_stats(inst)
+    table = oracle._FIXED_BYTES + 2 * oracle._sums_bound(inst.weights) * 57
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(table >> 20))
+    assert oracle._sweeps(inst.weights, idx, np.int64)
+    assert _bin_stats(inst) == want
+
+
+def test_sweeps_past_the_pair_budget_build_the_table(monkeypatch):
+    # a sweep of more than 2^ENUM_LIMIT pairs is not run: the table is built instead,
+    # and refused where it does not fit, as density-1 blocks past n = 26 are at 512 MB
+    monkeypatch.setattr(oracle, "ENUM_LIMIT", 16)
+
+    def unswept(*args):
+        raise AssertionError("the pairs were swept")
+
+    monkeypatch.setattr(oracle, "_window_stats", unswept)
+    inst = gen_super_increasing(18)  # 2^18 pairs of two tables of 2^9 sums
+    assert _bin_stats(inst) == (1, 1 << 18, 1 << 18)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "10")  # its last merge is charged 15 MB
+    with pytest.raises(CapacityError, match="subset-sum table"):
+        _bin_stats(inst)
 
 
 def _bin_stats_case(kind, n):
