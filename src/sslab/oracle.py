@@ -275,7 +275,10 @@ def _sweeps(weights: Sequence[int], indices: Sequence[int], dtype) -> bool:
     the table's last merge, charged at `rows`, would pass the memory limit. A sum-poor
     block keeps its table: density-4 n = 60 has about 2^20 sums but 2^38 pairs.
     """
-    rows = _sums_bound([weights[i] for i in indices])
+    block = [weights[i] for i in indices]
+    if min(1 << len(block), sum(block) + 1) <= _WINDOW_ROWS:  # the bound's cheap half first
+        return False
+    rows = _sums_bound(block)
     if rows <= _WINDOW_ROWS:
         return False
     h = len(indices) // 2
@@ -301,7 +304,7 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
     is not run: the block's table is built instead, and refused where it does not fit.
     """
     idx, dtype = _block(instance, subset_mask)
-    exact = _table_dtype((), 4 ** len(idx)) is object  # the norm is at most 4^|S|
+    exact = len(idx) > 30  # the norm is at most 4^|S|, which int64 holds up to |S| = 30
     if _sweeps(instance.weights, idx, dtype):
         total = sum(instance.weights[i] for i in idx)
         # a pair row at a window's peak holds its two rows, its sum, its count product and one
