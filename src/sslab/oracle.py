@@ -296,7 +296,7 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
     floor(|S|/2) items, A, and the rest, B, and the pair sums a + b of their tables are
     swept in windows [lo, hi) of ascending value, as Schroeppel-Shamir sweeps them, in
     O(|A| + |B| + cap) memory. A window holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|)
-    pairs: one over it is cut to the first half of the pair sums' span in it, and one of
+    pairs, or all |A||B| where they are fewer: one over it is cut to the first half of the pair sums' span in it, and one of
     a single value holds at most one pair per a-row, since B's sums are distinct. Every
     sum falls in one window, so each window's runs of equal pair sums, their count
     products summed, are whole bins. The windows are charged before the first is made.
@@ -324,7 +324,7 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
         a_sums, a_counts = _sum_table(instance.weights, idx[:h], dtype)[:2]
         b_sums, b_counts = _sum_table(instance.weights, idx[h:], dtype, a_sums.size * half_row)[:2]
         if a_sums.size * b_sums.size <= 1 << ENUM_LIMIT:
-            cap = max(_WINDOW_ROWS, 8 * a_sums.size, 8 * b_sums.size)
+            cap = min(max(_WINDOW_ROWS, 8 * a_sums.size, 8 * b_sums.size), a_sums.size * b_sums.size)
             check_bytes(_FIXED_BYTES + (a_sums.size + b_sums.size) * half_row + cap * pair_row,
                         f"windows of {cap} pair sums over two tables of {a_sums.size} and {b_sums.size} rows")
             return _window_stats(a_sums, a_counts, b_sums, b_counts, total, cap, norm, exact)

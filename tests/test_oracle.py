@@ -390,6 +390,10 @@ def test_a_table_past_the_limit_is_swept(monkeypatch):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(table >> 20))
     assert oracle._sweeps(inst.weights, idx, np.int64)
     assert _bin_stats(inst) == want
+    # 17 multiples of 1000 may have 2^17 sums by the weights, but have 154, from two halves of
+    # 37 and 100: the sweep's windows hold its 3,700 pairs, not 2^16, so 1 MB admits it
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    assert distinct_sums(_bin_stats_case("multiples", 17)) == 154
 
 
 def test_sweeps_past_the_pair_budget_build_the_table(monkeypatch):
@@ -413,11 +417,13 @@ def _bin_stats_case(kind, n):
         return gen_super_increasing(n)
     if kind == "geometric":  # half sums with many subsets: the windows sort their counts too
         return gen_geometric_pairs(n)
+    if kind == "multiples":  # 2^n subsets but few pairs: one window of all of them
+        return Instance(tuple(1000 * (i + 1) for i in range(n)), 1)
     return _wide_super_increasing(n, kind)
 
 
 @pytest.mark.parametrize("kind, n", [("superinc", 18), ("superinc", 20), ("superinc", 22), ("geometric", 22),
-                                     (63, 18), (63, 20), (200, 18), (1000, 18)])
+                                     ("multiples", 17), (63, 18), (63, 20), (200, 18), (1000, 18)])
 def test_bin_stats_peak_stays_under_its_charge(monkeypatch, charges, kind, n):
     inst = _bin_stats_case(kind, n)
     assert _traced_peak(_bin_stats, inst) <= max(charges)
