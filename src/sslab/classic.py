@@ -25,10 +25,9 @@ from .core import (
 )
 from .numeric import random_prime
 from .oracle import (
-    SumTable,
     _dense_sums,
     _join_bytes,
-    _run_rows,
+    _pair_windows,
     _sorted,
     _sorted_join,
     _sum_table,
@@ -123,33 +122,27 @@ def meet_in_middle(instance: Instance) -> SolverOutcome:
 # ---------------------------------------------------------------------------
 # four-way split, windows of pair sums
 
-def _pair_rows(a: SumTable, b: SumTable, start: np.ndarray, stop: np.ndarray):
-    """The pairs (a-row i, b-row j) with start[i] <= j < stop[i], a-row major: (sums, masks)."""
-    i, j = _run_rows(start, stop)
-    return a.sums[i] + b.sums[j], a.masks[i] | b.masks[j]
-
-
 def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     """Same decision as meet_in_middle in O*(2^(n/2)) time and O*(2^(n/4)) memory, as
-    Schroeppel and Shamir: the pair sums a+b of quarters 1, 2 are swept in order of value,
-    in windows [lo, hi) from 0 up to t, and each window is joined to the c+d of quarters
-    3, 4 in (t-hi, t-lo], so every solution meets in exactly one window. A window holds at
-    most `cap` rows a side: one over it is halved, and one of a single value holds at most
-    one pair per a-row (c-row), since quarter sums are distinct. `sums_enumerated` =
-    `steps` = quarter rows + pair rows built up to the hit; `peak_retained_sums` = quarter
-    rows + the largest left and right windows held at once; `pairs_checked` = right rows
-    hit. The witness need not be the smallest solution."""
+    Schroeppel and Shamir: `oracle._pair_windows` sweeps the pair sums a+b of quarters 1,
+    2 in windows [lo, hi) of value from 0 up to t, and with them the (t-c)+(-d) of the
+    reversed quarters 3, 4, so each window's a+b are joined to the c+d in (t-hi, t-lo] and
+    every solution meets in exactly one window. A window holds at most `cap` rows a side.
+    `sums_enumerated` = `steps` = quarter rows + pair rows built up to the hit;
+    `peak_retained_sums` = quarter rows + the largest left and right windows held at once;
+    `pairs_checked` = right rows hit. The witness need not be the smallest solution."""
     n, t = instance.n, instance.target
     sizes = [(n + 3 - k) // 4 for k in range(4)]  # quarter k holds items k, k+4, k+8, ...
     retain = math.floor(8 * 2 ** (n / 4))
     dtype = _table_dtype(instance.weights, t, mask_bits=n)
     # what a dense quarter row and a window row peak at, measured with tracemalloc at n >= 24;
-    # with Python ints, plus the widths of the ints a row holds: one a quarter row (its sum),
-    # up to two a window row (a pair sum and, on the right, t minus it). A window row covers
-    # its join's bitmap too: in a fresh process per case, at target + 1 of a planted instance,
-    # a solve peaked at most at 0.65 of this charge with int64 sums at n = 24-40 and 0.48 at
-    # n = 44-54, and at 0.86, 0.80 and 0.60 with 63, 200 and 1000-bit weights at n = 24-40;
-    # at n = 53, where windows pass 2^14 rows a side, at 0.77 and 0.57 with 63 and 1000 bits
+    # with Python ints, plus the widths of the ints a row holds: one a quarter row (its sum;
+    # quarters 3 and 4 also hold t minus theirs and their negation for the right side's
+    # sweep), up to two a window row (a pair sum and, on the right, t minus it). A window row
+    # covers its join's bitmap too: in a fresh process per case, at target + 1 of a planted
+    # instance, a solve peaked at most at 0.80 of this charge with int64 sums and at 0.82,
+    # 0.79 and 0.64 with 63, 200 and 1000-bit weights at n = 24-40, and at 0.72 with int64
+    # sums at n = 44-52
     wide = _wide_sum_bytes(max(instance.total(), t))
     q_row, window_row = (144 + wide, 80 + 2 * wide) if dtype is object else (64, 40)
     charge = sum(1 << s for s in sizes) * q_row + max(retain // 2, 1 << sizes[0]) * 2 * window_row
@@ -160,35 +153,19 @@ def schroeppel_shamir(instance: Instance) -> SolverOutcome:
     cap = max((retain - rows) // 2, q1.sums.size, q2.sums.size, q3.sums.size, q4.sums.size)
     meter = StepMeter(keys=CLASSIC_COUNTERS)
     meter.add(rows, "sums_enumerated")
-
-    def bounds(x: int):
-        """Per a-row, the b-rows with a+b < x; per c-row, the d-rows with c+d <= t-x."""
-        return (np.searchsorted(q2.sums, x - q1.sums),
-                np.searchsorted(q4.sums, (t - x) - q3.sums, "right"))
-
-    lo, (l_lo, r_lo) = 0, bounds(0)
-    width = max(1, (t + 1) * cap // max(q1.sums.size * q2.sums.size, q3.sums.size * q4.sums.size))
     peak = rows
-    while lo <= t:
-        hi = min(lo + width, t + 1)
-        l_hi, r_hi = bounds(hi)
-        n_l, n_r = int(np.sum(l_hi - l_lo)), int(np.sum(r_lo - r_hi))
-        if n_l and n_r and max(n_l, n_r) > cap:  # so hi - lo > 1: one value holds <= cap rows
-            width = (hi - lo) // 2
-            continue
-        if n_l and n_r:
-            l_sums, l_masks = _pair_rows(q1, q2, l_lo, l_hi)
-            r_sums, r_masks = _pair_rows(q3, q4, r_hi, r_lo)
-            meter.add(l_sums.size + r_sums.size, "sums_enumerated")
-            peak = max(peak, rows + l_sums.size + r_sums.size)
-            hits, r_row = _sorted_join(_sorted(l_sums), r_sums, t)
-            if hits:
-                meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
-                l_row = np.flatnonzero(l_sums == t - r_sums[r_row])[0]
-                return verified_outcome(instance, int(l_masks[l_row]) | int(r_masks[r_row]), meter.cost)
-        # the next window holds about 9/10 of `cap` rows at this window's density
-        width = max(1, (hi - lo) * 9 * cap // (10 * max(n_l, n_r, 1)))
-        lo, l_lo, r_lo = hi, l_hi, r_hi
+    for (i, j), (k, m) in _pair_windows(((q1.sums, q2.sums), (t - q3.sums[::-1], -q4.sums[::-1])), t, cap):
+        l_sums = q1.sums[i] + q2.sums[j]
+        k, m = -1 - k[::-1], -1 - m[::-1]  # the rows of q3 and q4, c-row major as the left's
+        r_sums = q3.sums[k] + q4.sums[m]
+        meter.add(l_sums.size + r_sums.size, "sums_enumerated")
+        peak = max(peak, rows + l_sums.size + r_sums.size)
+        hits, r_row = _sorted_join(_sorted(l_sums), r_sums, t)
+        if hits:
+            meter.counters.update(peak_retained_sums=peak, pairs_checked=hits)
+            l_row = np.flatnonzero(l_sums == t - r_sums[r_row])[0]
+            mask = q1.masks[i[l_row]] | q2.masks[j[l_row]] | q3.masks[k[r_row]] | q4.masks[m[r_row]]
+            return verified_outcome(instance, int(mask), meter.cost)
     meter.counters["peak_retained_sums"] = peak
     return SolverOutcome(cost=meter.cost)
 

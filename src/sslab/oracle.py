@@ -15,7 +15,9 @@ It builds the block's table, unless `_sweeps` finds the table may pass
 _WINDOW_ROWS rows and the pair sums of two half tables no more than
 _PAIR_FACTOR times as many, or the table past the memory limit: then it sweeps
 those pair sums in windows of ascending value, in the memory of the halves and
-one window, not of the 2^|S| sums. Values live in int64 arrays while
+one window, not of the 2^|S| sums. `_pair_windows` is that one sweep, of the
+pair sums of one or more pairs of sorted lists, for the fold and for
+`classic.schroeppel_shamir`'s join alike. Values live in int64 arrays while
 every sum and mask fits; otherwise the same code runs on object arrays of Python
 ints. `_table_dtype` alone makes that choice.
 """
@@ -156,6 +158,34 @@ def _run_rows(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return i, j
 
 
+def _pair_windows(sides, top: int, cap: int):
+    """Sweep the pair sums a + b of each side, a pair (A, B) of ascending arrays of sums with
+    B's distinct, over [0, top] in windows [lo, hi) of ascending value. For each window where
+    every side holds a pair, yield per side `_run_rows`' (a-rows, b-rows) of its pairs there.
+    A side holds at most `cap` >= |A| pairs a window: an overfull window is cut to the span of
+    the pair sums it holds and halved, so sums that cluster far apart (wide weights with one
+    high part) take no halving per bit, and one of a single value holds at most one pair per
+    a-row. The next window holds about 9/10 of `cap` rows at the last one's density."""
+    lo, starts = 0, [b.searchsorted(-a) for a, b in sides]
+    width = max(1, (top + 1) * cap // max(a.size * b.size for a, b in sides))
+    while lo <= top:
+        hi = min(lo + width, top + 1)
+        stops = [b.searchsorted(hi - a) for a, b in sides]
+        rows = [int((e - s).sum()) for s, e in zip(starts, stops)]
+        if min(rows) and max(rows) > cap:  # so the window holds two values
+            first, last = top, lo  # no pair sum lies in [lo, first): `starts` holds
+            for (a, b), s, e in zip(sides, starts, stops):
+                paired = e > s
+                first = min(first, int((a[paired] + b[s[paired]]).min()))
+                last = max(last, int((a[paired] + b[e[paired] - 1]).max()))
+            lo, width = first, (last + 1 - first) // 2
+            continue
+        if min(rows):
+            yield [_run_rows(s, e) for s, e in zip(starts, stops)]
+        width = max(1, (hi - lo) * 9 * cap // (10 * max(max(rows), 1)))
+        lo, starts = hi, stops
+
+
 def _sorted(values: np.ndarray) -> np.ndarray:
     """A sorted copy of `values`. Python's list sort orders Python ints about twice as
     fast as numpy orders an object array, so an object array is sorted as a list."""
@@ -293,13 +323,12 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
     when None); the last is None, and not computed, unless `norm`.
 
     A block is one table unless `_sweeps` picks windows. Then it is split into its first
-    floor(|S|/2) items, A, and the rest, B, and the pair sums a + b of their tables are
-    swept in windows [lo, hi) of ascending value, as Schroeppel-Shamir sweeps them, in
+    floor(|S|/2) items, A, and the rest, B, and `_pair_windows`, the sweep Schroeppel-Shamir
+    runs, cuts the pair sums a + b of their tables into windows of ascending value, in
     O(|A| + |B| + cap) memory. A window holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|)
-    pairs, or all |A||B| where they are fewer: one over it is cut to the first half of the pair sums' span in it, and one of
-    a single value holds at most one pair per a-row, since B's sums are distinct. Every
-    sum falls in one window, so each window's runs of equal pair sums, their count
-    products summed, are whole bins. The windows are charged before the first is made.
+    pairs, or all |A||B| where they are fewer. Every sum falls in one window, so each
+    window's runs of equal pair sums, their count products summed, are whole bins. The
+    windows are charged before the first is made.
     A sweep of more than 2^ENUM_LIMIT pairs, as many as the subsets brute_solve scans,
     is not run: the block's table is built instead, and refused where it does not fit.
     """
@@ -334,51 +363,34 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
 
 
 def _window_stats(a_sums, a_counts, b_sums, b_counts, total: int, cap: int, norm: bool, exact: bool):
-    """`_bin_stats`' sweep of the pair sums of two tables, A's (sums, counts) and B's, whose
-    pair sums lie in [0, total], in windows of at most `cap` pairs."""
+    """`_bin_stats`' fold of the pair sums of two tables, A's (sums, counts) and B's, whose
+    pair sums lie in [0, total], over `_pair_windows`' windows of at most `cap` pairs."""
     unit = a_counts.max() == 1 == b_counts.max()  # every sum of A and B has one subset
     beta = distinct = 0
     l2 = 0 if norm else None
-    lo, start = 0, np.zeros(a_sums.size, dtype=np.intp)  # no pair sum is negative
-    width = max(1, (total + 1) * cap // (a_sums.size * b_sums.size))
-    while lo <= total:
-        hi = min(lo + width, total + 1)
-        stop = np.searchsorted(b_sums, hi - a_sums)
-        rows = int(np.sum(stop - start))
-        if rows > cap:  # so the window holds two values: one holds at most |A| <= cap pairs
-            # halve the span from its first pair sum to its last, not [lo, hi): sums that
-            # cluster far apart (wide weights with one high part) take no halving per bit
-            paired = stop > start
-            a_paired = a_sums[paired]
-            lo = int((a_paired + b_sums[start[paired]]).min())  # no pair sum lies in [lo, first): start holds
-            width = (int((a_paired + b_sums[stop[paired] - 1]).max()) + 1 - lo) // 2
-            continue
-        if rows:
-            i, j = _run_rows(start, stop)
-            sums = a_sums[i]
-            sums += b_sums[j]
-            if unit:  # a bin's size is its run's length, and a sort without its order is faster
-                del i, j
-                starts = _run_starts(_sorted(sums))
-                del sums
-                runs = np.diff(starts, append=rows)
-                del starts
-            else:
-                counts = a_counts[i]
-                counts *= b_counts[j]
-                del i, j
-                order = np.argsort(sums)
-                sums, counts = sums[order], counts[order]
-                del order
-                runs = np.add.reduceat(counts, _run_starts(sums))
-                del sums, counts
-            beta, distinct = max(beta, int(runs.max())), distinct + runs.size
-            if norm:
-                l2 += _square_sum(runs, exact)
-            del runs  # before the next window's pairs are made
-        # the next window holds about 9/10 of `cap` rows at this window's density
-        width = max(1, (hi - lo) * 9 * cap // (10 * max(rows, 1)))
-        lo, start = hi, stop
+    for (i, j), in _pair_windows(((a_sums, b_sums),), total, cap):
+        rows = i.size
+        sums = a_sums[i]
+        sums += b_sums[j]
+        if unit:  # a bin's size is its run's length, and a sort without its order is faster
+            del i, j
+            starts = _run_starts(_sorted(sums))
+            del sums
+            runs = np.diff(starts, append=rows)
+            del starts
+        else:
+            counts = a_counts[i]
+            counts *= b_counts[j]
+            del i, j
+            order = np.argsort(sums)
+            sums, counts = sums[order], counts[order]
+            del order
+            runs = np.add.reduceat(counts, _run_starts(sums))
+            del sums, counts
+        beta, distinct = max(beta, int(runs.max())), distinct + runs.size
+        if norm:
+            l2 += _square_sum(runs, exact)
+        del runs  # before the next window's pairs are made
     return beta, distinct, l2
 
 

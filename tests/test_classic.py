@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -146,12 +147,13 @@ def test_schroeppel_shamir_frozen_and_peak():
     assert out.cost["peak_retained_sums"] <= 8 * 2 ** (12 / 4)
 
 
-def _ss_modulus(n):
+def _ss_factor(n):
+    """The least prime at or above 2^ceil(n/4), about the size of a quarter's table."""
     return next(p for p in range(max(2, 1 << -(-n // 4)), 1 << 16) if is_prime(p))
 
 
 def _ss_big_int(rng):
-    # weights past 2^62 and targets past 2^62: residues come from object arrays
+    # weights past 2^62 and targets past 2^62: the quarters, windows and joins hold Python ints
     for k in range(12):
         n = rng.randint(2, 12)
         weights = tuple((1 << rng.randint(62, 90)) + rng.randint(0, 1000) for _ in range(n))
@@ -160,9 +162,10 @@ def _ss_big_int(rng):
 
 
 def _ss_heavy_class(rng):
-    # weights all multiples of one prime near 2^(n/4): every pair sum shares that factor
+    # weights all multiples of one prime near 2^(n/4): every pair sum shares that factor, so
+    # the windows' pair sums lie that far apart, and the third target, off the multiples, meets none
     for n in range(12, 21):
-        m = _ss_modulus(n)
+        m = _ss_factor(n)
         weights = tuple(m * rng.randint(1, 1 << 12) for _ in range(n))
         mask = rng.getrandbits(n)
         for target in (mask_sum(weights, mask), mask_sum(weights, mask) + m, mask_sum(weights, mask) + 1):
@@ -210,6 +213,36 @@ def test_schroeppel_shamir_piled_up_pair_sums(inst):
     got = schroeppel_shamir(inst)
     assert got.found and mask_sum(inst.weights, got.witness) == inst.target
     assert got.cost["peak_retained_sums"] <= 8 * 2 ** (inst.n / 4)
+
+
+def _searches(fn, *args):
+    """fn(*args) and how many sorted searches it ran, counted where Python calls
+    `searchsorted`, which numpy's function of that name does through the array method."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "c_call" and getattr(arg, "__name__", None) == "searchsorted":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_schroeppel_shamir_crosses_wide_gaps_in_few_windows():
+    # weights 2^1000 + 2^i: the pair sums cluster 2^1000 apart, and no subset reaches
+    # sum // 2 + 1 (12 items would need a low part of 2^23, which one item alone has), so
+    # ss sweeps the whole range. Cutting an overfull window to the span of its pair sums
+    # crosses each of the 12 gaps in about 1000 / log2(cap) windows; halving [lo, hi) took
+    # one halving per bit of a gap, about 64,000 searches
+    weights = tuple((1 << 1000) + (1 << i) for i in range(24))
+    inst = Instance(weights, sum(weights) // 2 + 1)
+    out, searches = _searches(schroeppel_shamir, inst)
+    assert not out.found and not meet_in_middle(inst).found
+    assert searches < 6000  # under one search per two bits of the gaps
 
 
 def _traced(fn, *args):

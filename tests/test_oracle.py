@@ -447,6 +447,54 @@ def test_bin_stats_refuse_before_their_windows(monkeypatch, charges, kind):
     assert peak < sweep
 
 
+def _window_side(rng, size, low, high, dtype, unit=1):
+    """Sorted (A, B) of `size` sums each drawn from [low, high) times `unit`, B's distinct."""
+    a = sorted(unit * rng.randint(low, high - 1) for _ in range(size))
+    b = sorted({unit * rng.randint(low, high - 1) for _ in range(size)})
+    return np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+
+
+def _window_sides(kind, count):
+    """`count` sides of pair sums: int64, Python ints, or sums clustered 2^40 or 2^1000 apart."""
+    rng = RandomSource(count)
+    if kind == "int64":  # a second side runs from below 0, as ss's reversed right side does
+        return [_window_side(rng, 40, -300 * k, 400, np.int64) for k in range(count)], 600
+    if kind == "python":
+        return [_window_side(rng, 30, 0, 400, object, 1 << 190) for _ in range(count)], 1 << 200
+    sides = []
+    for k in range(count):  # a few clusters, each of one high part and a low part under 64
+        high = 1 << (40 if k else 1000)
+        a, b = (np.array([high * rng.randint(0, 3) + x for x in part.tolist()], dtype=object)
+                for part in _window_side(rng, 30, 0, 64, object))
+        sides.append((np.sort(a), np.unique(b)))
+    return sides, 4 << 1000
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("kind", ["int64", "python", "clustered"])
+def test_pair_windows_yield_each_pair_sum_once(kind, count):
+    sides, top = _window_sides(kind, count)
+    cap = max(a.size for a, _ in sides)  # the least cap: overfull windows are cut
+    pairs = [Counter(x + y for x in a.tolist() for y in b.tolist() if 0 <= x + y <= top) for a, b in sides]
+    seen = [Counter() for _ in sides]
+    last = -1
+    for window in oracle._pair_windows(sides, top, cap):
+        sums = [(a[i] + b[j]).tolist() for (a, b), (i, j) in zip(sides, window)]
+        assert all(0 < len(s) <= cap for s in sums)  # no yielded side is empty or over cap
+        lo, hi = min(map(min, sums)), max(map(max, sums))
+        assert last < lo  # windows ascend and share no value
+        for got, side, had in zip(sums, pairs, seen):
+            # a window holds every pair sum of a side inside its span
+            assert Counter(got) == Counter({v: c for v, c in side.items() if lo <= v <= hi})
+            had.update(got)
+        last = hi
+    if count == 1:  # every pair sum in [0, top] lies in one window
+        assert seen == pairs
+    else:  # a value both sides hold lies in a window, so that a join there meets it
+        common = pairs[0].keys() & pairs[1].keys()
+        assert common and all(v in had for had in seen for v in common)
+
+
 def test_sumset_witness_prefers_smallest_mask():
     sums, masks = sumset_with_witness((1, 1), [0, 1])
     assert list(sums) == [0, 1, 2]
