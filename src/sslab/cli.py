@@ -15,7 +15,7 @@ from functools import partial
 from itertools import combinations
 
 from .classic import bellman_dp, meet_in_middle, modular_sampler, schroeppel_shamir
-from .combinatorics import bin_l2, bin_l2_rows, check_udcp, l2_identity_terms, udcp_from_instance
+from .combinatorics import bin_l2, bin_l2_rows, check_udcp, ternary_expansion, udcp_from_instance
 from .core import (
     BudgetExhausted,
     CapacityError,
@@ -35,9 +35,9 @@ from .core import (
     read_instance,
     write_instance,
 )
-from .dispatch import classify, measured_gamma, solve_auto, solve_large_bin, solve_small_bin
+from .dispatch import _regime_report, classify, measured_gamma, solve_auto, solve_large_bin, solve_small_bin
 from .hashing import ReductionNotApplicable, reduce_bitlength
-from .oracle import _bin_stats, max_bin
+from .oracle import _bin_stats
 from .structured import solve_few_sums, solve_many_sums
 
 _DEFAULT_SAMPLER_BUDGET = 100000
@@ -202,24 +202,25 @@ def _verify_corpus(n_max: int, rng: RandomSource):
         yield f"planted-n{n}", inst
 
 
-def _udcp(instance: Instance):
+def _udcp(instance: Instance, stats):
     pair = udcp_from_instance(instance)
     if not check_udcp(pair):
         return "pair not uniquely decodable"
-    beta, distinct, _ = _bin_stats(instance, norm=False)  # |w(2^[n])| and beta, not from the extraction's table
+    beta, distinct, _ = stats(instance)  # |w(2^[n])| and beta, not from the extraction's table
     if pair.a_masks.size != distinct or pair.b_masks.size != beta:
         return "extracted sizes mismatch"
     return None
 
 
-def _l2identity(instance: Instance):
-    lhs, rhs = l2_identity_terms(instance)
+def _l2identity(instance: Instance, stats):
+    rhs = ternary_expansion(instance)
+    lhs = stats(instance)[2]
     return None if lhs == rhs else f"bin_l2 {lhs} != ternary expansion {rhs}"
 
 
-def _cauchyschwarz(instance: Instance):
+def _cauchyschwarz(instance: Instance, stats):
     n = instance.n
-    beta = max_bin(instance)
+    beta = stats(instance)[0]
     half = n // 2
     if n <= 10:
         # a split and its complement give one product: for even n, check only the
@@ -238,14 +239,16 @@ def _cauchyschwarz(instance: Instance):
     return None
 
 
-def _sumsvsbin(instance: Instance):
-    report = classify(instance)
+def _sumsvsbin(instance: Instance, stats):
+    beta, distinct, _ = stats(instance)
+    report = _regime_report(instance, beta, distinct)  # classify's thresholds on the shared stats
     if report.sums_vs_bin_holds:
         return None
     return f"distinct {report.distinct} rich but beta {report.beta} over bound"
 
 
-# Every check: (the smallest n it is defined on, instance -> a violation's detail or None).
+# Every check: (the smallest n it is defined on, (instance, stats) -> a violation's detail or
+# None), where stats(instance) is the instance's whole-block _bin_stats, shared by the checks.
 # An instance below the floor, or one whose tables the memory limit refuses, is skipped;
 # nothing else is. Each function reaches the library through the module's globals.
 _CHECKS = {
@@ -269,6 +272,15 @@ def _cmd_verify(args) -> int:
         raise ValueError("need --n-max >= 2: the generated corpus starts at n = 2")
     else:
         corpus = list(_verify_corpus(args.n_max, RandomSource(args.seed)))
+    norm = "l2identity" in checks  # the one check that reads the sum of count^2
+    held = {}  # id of a corpus instance -> its _bin_stats, made by the first check that reads it
+
+    def stats(instance: Instance):
+        key = id(instance)  # the corpus holds every instance until the command returns
+        if key not in held:  # a refusal raises here and stores nothing: each check retries it
+            held[key] = _bin_stats(instance, norm=norm)
+        return held[key]
+
     violations: list = []
     idle = []  # the checks that ran on no instance
     refused = []  # for each check that ran, a note of how many instances the memory limit skipped
@@ -280,7 +292,7 @@ def _cmd_verify(args) -> int:
             if instance.n < floor:
                 continue
             try:
-                detail = run(instance)
+                detail = run(instance, stats)
             except CapacityError:
                 over += 1
                 continue

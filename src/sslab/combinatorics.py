@@ -16,6 +16,8 @@ import numpy as np
 from .core import Instance, _wide_sum_bytes, check_bytes
 from .oracle import _bin_stats, _block_table, _dense_sums, _run_rows, _run_starts, _table_dtype, all_subset_sums
 
+_UDCP_BLOCK = 1 << 22  # pair sums `check_udcp` makes and deduplicates at a time
+
 
 @dataclass(frozen=True, eq=False)
 class UdcpPair:
@@ -61,16 +63,18 @@ def check_udcp(pair: UdcpPair) -> bool:
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
     dtype = _table_dtype((), 3 ** pair.n)  # int64 up to n = 39, Python ints past that
-    # a pair sum peaks at 40 bytes in the last deduplication with int64: five entries (the
-    # blocks' distinct sums, their concatenation, its sorted copy, the run starts and the
-    # sums they pick); with Python ints, measured with tracemalloc in a fresh process at
-    # n = 40-90, at most 73 bytes, plus the width of the one sum it holds
+    # a pair sum peaks at 40 bytes in the last deduplication of several blocks with int64: five
+    # entries (the blocks' distinct sums, their concatenation, its sorted copy, the run starts
+    # and the sums they pick); with Python ints, measured with tracemalloc in a fresh process
+    # at n = 40-90, at most 73 bytes, plus the width of the one sum it holds. One block's
+    # distinct sums are the answer: they are not deduplicated again
     pair_bytes = 40 if dtype is np.int64 else 76 + _wide_sum_bytes(3 ** pair.n)
     check_bytes(na * nb * pair_bytes, f"|A|*|B| = {na * nb} pair sums")
     a, b = (_spread(masks, pair.n, dtype) for masks in (pair.a_masks, pair.b_masks))
-    block = max(1, (1 << 22) // max(1, nb))
+    block = max(1, _UDCP_BLOCK // nb)
     parts = [_distinct((a[i : i + block, None] + b[None, :]).ravel()) for i in range(0, na, block)]
-    return int(_distinct(np.concatenate(parts)).size) == na * nb
+    sums = parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
+    return int(sums.size) == na * nb
 
 
 def udcp_from_instance(instance: Instance) -> UdcpPair:
@@ -183,7 +187,13 @@ def zero_ternary_counts_by_l1(instance: Instance) -> list[int]:
     return out.tolist()
 
 
+def ternary_expansion(instance: Instance) -> int:
+    """sum over k of counts[k] * 2^(n-k), counts = zero_ternary_counts_by_l1: the side of
+    the norm identity that equals bin_l2 without reading the bins."""
+    return sum(c << (instance.n - k) for k, c in enumerate(zero_ternary_counts_by_l1(instance)))
+
+
 def l2_identity_terms(instance: Instance) -> tuple[int, int]:
-    """(bin_l2, sum over k of counts[k] * 2^(n-k)): the two sides of the norm identity."""
-    rhs = sum(c << (instance.n - k) for k, c in enumerate(zero_ternary_counts_by_l1(instance)))
+    """(bin_l2, ternary_expansion): the two sides of the norm identity."""
+    rhs = ternary_expansion(instance)
     return bin_l2(instance), rhs

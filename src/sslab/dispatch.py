@@ -163,10 +163,16 @@ def classify(instance: Instance) -> RegimeReport:
     """Measure beta and |w(2^[n])| and evaluate the regime thresholds exactly
     (integer powers, no floating-point exponent compares).
     """
-    n = instance.n
-    if n < 1:
+    if instance.n < 1:
         raise ValueError("classification needs n >= 1")
     beta, ds, _ = _bin_stats(instance, norm=False)
+    return _regime_report(instance, beta, ds)
+
+
+def _regime_report(instance: Instance, beta: int, ds: int) -> RegimeReport:
+    """classify's report of an instance of n >= 1 items from its measured beta and
+    |w(2^[n])|, which `verify sumsvsbin` passes from the statistics its checks share."""
+    n = instance.n
     try:
         dens = density(instance)
     except ValueError:

@@ -165,7 +165,9 @@ def _pair_windows(sides, top: int, cap: int):
     A side holds at most `cap` >= |A| pairs a window: an overfull window is cut to the span of
     the pair sums it holds and halved, so sums that cluster far apart (wide weights with one
     high part) take no halving per bit, and one of a single value holds at most one pair per
-    a-row. The next window holds about 9/10 of `cap` rows at the last one's density."""
+    a-row. The next window holds about 9/10 of `cap` rows at the last one's density; after a
+    window where no side holds a pair, it keeps that width but starts at the least pair sum
+    past it, so a gap between clusters costs one window however wide it is."""
     lo, starts = 0, [b.searchsorted(-a) for a, b in sides]
     width = max(1, (top + 1) * cap // max(a.size * b.size for a, b in sides))
     while lo <= top:
@@ -180,9 +182,13 @@ def _pair_windows(sides, top: int, cap: int):
                 last = max(last, int((a[paired] + b[e[paired] - 1]).max()))
             lo, width = first, (last + 1 - first) // 2
             continue
+        if not max(rows):  # no side holds a pair: move to the least pair sum past hi
+            ahead = [a[e < b.size] + b[e[e < b.size]] for (a, b), e in zip(sides, stops)]
+            lo, starts = min((int(x.min()) for x in ahead if x.size), default=top + 1), stops
+            continue
         if min(rows):
             yield [_run_rows(s, e) for s, e in zip(starts, stops)]
-        width = max(1, (hi - lo) * 9 * cap // (10 * max(max(rows), 1)))
+        width = max(1, (hi - lo) * 9 * cap // (10 * max(rows)))
         lo, starts = hi, stops
 
 

@@ -235,14 +235,27 @@ def _searches(fn, *args):
 def test_schroeppel_shamir_crosses_wide_gaps_in_few_windows():
     # weights 2^1000 + 2^i: the pair sums cluster 2^1000 apart, and no subset reaches
     # sum // 2 + 1 (12 items would need a low part of 2^23, which one item alone has), so
-    # ss sweeps the whole range. Cutting an overfull window to the span of its pair sums
-    # crosses each of the 12 gaps in about 1000 / log2(cap) windows; halving [lo, hi) took
-    # one halving per bit of a gap, about 64,000 searches
+    # ss sweeps the whole range. An overfull window is cut to the span of its pair sums;
+    # halving [lo, hi) took one halving per bit of a gap, about 64,000 searches
     weights = tuple((1 << 1000) + (1 << i) for i in range(24))
     inst = Instance(weights, sum(weights) // 2 + 1)
     out, searches = _searches(schroeppel_shamir, inst)
     assert not out.found and not meet_in_middle(inst).found
     assert searches < 6000  # under one search per two bits of the gaps
+
+
+def test_pair_windows_jump_the_gaps_between_clusters():
+    # the same low parts 2^i under a high part of 2^40 and of 2^1000: a window where no side
+    # holds a pair moves to the least pair sum past it, so the width of the 12 gaps between
+    # clusters costs no searches. Growing such a window 0.9 cap-fold at a time crossed each
+    # 2^1000 gap in about 1000 / log2(cap) windows: 2,301 searches against 335 at 2^40
+    searches = []
+    for high in (40, 1000):
+        weights = tuple((1 << high) + (1 << i) for i in range(24))
+        out, count = _searches(schroeppel_shamir, Instance(weights, sum(weights) // 2 + 1))
+        assert not out.found
+        searches.append(count)
+    assert searches[1] <= searches[0] < 600
 
 
 def _traced(fn, *args):

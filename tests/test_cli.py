@@ -248,7 +248,8 @@ def test_verify_cauchyschwarz_reports_the_first_violating_split(tmp_path, capsys
     beta = math.isqrt(min(products)) + 1
     first = next(i for i, p in enumerate(products) if beta * beta > p)
     assert first > 0 or n > 10  # not merely the first split
-    monkeypatch.setattr("sslab.cli.max_bin", lambda instance: beta)
+    stats = oracle._bin_stats  # the check reads beta from the stats the checks share
+    monkeypatch.setattr("sslab.cli._bin_stats", lambda instance, norm: (beta, *stats(instance, norm=norm)[1:]))
     path = tmp_path / "i.txt"
     write_instance(inst, path)
     code, lines, _ = _run(capsys, "verify", str(path), "--checks", "cauchyschwarz")
@@ -256,6 +257,39 @@ def test_verify_cauchyschwarz_reports_the_first_violating_split(tmp_path, capsys
     assert lines == [{"check": "cauchyschwarz", "instances": 1, "violations": 1},
                      {"check": "cauchyschwarz", "instance": str(path),
                       "detail": f"beta^2 {beta * beta} > {products[first]} on split {list(splits[first])}"}]
+
+
+def test_verify_computes_each_instances_bin_stats_once(tmp_path, capsys, monkeypatch):
+    # the four checks read one whole-instance _bin_stats per instance, with the norm
+    # because l2identity reads it, wherever in the library they would have built it
+    whole = []
+    stats = oracle._bin_stats
+
+    def spy(instance, subset_mask=None, norm=True):
+        if subset_mask is None:
+            whole.append((instance.weights, norm))
+        return stats(instance, subset_mask, norm)
+
+    for module in ("cli", "oracle", "combinatorics", "dispatch"):
+        monkeypatch.setattr(f"sslab.{module}._bin_stats", spy)
+    code, lines, _ = _run(capsys, "verify", "--n-max", "8", "--seed", "1")
+    assert code == 0 and [rec["instances"] for rec in lines] == [53] * 4
+    assert len(whole) == 53 and all(norm for _, norm in whole)
+    whole.clear()
+    code, lines, _ = _run(capsys, "verify", "--n-max", "8", "--seed", "1", "--checks", "udcp,sumsvsbin")
+    assert code == 0 and len(whole) == 53 and not any(norm for _, norm in whole)
+    # a refusal is not kept as a result: each check that reads the stats asks for them
+    # again and is refused again, so every line counts no instance
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    path = tmp_path / "i.txt"
+    write_instance(gen_super_increasing(20), path)
+    for checks, asked in ((("udcp", "sumsvsbin"), 1), (("sumsvsbin", "cauchyschwarz"), 2)):
+        whole.clear()
+        code, lines, err = _run(capsys, "verify", str(path), "--checks", ",".join(checks))
+        assert code == 0
+        assert lines == [{"check": c, "instances": 0, "violations": 0} for c in checks]
+        assert f"{', '.join(checks)} ran on none" in err
+        assert len(whole) == asked  # udcp's extraction is refused before it reads them
 
 
 def test_verify_skips_cauchyschwarz_past_the_batched_charge(tmp_path, capsys, monkeypatch, charges):

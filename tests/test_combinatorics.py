@@ -23,6 +23,7 @@ from sslab import (
     udcp_from_instance,
     zero_ternary_counts_by_l1,
 )
+from sslab import combinatorics
 from sslab.cli import _verify_corpus
 from sslab.combinatorics import bin_l2_rows
 from sslab.oracle import _block_table
@@ -116,6 +117,25 @@ def test_check_udcp_rejects_colliding_pair():
     # no: 0+e1 = e1+0, a genuine collision across A x B
     pair = UdcpPair(a_masks=(0, 1), b_masks=(0, 1), n=1)
     assert not check_udcp(pair)
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_check_udcp_deduplicates_across_blocks(monkeypatch, block):
+    # A = {01, 10} and B = {10, 01}: 01 + 10 = 10 + 01 is the one collision, between A's two
+    # rows, which blocks of two pair sums (one A row each) put in two blocks. A uniquely
+    # decodable pair passes whether its pair sums fill one block, deduplicated once, or
+    # several, each deduplicated and then their distinct sums together
+    dedups, dedup = [], combinatorics._distinct
+    monkeypatch.setattr(combinatorics, "_distinct", lambda values: dedups.append(values.size) or dedup(values))
+    if block is not None:
+        monkeypatch.setattr(combinatorics, "_UDCP_BLOCK", block)
+    assert not check_udcp(UdcpPair(a_masks=(1, 2), b_masks=(2, 1), n=2))
+    assert dedups == ([4] if block is None else [2, 2, 4])
+    dedups.clear()
+    pair = udcp_from_instance(gen_random_density(8, 2.0, RandomSource(4)))
+    na, nb = pair.a_masks.size, pair.b_masks.size
+    assert nb > 1 and check_udcp(pair)
+    assert dedups == ([na * nb] if block is None else [nb] * na + [na * nb])
 
 
 @pytest.mark.parametrize("n", [40, 64])
