@@ -206,7 +206,7 @@ def _udcp(instance: Instance, stats):
     pair = udcp_from_instance(instance)
     if not check_udcp(pair):
         return "pair not uniquely decodable"
-    beta, distinct, _ = stats(instance)  # |w(2^[n])| and beta, not from the extraction's table
+    beta, distinct, _ = stats(instance)  # |w(2^[n])| and beta, not from the extraction's sort
     if pair.a_masks.size != distinct or pair.b_masks.size != beta:
         return "extracted sizes mismatch"
     return None

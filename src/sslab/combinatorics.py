@@ -14,9 +14,17 @@ from typing import Sequence
 import numpy as np
 
 from .core import Instance, _wide_sum_bytes, check_bytes
-from .oracle import _bin_stats, _block_table, _dense_sums, _run_rows, _run_starts, _table_dtype, all_subset_sums
-
-_UDCP_BLOCK = 1 << 22  # pair sums `check_udcp` makes and deduplicates at a time
+from .oracle import (
+    _FIXED_BYTES,
+    _bin_stats,
+    _dense_row_bytes,
+    _dense_sums,
+    _run_rows,
+    _run_starts,
+    _sorted,
+    _table_dtype,
+    all_subset_sums,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +60,7 @@ def _spread(masks: np.ndarray, n: int, dtype) -> np.ndarray:
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    values = np.sort(values)
+    values = _sorted(values)
     return values[_run_starts(values)]
 
 
@@ -63,37 +71,39 @@ def check_udcp(pair: UdcpPair) -> bool:
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
     dtype = _table_dtype((), 3 ** pair.n)  # int64 up to n = 39, Python ints past that
-    # a pair sum peaks at 40 bytes in the last deduplication of several blocks with int64: five
-    # entries (the blocks' distinct sums, their concatenation, its sorted copy, the run starts
-    # and the sums they pick); with Python ints, measured with tracemalloc in a fresh process
-    # at n = 40-90, at most 73 bytes, plus the width of the one sum it holds. One block's
-    # distinct sums are the answer: they are not deduplicated again
+    # a pair sum peaks at 24 bytes with int64 (its sorted copy, the run start and the sum it
+    # picks), charged 40; with Python ints, measured with tracemalloc in a fresh process at
+    # n = 40-90, at most 73 bytes, plus the width of the one sum it holds
     pair_bytes = 40 if dtype is np.int64 else 76 + _wide_sum_bytes(3 ** pair.n)
     check_bytes(na * nb * pair_bytes, f"|A|*|B| = {na * nb} pair sums")
     a, b = (_spread(masks, pair.n, dtype) for masks in (pair.a_masks, pair.b_masks))
-    block = max(1, _UDCP_BLOCK // nb)
-    parts = [_distinct((a[i : i + block, None] + b[None, :]).ravel()) for i in range(0, na, block)]
-    sums = parts[0] if len(parts) == 1 else _distinct(np.concatenate(parts))
-    return int(sums.size) == na * nb
+    return int(_distinct((a[:, None] + b[None, :]).ravel()).size) == na * nb
 
 
 def udcp_from_instance(instance: Instance) -> UdcpPair:
-    """Extract (A, B): lexicographically-smallest mask per distinct sum, and the
-    modal bin's masks (smallest modal sum on ties). |A| = |w(2^[n])|, |B| = beta."""
+    """Extract (A, B) from one sort of the 2^n dense sums, whose runs are the bins: A holds
+    each run's smallest mask, in sum order, and B the masks of the first longest run (the
+    smallest modal sum), ascending. |A| = |w(2^[n])|, |B| = beta."""
     n = instance.n
     if n < 1:
         raise ValueError("extraction needs n >= 1")
-    table = _block_table(instance)
-    modal_row = int(np.argmax(table.counts))  # first maximum = smallest modal sum
-    modal, beta, masks = table.sums[modal_row], int(table.counts[modal_row]), table.masks
-    del table  # its sums and counts go before the dense sums are made
-    # held at once (tracemalloc, fresh process, n = 14-20): a mask per distinct sum, 8 B (as a
-    # Python int 40, charged 48 for masks up to 2^62); a dense sum and its compare per subset, 9 B
-    # or 49 and the sum's width, charged a byte more; 8 B a modal mask. UdcpPair's checks take less.
-    mask_row, sum_row = (48, 50 + _wide_sum_bytes(instance.total())) if masks.dtype == object else (8, 10)
-    check_bytes(masks.size * mask_row + (sum_row << n) + beta * 8, "the UDCP extraction")
-    b_masks = np.flatnonzero(all_subset_sums(instance) == modal)  # index = mask
-    return UdcpPair(masks, b_masks, n)
+    # beside its dense row a subset holds its order, sorted sum (a pointer with Python ints) and run
+    # compare, later B's masks and UdcpPair's copies: at most 18 bytes; then the order stays and a
+    # bin holds its start, its length (and np.diff's copy) and A's mask, 24 (tracemalloc, n = 14-16)
+    check_bytes((_dense_row_bytes(instance.weights) + 18) << n, f"the sort of {1 << n} dense sums")
+    sums = all_subset_sums(instance)
+    order = np.argsort(sums)  # index = mask
+    sums = sums[order]
+    starts = _run_starts(sums)
+    del sums
+    check_bytes(_FIXED_BYTES + (8 << n) + 24 * starts.size, f"the masks of {starts.size} bins")
+    runs = np.diff(starts, append=order.size)
+    first = int(np.argmax(runs))  # first maximum = smallest modal sum
+    b_masks = np.sort(order[starts[first] : starts[first] + runs[first]])
+    del runs
+    a_masks = np.minimum.reduceat(order, starts)
+    del order, starts
+    return UdcpPair(a_masks, b_masks, n)
 
 
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:

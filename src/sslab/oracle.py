@@ -285,11 +285,6 @@ def _block(instance: Instance, subset_mask: int | None) -> tuple[list[int], obje
     return idx, _table_dtype([instance.weights[i] for i in idx], mask_bits=smask.bit_length())
 
 
-def _block_table(instance: Instance, subset_mask: int | None = None) -> SumTable:
-    """w(2^S) of the instance's block S (every item when None)."""
-    return _sum_table(instance.weights, *_block(instance, subset_mask))
-
-
 def _square_sum(counts: np.ndarray, exact: bool) -> int:
     """The sum of squares of the bin sizes `counts`: in Python ints when `exact`, as an int64 dot otherwise."""
     return sum(c * c for c in counts.tolist()) if exact else int(np.dot(counts, counts))
@@ -412,15 +407,17 @@ def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
     return _bin_stats(instance, subset_mask, norm=False)[1]
 
 
+def _dense_row_bytes(weights: Sequence[int]) -> int:
+    """A dense subset sum's charge: it peaks at 8 bytes with int64 and at 48 with Python ints of
+    at most 70 bits, plus the largest sum's width; 4 more cover brute_solve's compare of a block."""
+    return 12 if _table_dtype(weights) is np.int64 else 52 + _wide_sum_bytes(sum(weights))
+
+
 def all_subset_sums(instance: Instance) -> np.ndarray:
     """Materialized sums for every mask (index = mask). Verification helper; 2^n memory."""
     ws = instance.weights
-    dtype = _table_dtype(ws)
-    # a row peaks at 8 bytes with int64 (the sum) and at 48 with Python ints of at most 70 bits,
-    # plus the largest sum's width; 4 more a row cover brute_solve's compare of a block
-    row = 12 if dtype is np.int64 else 52 + _wide_sum_bytes(sum(ws))
-    check_bytes((1 << len(ws)) * row, f"all {1 << len(ws)} subset sums")
-    return _dense_sums(ws, dtype)
+    check_bytes((1 << len(ws)) * _dense_row_bytes(ws), f"all {1 << len(ws)} subset sums")
+    return _dense_sums(ws, _table_dtype(ws))
 
 
 def brute_solve(instance: Instance) -> SolverOutcome:
@@ -435,7 +432,7 @@ def brute_solve(instance: Instance) -> SolverOutcome:
     if t > sum(ws):
         return SolverOutcome(cost=meter.cost)
     dtype = _table_dtype(ws, t)
-    row = 12 if dtype is np.int64 else 52 + _wide_sum_bytes(sum(ws))  # as in all_subset_sums
+    row = _dense_row_bytes(ws)  # t <= sum(ws): the dtype of all_subset_sums
     check_bytes(row << min(len(ws), 1), "a one-item block of the brute-force scan")
     b = min(len(ws), _BLOCK_BITS, (memory_limit_bytes() // row).bit_length() - 1)
     low = _dense_sums(ws[:b], dtype)  # index = mask of the low b items

@@ -1,4 +1,4 @@
-"""Seeded instance corpora shared by the unit and acceptance tests."""
+"""Seeded instance corpora, and the sum table of a block, shared by the unit and acceptance tests."""
 
 from sslab import (
     Instance,
@@ -12,8 +12,14 @@ from sslab import (
     gen_super_increasing,
     mask_from_indices,
 )
+from sslab.oracle import _block, _sum_table
 
 DENSITIES = (0.5, 1.0, 2.0, 4.0)
+
+
+def block_table(instance: Instance, subset_mask: int | None = None):
+    """w(2^S) of the instance's block S (every item when None), as the oracles build it."""
+    return _sum_table(instance.weights, *_block(instance, subset_mask))
 
 
 def random_corpus(count: int, seed: int, n_lo: int = 8, n_hi: int = 20):

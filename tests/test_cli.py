@@ -74,9 +74,10 @@ def test_analyze_frozen_values(tmp_path, capsys):
 
 
 def test_udcp_check_and_analyze_count_their_table_builds(tmp_path, capsys, monkeypatch):
-    # udcp: the extraction's table and the bin fold its sizes are checked against;
-    # analyze: the bin fold alone, for beta, the distinct sums and the norm. The fold
-    # is one table at n = 10, and two half tables at n = 18, past _WINDOW_ROWS sums
+    # udcp: the bin fold its sizes are checked against, as the extraction sorts the dense
+    # sums and builds no table; analyze: the bin fold alone, for beta, the distinct sums and
+    # the norm. The fold is one table at n = 10, and two half tables at n = 18, past
+    # _WINDOW_ROWS sums
     builds = []
     real = oracle._sum_table
 
@@ -90,7 +91,7 @@ def test_udcp_check_and_analyze_count_their_table_builds(tmp_path, capsys, monke
         write_instance(gen_random_density(n, 1.0, RandomSource(3)), path)
         builds.clear()
         assert _run(capsys, "verify", str(path), "--checks", "udcp")[0] == 0
-        assert len(builds) == 1 + fold
+        assert len(builds) == fold
         builds.clear()
         assert _run(capsys, "analyze", str(path), str(path))[0] == 0
         assert len(builds) == 2 * fold

@@ -10,6 +10,7 @@ from sslab import (
     Instance,
     RandomSource,
     UdcpPair,
+    all_subset_sums,
     bin_l2,
     check_udcp,
     distinct_sums,
@@ -23,10 +24,11 @@ from sslab import (
     udcp_from_instance,
     zero_ternary_counts_by_l1,
 )
-from sslab import combinatorics
+from sslab import combinatorics, oracle
 from sslab.cli import _verify_corpus
 from sslab.combinatorics import bin_l2_rows
-from sslab.oracle import _block_table
+
+from _corpus import block_table
 
 
 def test_frozen_1133_norm_and_pair():
@@ -112,6 +114,32 @@ def test_udcp_modal_bin_choice():
     assert sums == {2}
 
 
+def _table_extraction(inst):
+    # the pair read off the instance's sum table: its smallest mask per distinct sum, and
+    # every mask whose dense sum is the table's first modal one
+    table = block_table(inst)
+    modal = table.sums[int(np.argmax(table.counts))]
+    return UdcpPair(table.masks, np.flatnonzero(all_subset_sums(inst) == modal), inst.n)
+
+
+def test_udcp_extraction_matches_the_table_extraction():
+    # verify's corpus up to n = 12, zero weights (one bin of every mask), and weights of 63
+    # and 1000 bits, whose sums are Python ints
+    cases = [inst for _, inst in _verify_corpus(12, RandomSource(0))] + [Instance((0,) * 16, 1)]
+    cases += [Instance(tuple((1 << bits) + (1 << i) for i in range(14)), 1) for bits in (63, 1000)]
+    for inst in cases:
+        pair, want = udcp_from_instance(inst), _table_extraction(inst)
+        assert np.array_equal(pair.a_masks, want.a_masks) and np.array_equal(pair.b_masks, want.b_masks)
+
+
+def test_udcp_extraction_builds_no_sum_table(monkeypatch):
+    builds = []
+    monkeypatch.setattr(oracle, "_sum_table", lambda *args: builds.append(args))
+    for inst in (gen_random_density(12, 1.0, RandomSource(5)), gen_all_equal(10)):
+        assert check_udcp(udcp_from_instance(inst))
+    assert builds == []
+
+
 def test_check_udcp_rejects_colliding_pair():
     # {0, e1} + {0, e1} has 1+1 = 2 colliding with itself in one coordinate?
     # no: 0+e1 = e1+0, a genuine collision across A x B
@@ -119,23 +147,18 @@ def test_check_udcp_rejects_colliding_pair():
     assert not check_udcp(pair)
 
 
-@pytest.mark.parametrize("block", [None, 2])
-def test_check_udcp_deduplicates_across_blocks(monkeypatch, block):
+def test_check_udcp_deduplicates_once(monkeypatch):
     # A = {01, 10} and B = {10, 01}: 01 + 10 = 10 + 01 is the one collision, between A's two
-    # rows, which blocks of two pair sums (one A row each) put in two blocks. A uniquely
-    # decodable pair passes whether its pair sums fill one block, deduplicated once, or
-    # several, each deduplicated and then their distinct sums together
+    # rows. A pair's sums are deduplicated in one pass, whether or not they collide
     dedups, dedup = [], combinatorics._distinct
     monkeypatch.setattr(combinatorics, "_distinct", lambda values: dedups.append(values.size) or dedup(values))
-    if block is not None:
-        monkeypatch.setattr(combinatorics, "_UDCP_BLOCK", block)
     assert not check_udcp(UdcpPair(a_masks=(1, 2), b_masks=(2, 1), n=2))
-    assert dedups == ([4] if block is None else [2, 2, 4])
+    assert dedups == [4]
     dedups.clear()
     pair = udcp_from_instance(gen_random_density(8, 2.0, RandomSource(4)))
     na, nb = pair.a_masks.size, pair.b_masks.size
     assert nb > 1 and check_udcp(pair)
-    assert dedups == ([na * nb] if block is None else [nb] * na + [na * nb])
+    assert dedups == [na * nb]
 
 
 @pytest.mark.parametrize("n", [40, 64])
@@ -190,63 +213,56 @@ def test_udcp_memory_limit(monkeypatch):
     assert check_udcp(pair)  # 9 * 4 pair sums still fit
 
 
+def _traced_extraction(inst):
+    tracemalloc.start()
+    try:
+        udcp_from_instance(inst)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
-    # 16 zero weights: one distinct sum, but 2^16 dense sums and 2^16 modal masks, which
-    # the extraction charges 1,179,656 bytes; its table is charged less
-    zeros = Instance((0,) * 16, 1)
+    # the sort of 2^16 dense sums is charged 30 bytes a subset, 1,966,080, before it is made;
+    # then the order and each bin's start, length and mask: 532,504 bytes for the one bin of
+    # 16 zero weights, and 2,105,344 for the 2^16 bins of 16 super-increasing weights
+    zeros, rich = Instance((0,) * 16, 1), gen_super_increasing(16)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
-    with pytest.raises(CapacityError, match="UDCP extraction"):
-        udcp_from_instance(zeros)
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
-    assert udcp_from_instance(zeros).b_masks.size == 1 << 16
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "9")
-    assert len(udcp_from_instance(gen_super_increasing(16)).a_masks) == 1 << 16
-    # the charge covers what the extraction really takes, with int64 and Python-int tables
-    wide = Instance(tuple((1 << 63) + (1 << i) for i in range(14)), 1)
-    for inst, row_bytes in ((gen_super_increasing(14), 120), (wide, 152)):
-        tracemalloc.start()
-        try:
+    for inst in (zeros, rich):
+        with pytest.raises(CapacityError, match="sort of 65536 dense sums"):
             udcp_from_instance(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= row_bytes * (1 << 14)
-    # and with tables of Python ints of about 200 and 1000 bits, which the charge grows with
-    for bits in (200, 1000):
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
+    charges.clear()
+    assert udcp_from_instance(zeros).b_masks.size == 1 << 16
+    assert charges[-1] < 1 << 20  # the bins' charge follows the one bin, not the 2^16 masks
+    with pytest.raises(CapacityError, match="masks of 65536 bins"):
+        udcp_from_instance(rich)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "3")
+    for inst in (zeros, rich):
         charges.clear()
-        tracemalloc.start()
-        try:
-            udcp_from_instance(Instance(tuple((1 << bits) + (1 << i) for i in range(14)), 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= max(charges)
+        assert _traced_extraction(inst) <= max(charges)
 
 
-@pytest.mark.parametrize("case", ["equal16", "zeros14", "zeros16", "superinc14", "wide63", "wide200", "wide1000"])
+@pytest.mark.parametrize("case", ["equal16", "zeros14", "zeros16", "superinc14", "superinc16", "dense16",
+                                  "wide63", "wide200", "wide1000"])
 def test_udcp_extraction_peak_stays_under_its_charges(monkeypatch, charges, case):
     # a big modal bin (all-equal, all-zero weights) as well as many distinct sums, with
-    # int64 tables and Python-int ones; the modal masks used to go uncharged
+    # int64 sums and Python-int ones
     if case.startswith("wide"):
         inst = Instance(tuple((1 << int(case[4:])) + (1 << i) for i in range(14)), 1)
     else:
         n = int(case[-2:])
         inst = {"equal": gen_all_equal, "zeros": lambda n: Instance((0,) * n, 1),
-                "superinc": gen_super_increasing}[case[:-2]](n)
+                "superinc": gen_super_increasing,
+                "dense": lambda n: gen_random_density(n, 1.0, RandomSource(n))}[case[:-2]](n)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
-    tracemalloc.start()
-    try:
-        udcp_from_instance(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= max(charges)
+    assert _traced_extraction(inst) <= max(charges)
 
 
 def test_bin_l2_subset_restriction():
     inst = Instance(weights=(1, 1, 3, 3, 10), target=4)
     sub = 0b01111
-    counts = _block_table(inst, sub).counts.tolist()
+    counts = block_table(inst, sub).counts.tolist()
     assert bin_l2(inst, sub) == sum(c * c for c in counts) == 36
 
 

@@ -30,9 +30,8 @@ from sslab import (
 
 from sslab.classic import _mim_bytes
 from sslab.core import memory_limit_bytes
-from sslab.oracle import _block_table
 
-from _corpus import rich_no_instance
+from _corpus import block_table, rich_no_instance
 
 
 def test_exponent_peak_value():
@@ -217,7 +216,7 @@ def test_all_equal_past_26_items():
 def test_refused_classify_stays_under_the_limit(monkeypatch):
     # 2^22 distinct sums: the table's merge to 2^17 rows would peak past 4 MB, and
     # classify's windows of 2^16 pair sums past 2 MB, so each is refused first
-    for limit_mb, refused in ((4, _block_table), (2, classify)):
+    for limit_mb, refused in ((4, block_table), (2, classify)):
         monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
         tracemalloc.start()
         try:

@@ -1,9 +1,11 @@
 import pytest
 
 from sslab import (
+    CapacityError,
     Instance,
     RandomSource,
     ReductionNotApplicable,
+    all_subset_sums,
     check_reduction_properties,
     distinct_sums,
     gen_planted,
@@ -13,6 +15,7 @@ from sslab import (
     output_bound,
     reduce_bitlength,
 )
+from sslab import oracle
 
 
 def test_not_applicable_cases():
@@ -117,3 +120,29 @@ def test_multi_round_chain_applies_in_order():
             target=(work.target % p) + shift * p,
         )
     assert work == record.reduced
+
+
+def test_report_reads_its_bins_from_one_sort(monkeypatch):
+    # the counts come from a sort of the dense sums the solution check already builds:
+    # no sum table is made for them
+    inst = gen_random_density(12, 1.0, RandomSource(45))
+    record = reduce_bitlength(inst, 1024, RandomSource(46))
+    builds = []
+    monkeypatch.setattr(oracle, "_sum_table", lambda *args: builds.append(args))
+    check_reduction_properties(inst, record)
+    assert builds == []
+
+
+def test_report_charges_its_sort(monkeypatch):
+    # 2^16 dense sums are charged 786,432 bytes and their sort 2,097,152: under 1 MB the
+    # sums alone fit, and the check is refused before it sorts them
+    rng = RandomSource(47)
+    inst = gen_random_density(16, 1.0, rng)
+    record = reduce_bitlength(inst, 1 << 12, rng.split("r"))
+    want = check_reduction_properties(inst, record)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
+    assert all_subset_sums(inst).size == 1 << 16
+    with pytest.raises(CapacityError, match="sort of 65536 dense sums"):
+        check_reduction_properties(inst, record)
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "3")
+    assert check_reduction_properties(inst, record) == want

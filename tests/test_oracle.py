@@ -25,12 +25,14 @@ from sslab import (
 )
 from sslab import oracle
 from sslab.cli import _verify_corpus
-from sslab.oracle import _JOIN_BLOCK, _bin_stats, _block_table, _sorted_join
+from sslab.oracle import _JOIN_BLOCK, _bin_stats, _sorted_join
+
+from _corpus import block_table
 
 
 def _histogram(inst, subset=None):
     """The exact histogram of w(2^S), sum -> number of subsets, from the library's table."""
-    t = _block_table(inst, subset)
+    t = block_table(inst, subset)
     return dict(zip(t.sums.tolist(), t.counts.tolist()))
 
 
@@ -274,17 +276,17 @@ def test_table_check_counts_merge_peak(monkeypatch, charges):
     inst = gen_super_increasing(18)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "10")
     with pytest.raises(CapacityError):
-        _block_table(inst)
+        block_table(inst)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "15")
-    assert _block_table(inst).sums.size == 1 << 18
+    assert block_table(inst).sums.size == 1 << 18
     # the charge covers what the merge really allocates
-    peak = _traced_peak(_block_table, gen_super_increasing(16))
+    peak = _traced_peak(block_table, gen_super_increasing(16))
     assert peak <= 56 * (1 << 16) + (64 << 10)
     # also when its sums are Python ints of about 63, 200 and 1000 bits
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
     for bits in (63, 200, 1000):
         charges.clear()
-        peak = _traced_peak(_block_table, _wide_super_increasing(16, bits))
+        peak = _traced_peak(block_table, _wide_super_increasing(16, bits))
         assert peak <= max(charges)
 
 
@@ -307,7 +309,7 @@ def test_counts_past_int64_are_exact():
 
 def _table_stats(inst, subset=None):
     """(beta, distinct sums, sum of count^2) read off the whole table, in Python ints."""
-    counts = _block_table(inst, subset).counts.tolist()
+    counts = block_table(inst, subset).counts.tolist()
     return max(counts), len(counts), sum(c * c for c in counts)
 
 
