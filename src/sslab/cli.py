@@ -15,7 +15,7 @@ from functools import partial
 from itertools import combinations
 
 from .classic import bellman_dp, meet_in_middle, modular_sampler, schroeppel_shamir
-from .combinatorics import bin_l2, bin_l2_rows, check_udcp, ternary_expansion, udcp_from_instance
+from .combinatorics import bin_l2, check_udcp, ternary_expansion, udcp_from_instance
 from .core import (
     BudgetExhausted,
     CapacityError,
@@ -37,7 +37,7 @@ from .core import (
 )
 from .dispatch import _regime_report, classify, measured_gamma, solve_auto, solve_large_bin, solve_small_bin
 from .hashing import ReductionNotApplicable, reduce_bitlength
-from .oracle import _bin_stats
+from .oracle import _bin_stats, _dense_stats
 from .structured import solve_few_sums, solve_many_sums
 
 _DEFAULT_SAMPLER_BUDGET = 100000
@@ -227,9 +227,9 @@ def _cauchyschwarz(instance: Instance, stats):
         # splits that hold item 0; they come first, so the first violation is the same
         splits = [s for s in combinations(range(n), half) if n % 2 or s[0] == 0]
         others = [[i for i in range(n) if i not in s] for s in splits]
-        norms = zip(bin_l2_rows(instance, splits), bin_l2_rows(instance, others))
-    else:  # one split, on bin_l2's deduplicating tables: a half of a sum-poor instance
-        # (all-equal n = 60) has few distinct sums but far too many subsets to enumerate
+        norms = zip(*(_dense_stats(instance.weights, rows)[2].tolist() for rows in (splits, others)))
+    else:  # one split, through bin_l2, whose tables past 14 items deduplicate: a half of a
+        # sum-poor instance (all-equal n = 60) has few distinct sums but far too many subsets
         splits = [tuple(range(half))]
         s_mask = mask_from_indices(splits[0])
         norms = [(bin_l2(instance, s_mask), bin_l2(instance, full_mask(n) ^ s_mask))]

@@ -71,11 +71,11 @@ def check_udcp(pair: UdcpPair) -> bool:
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
     dtype = _table_dtype((), 3 ** pair.n)  # int64 up to n = 39, Python ints past that
-    # a pair sum peaks at 24 bytes with int64 (its sorted copy, the run start and the sum it
-    # picks), charged 40; with Python ints, measured with tracemalloc in a fresh process at
-    # n = 40-90, at most 73 bytes, plus the width of the one sum it holds
-    pair_bytes = 40 if dtype is np.int64 else 76 + _wide_sum_bytes(3 ** pair.n)
-    check_bytes(na * nb * pair_bytes, f"|A|*|B| = {na * nb} pair sums")
+    # a pair sum peaks at 24 bytes with int64 (the sum, its sorted copy, its run start), a row of A or
+    # B at 8, and both at 73 with Python ints, charged 76, plus the width of the one sum each holds
+    # (tracemalloc, fresh process, n = 20-90); 8 KB more cover numpy's fixed costs below 300 pairs
+    pair_bytes, row_bytes = (24, 8) if dtype is np.int64 else (76 + _wide_sum_bytes(3 ** pair.n),) * 2
+    check_bytes(_FIXED_BYTES + na * nb * pair_bytes + (na + nb) * row_bytes, f"|A|*|B| = {na * nb} pair sums")
     a, b = (_spread(masks, pair.n, dtype) for masks in (pair.a_masks, pair.b_masks))
     return int(_distinct((a[:, None] + b[None, :]).ravel()).size) == na * nb
 
@@ -109,46 +109,6 @@ def udcp_from_instance(instance: Instance) -> UdcpPair:
 def bin_l2(instance: Instance, subset_mask: int | None = None) -> int:
     """Exact squared l2 norm of the bin histogram: sum over sums of count^2."""
     return _bin_stats(instance, subset_mask)[2]
-
-
-def bin_l2_rows(instance: Instance, items: Sequence[Sequence[int]]) -> list[int]:
-    """bin_l2 of every row's block at once: `items` holds k rows of h item indices,
-    distinct within a row, and entry j of the result is bin_l2(instance, mask of items[j]).
-
-    The 2^h subset sums of each row are enumerated densely and sorted in place; one
-    flat pass over the k * 2^h sums finds every run of equal sums, each row's first
-    column starting one, and the runs' squared lengths are summed per row. A row
-    holds 2^h dense sums, so every norm, at most 4^h, is far inside int64.
-    """
-    if not items:
-        return []
-    k, h = len(items), len(items[0])
-    width = 1 << h
-    rows = [[instance.weights[i] for i in row] for row in items]
-    widest = max(map(sum, rows))
-    dtype = _table_dtype((), widest)
-    # a dense sum peaks at 18 bytes with int64 (the sum and its compare, then a run's start and
-    # length) and at 58 with Python ints, charged 60, plus the widest sum's width; 4 KB more
-    # cover numpy's fixed costs, which lead below h = 4 (tracemalloc, fresh process, n = 2-14
-    # with h = n // 2 and n - n // 2, int64 weights and weights of 63, 200 and 1000 bits)
-    row = 18 if dtype is np.int64 else 60 + _wide_sum_bytes(widest)
-    check_bytes(k * width * row + 4096, f"{k} rows of {width} dense sums")
-    sums = _dense_sums(np.array(rows, dtype=dtype), dtype)
-    del rows
-    sums.sort(axis=1)
-    new = np.empty((k, width), dtype=bool, order="F")  # laid out as the sums: no buffered compare
-    new[:, 0] = True  # a row's first sum starts a run, whatever the row before ends with
-    np.not_equal(sums[:, 1:], sums[:, :-1], out=new[:, 1:])
-    del sums
-    starts = np.flatnonzero(new)  # one flat pass over every row's runs
-    del new
-    firsts = np.searchsorted(starts, np.arange(0, k * width, width))  # each row's first run
-    lengths = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-    lengths[-1] = k * width - starts[-1]
-    del starts
-    lengths *= lengths
-    return np.add.reduceat(lengths, firsts).tolist()
 
 
 def _ternary_half(scaled: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ every need whose low bits no left sum shares, by a bitmap of those bits.
 `_join_bytes` is what a join holds beyond its two lists, which a caller charges
 with its own tables. `_bin_stats` folds beta, the distinct count and the sum of
 count^2 of a block that `max_bin`, `distinct_sums`, `bin_l2` and `classify` read.
-It builds the block's table, unless `_sweeps` finds the table may pass
+It reads an int64 block of at most _DENSE_ITEMS items off one sort of its dense
+sums, by `_dense_stats`, which also serves verify's batches of many such blocks.
+Any other block's table it builds, unless `_sweeps` finds the table may pass
 _WINDOW_ROWS rows and the pair sums of two half tables no more than
 _PAIR_FACTOR times as many, or the table past the memory limit: then it sweeps
 those pair sums in windows of ascending value, in the memory of the halves and
@@ -48,6 +50,7 @@ from .core import (
 ENUM_LIMIT = 26       # items brute_solve scans, which streams in constant memory
 _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
+_DENSE_ITEMS = 14     # an int64 block of at most this many items has its bins read off dense sums
 _INT64_SAFE = 1 << 62
 _JOIN_BLOCK = 1 << 16  # right rows a join filters, or scans for its first hit, at a time
 # what a sum table or a join takes beyond its rows, numpy's fixed costs in a fresh process:
@@ -83,7 +86,7 @@ def _dense_sums(weights, dtype=np.int64, coefficients: Sequence[int] = (1,)) -> 
     size = 1
     for w in columns:
         for digit, c in enumerate(coefficients, 1):
-            np.add(arr[:size], c * w, out=arr[digit * size : (digit + 1) * size])
+            np.add(arr[:size], w if c == 1 else c * w, out=arr[digit * size : (digit + 1) * size])
         size *= base
     return arr.T if rows else arr
 
@@ -318,22 +321,61 @@ def _sweeps(weights: Sequence[int], indices: Sequence[int], dtype) -> bool:
     return pairs <= _PAIR_FACTOR * rows or table > memory_limit_bytes()
 
 
+def _dense_stats(weights: Sequence[int], items: Sequence[Sequence[int]]):
+    """(betas, distincts, norms): arrays of beta, |w(2^S)| and the sum of count^2 of each row's
+    block S, where `items` holds k rows of h indices into `weights`, distinct within a row. The
+    rows' 2^h dense subset sums are sorted in place, and one flat pass over the k * 2^h sums
+    finds every run of equal sums, each row's first column starting one: a row's runs are its bins."""
+    if not items:
+        return (np.zeros(0, dtype=np.intp),) * 3
+    k, width = len(items), 1 << len(items[0])
+    rows = [[weights[i] for i in row] for row in items]
+    widest = max(map(sum, rows))
+    dtype = _table_dtype((), widest)
+    # a dense sum peaks at 18 bytes with int64 (the sum and its compare, then a run's start and
+    # length) and at 58 with Python ints, charged 60, plus the widest sum's width; 4 KB more cover
+    # numpy's fixed costs (tracemalloc, fresh process, verify's splits and one row of h = 2-14)
+    row = 18 if dtype is np.int64 else 60 + _wide_sum_bytes(widest)
+    check_bytes(k * width * row + 4096, f"{k} rows of {width} dense sums")
+    # one row is a 1-D block, whose sums numpy makes about twice as fast as a (1, h) array's
+    sums = _dense_sums(rows[0], dtype)[None] if k == 1 else _dense_sums(np.array(rows, dtype=dtype), dtype)
+    del rows
+    sums.sort(axis=1)
+    new = np.zeros((k + 1, width), dtype=bool, order="F")  # as the sums: no buffered compare
+    new[:, 0] = True  # a row's first sum starts a run, and row k's one run ends row k - 1's
+    np.not_equal(sums[:, 1:], sums[:, :-1], out=new[:k, 1:])
+    del sums
+    starts = np.flatnonzero(new)  # one flat pass over every row's runs
+    del new
+    firsts = np.searchsorted(starts, np.arange(0, (k + 1) * width, width))
+    lengths = starts[1:] - starts[:-1]
+    del starts  # before the k-row results are made
+    heads = firsts[:-1]
+    betas = np.maximum.reduceat(lengths, heads)
+    lengths *= lengths
+    return betas, firsts[1:] - heads, np.add.reduceat(lengths, heads)
+
+
 def _bin_stats(instance: Instance, subset_mask: int | None = None,
                norm: bool = True) -> tuple[int, int, int | None]:
     """(beta, |w(2^S)|, sum over sums of count^2) of the instance's block S (every item
-    when None); the last is None, and not computed, unless `norm`.
+    when None); the last is None unless `norm`.
 
-    A block is one table unless `_sweeps` picks windows. Then it is split into its first
-    floor(|S|/2) items, A, and the rest, B, and `_pair_windows`, the sweep Schroeppel-Shamir
-    runs, cuts the pair sums a + b of their tables into windows of ascending value, in
-    O(|A| + |B| + cap) memory. A window holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|)
-    pairs, or all |A||B| where they are fewer. Every sum falls in one window, so each
-    window's runs of equal pair sums, their count products summed, are whole bins. The
-    windows are charged before the first is made.
+    An int64 block of at most _DENSE_ITEMS items is one row of `_dense_stats`, faster there
+    than a table (0.19 against 0.89 ms at |S| = 14). Any other block is one table unless
+    `_sweeps` picks windows. Then it is split into its first floor(|S|/2) items, A, and the
+    rest, B, and `_pair_windows`, the sweep Schroeppel-Shamir runs, cuts the pair sums a + b
+    of their tables into windows of ascending value, in O(|A| + |B| + cap) memory. A window
+    holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|) pairs, or all |A||B| where they are
+    fewer. Every sum falls in one window, so each window's runs of equal pair sums, their
+    count products summed, are whole bins. The windows are charged before the first is made.
     A sweep of more than 2^ENUM_LIMIT pairs, as many as the subsets brute_solve scans,
     is not run: the block's table is built instead, and refused where it does not fit.
     """
     idx, dtype = _block(instance, subset_mask)
+    if dtype is np.int64 and len(idx) <= _DENSE_ITEMS:
+        beta, distinct, l2 = (int(x[0]) for x in _dense_stats(instance.weights, [idx]))
+        return beta, distinct, l2 if norm else None
     exact = len(idx) > 30  # the norm is at most 4^|S|, which int64 holds up to |S| = 30
     if _sweeps(instance.weights, idx, dtype):
         total = sum(instance.weights[i] for i in idx)
@@ -401,9 +443,7 @@ def max_bin(instance: Instance, subset_mask: int | None = None) -> int:
 
 
 def distinct_sums(instance: Instance, subset_mask: int | None = None) -> int:
-    """|w(2^S)|, counted by `_bin_stats`: its work follows the answer, or, where the
-    block is swept, the pairs of two half tables' sums, at most _PAIR_FACTOR times a
-    bound on the answer unless the table would pass the memory limit."""
+    """|w(2^S)|, counted by `_bin_stats`, whose regimes say what its work follows."""
     return _bin_stats(instance, subset_mask, norm=False)[1]
 
 

@@ -22,7 +22,6 @@ from sslab import (
 )
 from sslab import oracle
 from sslab.cli import main
-from sslab.combinatorics import bin_l2_rows
 
 
 def _run(capsys, *argv):
@@ -76,8 +75,8 @@ def test_analyze_frozen_values(tmp_path, capsys):
 def test_udcp_check_and_analyze_count_their_table_builds(tmp_path, capsys, monkeypatch):
     # udcp: the bin fold its sizes are checked against, as the extraction sorts the dense
     # sums and builds no table; analyze: the bin fold alone, for beta, the distinct sums and
-    # the norm. The fold is one table at n = 10, and two half tables at n = 18, past
-    # _WINDOW_ROWS sums
+    # the norm. The fold reads n = 10's dense sums and builds no table, and builds two half
+    # tables at n = 18, past _WINDOW_ROWS sums
     builds = []
     real = oracle._sum_table
 
@@ -87,7 +86,7 @@ def test_udcp_check_and_analyze_count_their_table_builds(tmp_path, capsys, monke
 
     monkeypatch.setattr(oracle, "_sum_table", spy)
     path = tmp_path / "i.txt"
-    for n, fold in ((10, 1), (18, 2)):
+    for n, fold in ((10, 0), (18, 2)):
         write_instance(gen_random_density(n, 1.0, RandomSource(3)), path)
         builds.clear()
         assert _run(capsys, "verify", str(path), "--checks", "udcp")[0] == 0
@@ -219,11 +218,11 @@ def test_verify_cauchyschwarz_checks_each_split_once(tmp_path, capsys, monkeypat
     # and no split's norm is computed on its own
     batches, singles = [], []
 
-    def batched(instance, items):
+    def batched(weights, items):
         batches.append([tuple(row) for row in items])
-        return bin_l2_rows(instance, items)
+        return oracle._dense_stats(weights, items)
 
-    monkeypatch.setattr("sslab.cli.bin_l2_rows", batched)
+    monkeypatch.setattr("sslab.cli._dense_stats", batched)
     monkeypatch.setattr("sslab.cli.bin_l2", lambda *args: singles.append(args))
     path = tmp_path / "i.txt"
     write_instance(gen_random_density(10, 1.0, RandomSource(5)), path)
@@ -295,15 +294,15 @@ def test_verify_computes_each_instances_bin_stats_once(tmp_path, capsys, monkeyp
 
 def test_verify_skips_cauchyschwarz_past_the_batched_charge(tmp_path, capsys, monkeypatch, charges):
     # the dense sums of n = 10's 126 splits are charged before they are made: a limit a
-    # byte under that charge, and over max_bin's table, skips the instance through the
-    # CapacityError path; at the charge itself the check runs
+    # byte under that charge, and over max_bin's, of the instance's own 2^10 dense sums,
+    # skips the instance through the CapacityError path; at the charge itself the check runs
     inst = gen_random_density(10, 1.0, RandomSource(5))
     max_bin(inst)
-    table = max(charges)
+    (whole,) = charges
     charges.clear()
-    bin_l2_rows(inst, [s for s in combinations(range(10), 5) if s[0] == 0])
+    oracle._dense_stats(inst.weights, [s for s in combinations(range(10), 5) if s[0] == 0])
     (rows,) = charges
-    assert table < rows
+    assert whole == (1 << 10) * 18 + 4096 < rows == 126 * (1 << 5) * 18 + 4096
     path = tmp_path / "i.txt"
     write_instance(inst, path)
     for limit, ran in ((rows - 1, 0), (rows, 1)):
@@ -369,9 +368,9 @@ def test_verify_names_what_the_memory_limit_skipped(capsys, monkeypatch):
     code, lines, err = _run(capsys, "verify", "--n-max", "17", "--checks", "l2identity,udcp")
     assert code == 0
     assert lines == [{"check": "l2identity", "instances": 104, "violations": 0},
-                     {"check": "udcp", "instances": 91, "violations": 0}]
+                     {"check": "udcp", "instances": 92, "violations": 0}]
     assert "passed" not in err
-    assert "l2identity skipped 16 of 120 instance(s)" in err and "udcp skipped 29 of 120 instance(s)" in err
+    assert "l2identity skipped 16 of 120 instance(s)" in err and "udcp skipped 28 of 120 instance(s)" in err
 
 
 def test_verify_never_says_passed_over_no_instance(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from sslab import (
 )
 from sslab import combinatorics, oracle
 from sslab.cli import _verify_corpus
-from sslab.combinatorics import bin_l2_rows
 
 from _corpus import block_table
 
@@ -203,14 +202,33 @@ def test_udcp_capacity_guard():
 
 
 def test_udcp_memory_limit(monkeypatch):
-    # 2^12 * 2^10 pair sums take about 160 MB to deduplicate
+    # 2^12 * 2^10 pair sums are charged about 96 MB (24 bytes each) to deduplicate
     big = UdcpPair(a_masks=tuple(range(1 << 12)), b_masks=tuple(range(1 << 10)), n=12)
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "100")
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "95")
     with pytest.raises(CapacityError):
         check_udcp(big)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     pair = udcp_from_instance(Instance(weights=(1, 1, 3, 3), target=4))
     assert check_udcp(pair)  # 9 * 4 pair sums still fit
+
+
+@pytest.mark.parametrize("n", [20, 39, 40, 64])
+def test_check_udcp_peak_stays_under_its_charge(charges, n):
+    # decodable pairs, so every pair sum starts its own run: the larger set's masks in the
+    # low 12 coordinates and the other's above them, with the top one set, in shapes of
+    # 2,000 x 100, 4,000 x 1, 1 x 4,000 and 9 x 4; int64 keys up to n = 39, Python ints past it
+    for na, nb in ((2000, 100), (4000, 1), (1, 4000), (9, 4)):
+        low = tuple(range(max(na, nb)))
+        high = tuple((j << 12) | (1 << (n - 1)) for j in range(min(na, nb)))
+        pair = UdcpPair(*((low, high) if na >= nb else (high, low)), n)
+        charges.clear()
+        tracemalloc.start()
+        try:
+            assert check_udcp(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charges[0], (na, nb)
 
 
 def _traced_extraction(inst):
@@ -271,45 +289,6 @@ def test_bin_l2_past_int64_is_exact():
     # int64 choice at n = 30-32
     for n in (30, 31, 32, 34):
         assert bin_l2(gen_all_equal(n)) == math.comb(2 * n, n)
-
-
-def test_bin_l2_rows_matches_bin_l2_on_every_balanced_split():
-    # every split of verify's default corpus up to n = 10 into halves of n // 2 and
-    # n - n // 2 items; then big bins (all-equal, geometric pairs, all-zero weights) and
-    # object sums of 200 and 1000 bits, the all-equal ones among them with big bins too
-    corpus = [inst for _, inst in _verify_corpus(10, RandomSource(0))]
-    corpus += [gen_all_equal(12), gen_geometric_pairs(12), Instance((0,) * 12, 0)]
-    for bits in (200, 1000):
-        dense = gen_random_density(10, 1.0, RandomSource(bits))
-        corpus += [Instance(tuple((1 << bits) + w for w in dense.weights), 0), Instance((1 << bits,) * 12, 0)]
-    for inst in corpus:
-        n = inst.n
-        for h in {n // 2, n - n // 2}:
-            splits = list(combinations(range(n), h))
-            assert bin_l2_rows(inst, splits) == [bin_l2(inst, mask_from_indices(s)) for s in splits]
-    assert bin_l2_rows(gen_all_equal(4), []) == []
-    assert bin_l2_rows(gen_all_equal(4), [(), ()]) == [1, 1]
-
-
-@pytest.mark.parametrize("bits", [0, 63, 200, 1000])
-def test_bin_l2_rows_peak_stays_under_its_charge(monkeypatch, charges, bits):
-    # the splits verify batches at n = 9 and 10, and the 924 halves of n = 12, with int64
-    # sums and with Python ints, whose charge grows with the widest row's sum
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
-    for n in (9, 10, 12):
-        inst = gen_random_density(n, 1.0, RandomSource(n))
-        if bits:
-            inst = Instance(tuple((1 << bits) - 1 + w for w in inst.weights), 1)
-        for h in {n // 2, n - n // 2}:
-            splits = list(combinations(range(n), h))
-            charges.clear()
-            tracemalloc.start()
-            try:
-                bin_l2_rows(inst, splits)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= charges[0]
 
 
 def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):

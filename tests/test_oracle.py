@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -313,14 +313,30 @@ def _table_stats(inst, subset=None):
     return max(counts), len(counts), sum(c * c for c in counts)
 
 
-@pytest.mark.parametrize("window_rows", [8, 64])
-def test_bin_stats_match_the_table_on_the_verify_corpus(monkeypatch, window_rows):
-    # with _WINDOW_ROWS this small and no pair count too large, every block of more
-    # than a few sums is swept in many windows of pair sums, sum-poor ones too
+def _sweep_every_block(monkeypatch, window_rows=8):
+    """Patch `_bin_stats`' rule so that every block of more than `window_rows` sums is swept,
+    none read off dense sums however few its items, and no pair count is too large. Returns
+    a list that `_window_stats` appends to each time it folds."""
     monkeypatch.setattr(oracle, "_WINDOW_ROWS", window_rows)
     monkeypatch.setattr(oracle, "_PAIR_FACTOR", 1 << 62)
+    monkeypatch.setattr(oracle, "_DENSE_ITEMS", -1)
+    folds, fold = [], oracle._window_stats
+    monkeypatch.setattr(oracle, "_window_stats", lambda *args: folds.append(args[5]) or fold(*args))
+    return folds
+
+
+@pytest.mark.parametrize("window_rows", [8, 64])
+def test_bin_stats_match_the_table_on_the_verify_corpus(monkeypatch, window_rows):
+    # with _WINDOW_ROWS this small, every block of more than a few sums is swept in many
+    # windows of pair sums, sum-poor ones too, the blocks of 14 items or fewer among them
+    folds = _sweep_every_block(monkeypatch, window_rows)
+    small = 0  # instances of at most 14 items that were swept
     for name, inst in _verify_corpus(18, RandomSource(0)):
+        folds.clear()
         assert _bin_stats(inst) == _table_stats(inst), name
+        assert bool(folds) == oracle._sweeps(inst.weights, range(inst.n), np.int64), name
+        small += bool(folds) and inst.n <= 14
+    assert small == {8: 77, 64: 44}[window_rows]
 
 
 def test_bin_stats_match_the_table_on_subset_masks(monkeypatch):
@@ -329,12 +345,14 @@ def test_bin_stats_match_the_table_on_subset_masks(monkeypatch):
              for inst in (gen_random_density(n, 1, rng.split(f"subset:{n}")), gen_geometric_pairs(n))
              for _ in range(3)]
     cases.append((gen_super_increasing(20), (1 << 20) - 2))  # 2^19 sums: past _WINDOW_ROWS
-    for window_rows, pair_factor in ((oracle._WINDOW_ROWS, oracle._PAIR_FACTOR), (8, 1 << 62)):
-        monkeypatch.setattr(oracle, "_WINDOW_ROWS", window_rows)
-        monkeypatch.setattr(oracle, "_PAIR_FACTOR", pair_factor)
-        for inst, subset in cases:
-            assert _bin_stats(inst, subset) == _table_stats(inst, subset)
-        assert _bin_stats(gen_random_density(8, 1, rng), 0) == (1, 1, 1)  # the empty block
+    for inst, subset in cases:  # dense sums, one table or windows, as the rule picks
+        assert _bin_stats(inst, subset) == _table_stats(inst, subset)
+    folds = _sweep_every_block(monkeypatch)
+    for inst, subset in cases:
+        folds.clear()
+        assert _bin_stats(inst, subset) == _table_stats(inst, subset)
+        assert folds
+    assert _bin_stats(gen_random_density(8, 1, rng), 0) == (1, 1, 1)  # the empty block
 
 
 def test_bin_stats_past_int64_are_exact(monkeypatch):
@@ -342,9 +360,8 @@ def test_bin_stats_past_int64_are_exact(monkeypatch):
     # table of 71 sums, and from windows over two tables of 36 sums each
     want = (math.comb(70, 35), 71, math.comb(140, 70))
     assert _bin_stats(gen_all_equal(70)) == want
-    monkeypatch.setattr(oracle, "_WINDOW_ROWS", 8)
-    monkeypatch.setattr(oracle, "_PAIR_FACTOR", 1 << 62)  # 36^2 pairs, 71 sums
-    assert _bin_stats(gen_all_equal(70)) == want
+    folds = _sweep_every_block(monkeypatch)  # 36^2 pairs, 71 sums
+    assert _bin_stats(gen_all_equal(70)) == want and folds
 
 
 @pytest.mark.parametrize("bits", [200, 1000])
@@ -352,11 +369,62 @@ def test_bin_stats_on_python_int_sums(monkeypatch, bits):
     # 2^17 subsets: Python-int windows over half tables whose sums have one subset each
     # (distinct powers, 2^17 sums) and many (repeated offsets, 750 sums, swept only
     # because the rule is patched to sweep every block of more than 8 sums)
-    monkeypatch.setattr(oracle, "_WINDOW_ROWS", 8)
-    monkeypatch.setattr(oracle, "_PAIR_FACTOR", 1 << 62)
+    folds = _sweep_every_block(monkeypatch)
     for offsets in ([1 << i for i in range(17)], [i % 4 for i in range(17)]):
         inst = Instance(tuple((1 << bits) + x for x in offsets), 1)
-        assert _bin_stats(inst) == _table_stats(inst)
+        folds.clear()
+        assert _bin_stats(inst) == _table_stats(inst) and folds
+
+
+def test_dense_stats_match_the_table():
+    # each row's (beta, distinct sums, sum of count^2) against its block's table: every
+    # balanced split and the whole of each instance of verify's corpus up to n = 14, big bins
+    # (all-zero, all-equal, geometric pairs) and rows of Python ints of 200 and 1000 bits,
+    # the all-equal ones among them with big bins too
+    corpus = [inst for _, inst in _verify_corpus(14, RandomSource(0))]
+    corpus += [Instance((0,) * 12, 0), gen_all_equal(12), gen_geometric_pairs(12)]
+    for bits in (200, 1000):
+        dense = gen_random_density(10, 1.0, RandomSource(bits))
+        corpus += [Instance(tuple((1 << bits) + w for w in dense.weights), 0), Instance((1 << bits,) * 12, 0)]
+    for inst in corpus:
+        n = inst.n
+        for rows in [[range(n)]] + [list(combinations(range(n), h)) for h in {n // 2, n - n // 2}]:
+            want = [_table_stats(inst, mask_from_indices(row)) for row in rows]
+            assert [list(x) for x in zip(*oracle._dense_stats(inst.weights, rows))] == [list(w) for w in want]
+    assert [x.tolist() for x in oracle._dense_stats((1, 2), [])] == [[], [], []]
+    assert [x.tolist() for x in oracle._dense_stats((1, 2), [(), ()])] == [[1, 1], [1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("bits", [0, 63, 200, 1000])
+def test_dense_stats_peak_stays_under_its_charge(monkeypatch, charges, bits):
+    # the splits verify batches at n = 9 and 10, the 924 halves of n = 12, and one row of
+    # h = 2-14 items, as `_bin_stats` reads a block, with int64 sums and with Python ints,
+    # whose charge grows with the widest row's sum
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
+    cases = []
+    for n in (9, 10, 12, 14):
+        inst = gen_random_density(n, 1.0, RandomSource(n))
+        if bits:
+            inst = Instance(tuple((1 << bits) - 1 + w for w in inst.weights), 1)
+        if n < 14:
+            cases += [(inst, list(combinations(range(n), h))) for h in {n // 2, n - n // 2}]
+        else:
+            cases += [(inst, [range(h)]) for h in range(2, 15)]
+    for inst, rows in cases:
+        charges.clear()
+        assert _traced_peak(oracle._dense_stats, inst.weights, rows) <= charges[0]
+
+
+def test_bin_stats_read_small_int64_blocks_off_dense_sums(monkeypatch):
+    # an int64 block of at most 14 items builds no table; one of 15 items, or of 14 items
+    # whose 63-bit weights put its sums past int64, builds one (each has 2^|S| sums: no windows)
+    builds, build = [], oracle._sum_table
+    monkeypatch.setattr(oracle, "_sum_table", lambda *args: builds.append(args) or build(*args))
+    wide = Instance(tuple((1 << 62) + (1 << i) for i in range(14)), 1)
+    for inst, tables in ((gen_super_increasing(14), 0), (gen_super_increasing(15), 1), (wide, 1)):
+        builds.clear()
+        assert _bin_stats(inst) == (1, 1 << inst.n, 1 << inst.n)
+        assert len(builds) == tables
 
 
 def test_bin_stats_skip_the_norm_unless_asked(monkeypatch):
