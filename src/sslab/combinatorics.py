@@ -21,7 +21,6 @@ from .oracle import (
     _dense_sums,
     _run_rows,
     _run_starts,
-    _sorted,
     _table_dtype,
     all_subset_sums,
 )
@@ -59,11 +58,6 @@ def _spread(masks: np.ndarray, n: int, dtype) -> np.ndarray:
     return out
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    values = _sorted(values)
-    return values[_run_starts(values)]
-
-
 def check_udcp(pair: UdcpPair) -> bool:
     """Whether |A + B| = |A| * |B| with componentwise integer sums in {0,1,2}^n, each
     read as a base-3 number."""
@@ -71,13 +65,17 @@ def check_udcp(pair: UdcpPair) -> bool:
     if na == 0 or nb == 0:
         raise ValueError("both sets must be non-empty")
     dtype = _table_dtype((), 3 ** pair.n)  # int64 up to n = 39, Python ints past that
-    # a pair sum peaks at 24 bytes with int64 (the sum, its sorted copy, its run start), a row of A or
-    # B at 8, and both at 73 with Python ints, charged 76, plus the width of the one sum each holds
-    # (tracemalloc, fresh process, n = 20-90); 8 KB more cover numpy's fixed costs below 300 pairs
-    pair_bytes, row_bytes = (24, 8) if dtype is np.int64 else (76 + _wide_sum_bytes(3 ** pair.n),) * 2
-    check_bytes(_FIXED_BYTES + na * nb * pair_bytes + (na + nb) * row_bytes, f"|A|*|B| = {na * nb} pair sums")
-    a, b = (_spread(masks, pair.n, dtype) for masks in (pair.a_masks, pair.b_masks))
-    return int(_distinct((a[:, None] + b[None, :]).ravel()).size) == na * nb
+    # a pair sum peaks at 9 bytes with int64 (the sum, sorted in place, and its compare with the
+    # next), a row of A or B at 24 while spread; with Python ints at 49 and 107, charged 52 and
+    # 112 plus the width of each sum they hold (tracemalloc, fresh process, n = 24-1000), plus
+    # numpy's add buffers, two operands of up to np.getbufsize() sums, and 8 KB of fixed costs
+    wide = _wide_sum_bytes(3 ** pair.n)
+    pair_bytes, row_bytes = (9, 24) if dtype is np.int64 else (52 + wide, 112 + 2 * wide)
+    buffers = 16 * min(na * nb, np.getbufsize())
+    check_bytes(_FIXED_BYTES + buffers + na * nb * pair_bytes + (na + nb) * row_bytes, f"|A|*|B| = {na * nb} pair sums")
+    sums = np.add.outer(*(_spread(masks, pair.n, dtype) for masks in (pair.a_masks, pair.b_masks))).ravel()
+    sums.sort()  # in place: the pair sums are never held twice
+    return not np.any(sums[1:] == sums[:-1])
 
 
 def udcp_from_instance(instance: Instance) -> UdcpPair:

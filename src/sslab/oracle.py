@@ -11,8 +11,8 @@ every need whose low bits no left sum shares, by a bitmap of those bits.
 `_join_bytes` is what a join holds beyond its two lists, which a caller charges
 with its own tables. `_bin_stats` folds beta, the distinct count and the sum of
 count^2 of a block that `max_bin`, `distinct_sums`, `bin_l2` and `classify` read.
-It reads an int64 block of at most _DENSE_ITEMS items off one sort of its dense
-sums, by `_dense_stats`, which also serves verify's batches of many such blocks.
+It reads a block of at most _DENSE_ITEMS items with int64 sums off one sort of its
+dense sums, by `_dense_stats`, which verify's batches of such blocks run too.
 Any other block's table it builds, unless `_sweeps` finds the table may pass
 _WINDOW_ROWS rows and the pair sums of two half tables no more than
 _PAIR_FACTOR times as many, or the table past the memory limit: then it sweeps
@@ -50,7 +50,7 @@ from .core import (
 ENUM_LIMIT = 26       # items brute_solve scans, which streams in constant memory
 _BLOCK_BITS = 20      # streaming block: 2^20 sums (8 MB of int64) at a time
 _DENSE_BITS = 12      # items a sum table enumerates densely before its first sort
-_DENSE_ITEMS = 14     # an int64 block of at most this many items has its bins read off dense sums
+_DENSE_ITEMS = 14     # a block of at most this many items with int64 sums has its bins read off dense sums
 _INT64_SAFE = 1 << 62
 _JOIN_BLOCK = 1 << 16  # right rows a join filters, or scans for its first hit, at a time
 # what a sum table or a join takes beyond its rows, numpy's fixed costs in a fresh process:
@@ -361,19 +361,20 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
     """(beta, |w(2^S)|, sum over sums of count^2) of the instance's block S (every item
     when None); the last is None unless `norm`.
 
-    An int64 block of at most _DENSE_ITEMS items is one row of `_dense_stats`, faster there
-    than a table (0.19 against 0.89 ms at |S| = 14). Any other block is one table unless
-    `_sweeps` picks windows. Then it is split into its first floor(|S|/2) items, A, and the
-    rest, B, and `_pair_windows`, the sweep Schroeppel-Shamir runs, cuts the pair sums a + b
-    of their tables into windows of ascending value, in O(|A| + |B| + cap) memory. A window
-    holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|) pairs, or all |A||B| where they are
-    fewer. Every sum falls in one window, so each window's runs of equal pair sums, their
-    count products summed, are whole bins. The windows are charged before the first is made.
+    A block of at most _DENSE_ITEMS items with int64 sums, whatever its masks, is one row
+    of `_dense_stats`, faster there than a table (0.19 against 0.89 ms at |S| = 14). Any
+    other block is one table unless `_sweeps` picks windows. Then it is split into its first
+    floor(|S|/2) items, A, and the rest, B, and `_pair_windows`, the sweep Schroeppel-Shamir
+    runs, cuts the pair sums a + b of their tables into windows of ascending value, in
+    O(|A| + |B| + cap) memory. A window holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|)
+    pairs, or all |A||B| where they are fewer. Every sum falls in one window, so each
+    window's runs of equal pair sums, their count products summed, are whole bins. The
+    windows are charged before the first is made.
     A sweep of more than 2^ENUM_LIMIT pairs, as many as the subsets brute_solve scans,
     is not run: the block's table is built instead, and refused where it does not fit.
     """
     idx, dtype = _block(instance, subset_mask)
-    if dtype is np.int64 and len(idx) <= _DENSE_ITEMS:
+    if len(idx) <= _DENSE_ITEMS and _table_dtype([instance.weights[i] for i in idx]) is np.int64:
         beta, distinct, l2 = (int(x[0]) for x in _dense_stats(instance.weights, [idx]))
         return beta, distinct, l2 if norm else None
     exact = len(idx) > 30  # the norm is at most 4^|S|, which int64 holds up to |S| = 30

@@ -19,7 +19,6 @@ from sslab import (
     gen_random_density,
     gen_super_increasing,
     l2_identity_terms,
-    mask_from_indices,
     max_bin,
     udcp_from_instance,
     zero_ternary_counts_by_l1,
@@ -146,18 +145,20 @@ def test_check_udcp_rejects_colliding_pair():
     assert not check_udcp(pair)
 
 
-def test_check_udcp_deduplicates_once(monkeypatch):
+def test_check_udcp_deduplicates_once():
     # A = {01, 10} and B = {10, 01}: 01 + 10 = 10 + 01 is the one collision, between A's two
-    # rows. A pair's sums are deduplicated in one pass, whether or not they collide
-    dedups, dedup = [], combinatorics._distinct
-    monkeypatch.setattr(combinatorics, "_distinct", lambda values: dedups.append(values.size) or dedup(values))
+    # rows. A pair's sums are sorted once, in place, whether or not they collide: 2,000 x 100
+    # of them are never held twice, at 8 bytes each with int64
     assert not check_udcp(UdcpPair(a_masks=(1, 2), b_masks=(2, 1), n=2))
-    assert dedups == [4]
-    dedups.clear()
-    pair = udcp_from_instance(gen_random_density(8, 2.0, RandomSource(4)))
-    na, nb = pair.a_masks.size, pair.b_masks.size
-    assert nb > 1 and check_udcp(pair)
-    assert dedups == [na * nb]
+    assert check_udcp(udcp_from_instance(gen_random_density(8, 2.0, RandomSource(4))))
+    pair = UdcpPair(tuple(range(2000)), tuple((j << 12) | (1 << 19) for j in range(100)), 20)
+    tracemalloc.start()
+    try:
+        assert check_udcp(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 2000 * 100
 
 
 @pytest.mark.parametrize("n", [40, 64])
@@ -202,9 +203,10 @@ def test_udcp_capacity_guard():
 
 
 def test_udcp_memory_limit(monkeypatch):
-    # 2^12 * 2^10 pair sums are charged about 96 MB (24 bytes each) to deduplicate
+    # 2^12 * 2^10 pair sums are charged 38,010,880 bytes to deduplicate (9 each, numpy's
+    # buffers and the rows of A and B), past 36 MiB
     big = UdcpPair(a_masks=tuple(range(1 << 12)), b_masks=tuple(range(1 << 10)), n=12)
-    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "95")
+    monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "36")
     with pytest.raises(CapacityError):
         check_udcp(big)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
@@ -216,8 +218,9 @@ def test_udcp_memory_limit(monkeypatch):
 def test_check_udcp_peak_stays_under_its_charge(charges, n):
     # decodable pairs, so every pair sum starts its own run: the larger set's masks in the
     # low 12 coordinates and the other's above them, with the top one set, in shapes of
-    # 2,000 x 100, 4,000 x 1, 1 x 4,000 and 9 x 4; int64 keys up to n = 39, Python ints past it
-    for na, nb in ((2000, 100), (4000, 1), (1, 4000), (9, 4)):
+    # 2,000 x 100, 4,000 x 1, 1 x 4,000, 9 x 4 and 100 x 82, just past numpy's buffers of 8,192
+    # sums; int64 keys up to n = 39, Python ints past it
+    for na, nb in ((2000, 100), (4000, 1), (1, 4000), (9, 4), (100, 82)):
         low = tuple(range(max(na, nb)))
         high = tuple((j << 12) | (1 << (n - 1)) for j in range(min(na, nb)))
         pair = UdcpPair(*((low, high) if na >= nb else (high, low)), n)

@@ -347,6 +347,7 @@ def test_bin_stats_match_the_table_on_subset_masks(monkeypatch):
     cases.append((gen_super_increasing(20), (1 << 20) - 2))  # 2^19 sums: past _WINDOW_ROWS
     for inst, subset in cases:  # dense sums, one table or windows, as the rule picks
         assert _bin_stats(inst, subset) == _table_stats(inst, subset)
+    assert _bin_stats(gen_random_density(8, 1, rng), 0) == (1, 1, 1)  # the empty block
     folds = _sweep_every_block(monkeypatch)
     for inst, subset in cases:
         folds.clear()
@@ -416,14 +417,19 @@ def test_dense_stats_peak_stays_under_its_charge(monkeypatch, charges, bits):
 
 
 def test_bin_stats_read_small_int64_blocks_off_dense_sums(monkeypatch):
-    # an int64 block of at most 14 items builds no table; one of 15 items, or of 14 items
-    # whose 63-bit weights put its sums past int64, builds one (each has 2^|S| sums: no windows)
+    # a block of at most 14 items with int64 sums builds no table, also where its masks pass
+    # bit 62 (items 56-69 of 70); one of 15 items, or of 14 items whose 63-bit weights put
+    # its sums past int64, builds one (each has 2^|S| sums: no windows)
     builds, build = [], oracle._sum_table
     monkeypatch.setattr(oracle, "_sum_table", lambda *args: builds.append(args) or build(*args))
     wide = Instance(tuple((1 << 62) + (1 << i) for i in range(14)), 1)
-    for inst, tables in ((gen_super_increasing(14), 0), (gen_super_increasing(15), 1), (wide, 1)):
+    high = Instance((1,) * 56 + tuple(1 << i for i in range(14)), 1)
+    high_block = ((1 << 14) - 1) << 56
+    for inst, subset, tables in ((gen_super_increasing(14), None, 0), (high, high_block, 0),
+                                 (gen_super_increasing(15), None, 1), (wide, None, 1)):
         builds.clear()
-        assert _bin_stats(inst) == (1, 1 << inst.n, 1 << inst.n)
+        size = 1 << (inst.n if subset is None else 14)
+        assert _bin_stats(inst, subset) == (1, size, size)
         assert len(builds) == tables
 
 
