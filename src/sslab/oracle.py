@@ -21,7 +21,8 @@ one window, not of the 2^|S| sums. `_pair_windows` is that one sweep, of the
 pair sums of one or more pairs of sorted lists, for the fold and for
 `classic.schroeppel_shamir`'s join alike. Values live in int64 arrays while
 every sum and mask fits; otherwise the same code runs on object arrays of Python
-ints. `_table_dtype` alone makes that choice.
+ints. `_table_dtype` alone makes that choice: from a block's own weights for its
+statistics, and from the items' places in the instance for the joins' masks.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _table_row(weights: Sequence[int], indices: Sequence[int], dtype) -> int:
 
 
 def _sum_table(weights: Sequence[int], indices: Sequence[int], dtype, held: int = 0) -> SumTable:
-    """w(2^S) for S = `indices`, masks in the original coordinates.
+    """w(2^S) for S = `indices`, masks over the positions of `weights`.
 
     The first _DENSE_BITS items are enumerated densely and sorted once; every
     further item i is merged in by one stable sort of [table, table + w_i].
@@ -279,15 +280,6 @@ def _join_bytes(left_rows: int, right_rows: int, dtype, wide: int = 0) -> int:
     return _FIXED_BYTES + max(search, (4 << left_rows.bit_length()) + right_rows + block)
 
 
-def _block(instance: Instance, subset_mask: int | None) -> tuple[list[int], object]:
-    """The item indices of the instance's block S (every item when None) and its tables' dtype."""
-    smask = full_mask(instance.n) if subset_mask is None else subset_mask
-    if smask < 0 or smask >> instance.n:
-        raise ValueError("subset mask outside the instance's index space")
-    idx = mask_indices(smask)
-    return idx, _table_dtype([instance.weights[i] for i in idx], mask_bits=smask.bit_length())
-
-
 def _square_sum(counts: np.ndarray, exact: bool) -> int:
     """The sum of squares of the bin sizes `counts`: in Python ints when `exact`, as an int64 dot otherwise."""
     return sum(c * c for c in counts.tolist()) if exact else int(np.dot(counts, counts))
@@ -299,8 +291,8 @@ def _sums_bound(weights: Sequence[int]) -> int:
     return min(sum(weights) + 1, math.prod(m + 1 for m in Counter(weights).values()))
 
 
-def _sweeps(weights: Sequence[int], indices: Sequence[int], dtype) -> bool:
-    """Whether `_bin_stats` sweeps the pair sums of the block's two half tables, not its table.
+def _sweeps(block: Sequence[int], dtype) -> bool:
+    """Whether `_bin_stats` sweeps the pair sums of `block`'s two half tables, not its table.
 
     A table's work follows its rows, at most rows = `_sums_bound` of the block; the
     windows' follows the product of the halves' rows, at most pairs = the product of
@@ -309,15 +301,14 @@ def _sweeps(weights: Sequence[int], indices: Sequence[int], dtype) -> bool:
     the table's last merge, charged at `rows`, would pass the memory limit. A sum-poor
     block keeps its table: density-4 n = 60 has about 2^20 sums but 2^38 pairs.
     """
-    block = [weights[i] for i in indices]
     if min(1 << len(block), sum(block) + 1) <= _WINDOW_ROWS:  # the bound's cheap half first
         return False
     rows = _sums_bound(block)
     if rows <= _WINDOW_ROWS:
         return False
-    h = len(indices) // 2
-    pairs = _sums_bound([weights[i] for i in indices[:h]]) * _sums_bound([weights[i] for i in indices[h:]])
-    table = _FIXED_BYTES + 2 * rows * _table_row(weights, indices, dtype)
+    h = len(block) // 2
+    pairs = _sums_bound(block[:h]) * _sums_bound(block[h:])
+    table = _FIXED_BYTES + 2 * rows * _table_row(block, range(len(block)), dtype)
     return pairs <= _PAIR_FACTOR * rows or table > memory_limit_bytes()
 
 
@@ -361,9 +352,11 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
     """(beta, |w(2^S)|, sum over sums of count^2) of the instance's block S (every item
     when None); the last is None unless `norm`.
 
-    A block of at most _DENSE_ITEMS items with int64 sums, whatever its masks, is one row
-    of `_dense_stats`, faster there than a table (0.19 against 0.89 ms at |S| = 14). Any
-    other block is one table unless `_sweeps` picks windows. Then it is split into its first
+    Every path runs on the list of the block's weights, masks in its own coordinates, so
+    int64 holds its sums, masks and counts unless they pass 2^62 or |S| > 62, wherever its
+    items sit. A block of at most _DENSE_ITEMS items with int64 sums is one row of
+    `_dense_stats`, faster there than a table (0.19 against 0.89 ms at |S| = 14). Any other
+    block is one table unless `_sweeps` picks windows. Then it is split into its first
     floor(|S|/2) items, A, and the rest, B, and `_pair_windows`, the sweep Schroeppel-Shamir
     runs, cuts the pair sums a + b of their tables into windows of ascending value, in
     O(|A| + |B| + cap) memory. A window holds at most cap = max(_WINDOW_ROWS, 8|A|, 8|B|)
@@ -373,13 +366,18 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
     A sweep of more than 2^ENUM_LIMIT pairs, as many as the subsets brute_solve scans,
     is not run: the block's table is built instead, and refused where it does not fit.
     """
-    idx, dtype = _block(instance, subset_mask)
-    if len(idx) <= _DENSE_ITEMS and _table_dtype([instance.weights[i] for i in idx]) is np.int64:
-        beta, distinct, l2 = (int(x[0]) for x in _dense_stats(instance.weights, [idx]))
+    smask = full_mask(instance.n) if subset_mask is None else subset_mask
+    if smask < 0 or smask >> instance.n:
+        raise ValueError("subset mask outside the instance's index space")
+    block = [instance.weights[i] for i in mask_indices(smask)]
+    items = range(len(block))
+    dtype = _table_dtype(block, mask_bits=len(block))
+    if len(block) <= _DENSE_ITEMS and dtype is np.int64:
+        beta, distinct, l2 = (int(x[0]) for x in _dense_stats(block, [items]))
         return beta, distinct, l2 if norm else None
-    exact = len(idx) > 30  # the norm is at most 4^|S|, which int64 holds up to |S| = 30
-    if _sweeps(instance.weights, idx, dtype):
-        total = sum(instance.weights[i] for i in idx)
+    exact = len(block) > 30  # the norm is at most 4^|S|, which int64 holds up to |S| = 30
+    if _sweeps(block, dtype):
+        total = sum(block)
         # a pair row at a window's peak holds its two rows, its sum, its count product and one
         # temporary: 40 bytes with int64 sums, and with Python ints of at most 70 bits 112 with
         # counts under 2^30, charged 120, plus the widths of the widest sum and count. A row
@@ -391,18 +389,18 @@ def _bin_stats(instance: Instance, subset_mask: int | None = None,
         if dtype is np.int64:
             half_row, pair_row = 56, 40
         else:
-            wide = _wide_sum_bytes(total) + _wide_sum_bytes(1 << len(idx))
+            wide = _wide_sum_bytes(total) + _wide_sum_bytes(1 << len(block))
             half_row, pair_row = 136 + 2 * wide, 120 + wide
-        h = len(idx) // 2
-        a_sums, a_counts = _sum_table(instance.weights, idx[:h], dtype)[:2]
-        b_sums, b_counts = _sum_table(instance.weights, idx[h:], dtype, a_sums.size * half_row)[:2]
+        h = len(block) // 2
+        a_sums, a_counts = _sum_table(block, items[:h], dtype)[:2]
+        b_sums, b_counts = _sum_table(block, items[h:], dtype, a_sums.size * half_row)[:2]
         if a_sums.size * b_sums.size <= 1 << ENUM_LIMIT:
             cap = min(max(_WINDOW_ROWS, 8 * a_sums.size, 8 * b_sums.size), a_sums.size * b_sums.size)
             check_bytes(_FIXED_BYTES + (a_sums.size + b_sums.size) * half_row + cap * pair_row,
                         f"windows of {cap} pair sums over two tables of {a_sums.size} and {b_sums.size} rows")
             return _window_stats(a_sums, a_counts, b_sums, b_counts, total, cap, norm, exact)
         del a_sums, a_counts, b_sums, b_counts
-    counts = _sum_table(instance.weights, idx, dtype).counts
+    counts = _sum_table(block, items, dtype).counts
     return int(counts.max()), counts.size, _square_sum(counts, exact) if norm else None
 
 

@@ -5,21 +5,27 @@ from sslab import (
     RandomSource,
     all_subset_sums,
     distinct_sums,
+    full_mask,
     gen_all_equal,
     gen_geometric_pairs,
     gen_planted,
     gen_random_density,
     gen_super_increasing,
     mask_from_indices,
+    mask_indices,
 )
-from sslab.oracle import _block, _sum_table
+from sslab.oracle import _sum_table, _table_dtype
 
 DENSITIES = (0.5, 1.0, 2.0, 4.0)
 
 
 def block_table(instance: Instance, subset_mask: int | None = None):
-    """w(2^S) of the instance's block S (every item when None), as the oracles build it."""
-    return _sum_table(instance.weights, *_block(instance, subset_mask))
+    """w(2^S) of the instance's block S (every item when None), with masks at the items'
+    places in the instance and the dtype that those places and the block's sums pick."""
+    smask = full_mask(instance.n) if subset_mask is None else subset_mask
+    idx = mask_indices(smask)
+    dtype = _table_dtype([instance.weights[i] for i in idx], mask_bits=smask.bit_length())
+    return _sum_table(instance.weights, idx, dtype)
 
 
 def random_corpus(count: int, seed: int, n_lo: int = 8, n_hi: int = 20):

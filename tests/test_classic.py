@@ -1,6 +1,5 @@
 import random
 import sys
-import tracemalloc
 from itertools import product
 
 import pytest
@@ -56,7 +55,7 @@ def test_bellman_capacity_guard():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, *range(8, 17)])
-def test_bellman_peak_stays_under_its_charge(charges, n):
+def test_bellman_peak_stays_under_its_charge(charges, traced, n):
     # few items and a large t: the temporaries of each item, not the snapshots, set the
     # peak; from n = 8 on a 20-bit t, where the snapshots before t is reached are short
     for seed in range(4):
@@ -66,7 +65,7 @@ def test_bellman_peak_stays_under_its_charge(charges, n):
         inst = Instance(weights, sum(weights) // 2 + 1)
         assert n <= 6 or inst.target.bit_length() == 20
         charges.clear()
-        out, peak = _traced(bellman_dp, inst)
+        out, peak = traced(bellman_dp, inst, refusal=True)
         assert not isinstance(out, CapacityError)
         assert peak <= max(charges)
 
@@ -258,29 +257,16 @@ def test_pair_windows_jump_the_gaps_between_clusters():
     assert searches[1] <= searches[0] < 600
 
 
-def _traced(fn, *args):
-    """fn(*args), or the CapacityError it raised, and the traced memory peak meanwhile."""
-    tracemalloc.start()
-    try:
-        try:
-            out = fn(*args)
-        except CapacityError as exc:
-            out = exc
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_meet_in_middle_memory_cap(monkeypatch, charges):
+def test_meet_in_middle_memory_cap(monkeypatch, charges, traced):
     # all-equal: every right row hits, so a right row takes its 42 bytes and a
     # left row its 16, 15.2 MB at n = 36
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "8")
-    out, peak = _traced(meet_in_middle, gen_all_equal(36))
+    out, peak = traced(meet_in_middle, gen_all_equal(36), refusal=True)
     assert isinstance(out, CapacityError)
     assert peak < 8 * (1 << 18)  # below one dense half alone: refused before either
     # the charge covers what the solve really allocates
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "4")
-    out, peak = _traced(meet_in_middle, gen_all_equal(32))
+    out, peak = traced(meet_in_middle, gen_all_equal(32))
     assert out.found
     assert peak <= (16 + 42) * (1 << 16)
     # also when its rows hold Python ints of up to 63, 200 and 1000 bits, with
@@ -290,7 +276,7 @@ def test_meet_in_middle_memory_cap(monkeypatch, charges):
         equal = Instance((3 << bits,) * 24, (3 << bits) * 12)
         for case, found in ((Instance(inst.weights, inst.target + 1), False), (equal, True)):
             charges.clear()
-            out, peak = _traced(meet_in_middle, case)
+            out, peak = traced(meet_in_middle, case)
             assert out.found == found
             assert peak <= max(charges)
 
@@ -309,31 +295,31 @@ def test_meet_in_middle_refuses_before_the_left_table(monkeypatch):
         meet_in_middle(inst)
 
 
-def test_schroeppel_shamir_memory_cap(monkeypatch, charges):
+def test_schroeppel_shamir_memory_cap(monkeypatch, charges, traced):
     # four quarter lists of 2^11 rows at 140 bytes a row exceed 1 MB
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
-    out, peak = _traced(schroeppel_shamir, gen_all_equal(44))
+    out, peak = traced(schroeppel_shamir, gen_all_equal(44), refusal=True)
     assert isinstance(out, CapacityError)
     assert peak < 8 * (1 << 11)  # below one quarter's dense sums: refused before them
     # the charge covers what the solve really allocates
-    out, peak = _traced(schroeppel_shamir, gen_all_equal(24))
+    out, peak = traced(schroeppel_shamir, gen_all_equal(24))
     assert out.found
     assert peak <= 140 * 4 * (1 << 6)
     # also when its rows hold Python ints of up to 63, 200 and 1000 bits
     for bits in (63, 200, 1000):
         inst, _ = gen_planted(28, bits, RandomSource(bits))
         charges.clear()
-        out, peak = _traced(schroeppel_shamir, Instance(inst.weights, inst.target + 1))
+        out, peak = traced(schroeppel_shamir, Instance(inst.weights, inst.target + 1))
         assert not out.found
         assert peak <= max(charges)
 
 
 @pytest.mark.parametrize("solve, n, limit_mb", [(meet_in_middle, 28, 5), (schroeppel_shamir, 36, 1)])
-def test_wide_joins_stay_inside_the_limit(monkeypatch, solve, n, limit_mb):
+def test_wide_joins_stay_inside_the_limit(monkeypatch, traced, solve, n, limit_mb):
     # 1000-bit weights: every sum a join holds is a Python int of about 160 bytes
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
     inst, _ = gen_planted(n, 1000, RandomSource(n))
-    out, peak = _traced(solve, Instance(inst.weights, inst.target + 1))
+    out, peak = traced(solve, Instance(inst.weights, inst.target + 1), refusal=True)
     if isinstance(out, CapacityError):
         assert peak < 1 << 16  # refused before any table was built
     else:
@@ -352,20 +338,16 @@ def test_residue_count_table_exact():
             manual[sum(w for b, w in zip(picks, weights) if b) % q] += 1
         assert rows[n] == manual
         assert sum(rows[n]) == 2**n
+    with pytest.raises(ValueError):
+        residue_count_table((1, 2), 1)
 
 
 @pytest.mark.parametrize("n, q", [(20, 3), (90, 1031), (200, 1031)])
-def test_residue_count_table_charges_its_rows(n, q, charges):
+def test_residue_count_table_charges_its_rows(n, q, charges, traced):
     # rows of Python-int counts: a list header a row, and a slot and an int a
     # cell, the int as wide as 2^n at most
     weights = gen_planted(n, 64, RandomSource(n))[0].weights
-    tracemalloc.start()
-    try:
-        residue_count_table(weights, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= max(charges)
+    assert traced(residue_count_table, weights, q)[1] <= max(charges)
 
 
 def test_sample_subset_in_class_stays_in_class():

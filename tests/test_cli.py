@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -70,6 +71,9 @@ def test_analyze_frozen_values(tmp_path, capsys):
         "n": 4, "density": 4 / 2.0, "beta": 4, "distinct_sums": 9,
         "l2_norm_squared": 36,
     }
+    write_instance(Instance(weights=(1, 1, 3, 3), target=1), path)  # density needs t >= 2
+    code, lines, _ = _run(capsys, "analyze", str(path))
+    assert code == 0 and lines[0]["density"] is None and lines[0]["distinct_sums"] == 9
 
 
 def test_udcp_check_and_analyze_count_their_table_builds(tmp_path, capsys, monkeypatch):
@@ -157,9 +161,10 @@ def test_solve_small_bin_emits_iterations(tmp_path, capsys, alg):
     assert all(r["attempts"] >= r["skipped"] >= 0 for r in rec["iterations"])
 
 
-@pytest.mark.parametrize("spec", ["1_0", "\u0663", "0,,1", "0,1,", ""])
+@pytest.mark.parametrize("spec", ["1_0", "\u0663", "0,,1", "0,1,", "", "0,0", "12"])
 def test_solve_refuses_malformed_m(tmp_path, capsys, spec):
-    # an index is an optional sign and ASCII digits, as in the instance format
+    # an index is an optional sign and ASCII digits, as in the instance format, the
+    # indices are distinct and each names one of the 12 items
     path = tmp_path / "i.txt"
     write_instance(gen_random_density(12, 1.0, RandomSource(3)), path)
     code, lines, err = _run(capsys, "solve", str(path), "--alg", "fewsums", "--M", spec)
@@ -257,6 +262,27 @@ def test_verify_cauchyschwarz_reports_the_first_violating_split(tmp_path, capsys
     assert lines == [{"check": "cauchyschwarz", "instances": 1, "violations": 1},
                      {"check": "cauchyschwarz", "instance": str(path),
                       "detail": f"beta^2 {beta * beta} > {products[first]} on split {list(splits[first])}"}]
+
+
+def test_verify_reports_udcp_and_sumsvsbin_violations(tmp_path, capsys, monkeypatch):
+    # no instance violates either check, so each detail is forced: a pair that does not
+    # decode, sizes that differ from the shared stats' (beta 4, 9 sums), and a failed bound
+    import sslab.cli
+
+    path = tmp_path / "i.txt"
+    write_instance(Instance(weights=(1, 1, 3, 3), target=4), path)
+    report = sslab.cli._regime_report
+    forced = [("udcp", "sslab.cli.check_udcp", lambda pair: False, "pair not uniquely decodable"),
+              ("udcp", "sslab.cli._bin_stats", lambda instance, norm: (5, 9, None), "extracted sizes mismatch"),
+              ("sumsvsbin", "sslab.cli._regime_report",
+               lambda *args: replace(report(*args), sums_vs_bin_holds=False), "distinct 9 rich but beta 4 over bound")]
+    for check, target, patch, detail in forced:
+        with monkeypatch.context() as m:
+            m.setattr(target, patch)
+            code, lines, _ = _run(capsys, "verify", str(path), "--checks", check)
+        assert code == 3
+        assert lines == [{"check": check, "instances": 1, "violations": 1},
+                         {"check": check, "instance": str(path), "detail": detail}]
 
 
 def test_verify_computes_each_instances_bin_stats_once(tmp_path, capsys, monkeypatch):
@@ -423,6 +449,9 @@ def test_bench_writes_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["n"] for r in rows] == ["8", "9", "10", "11"]
     assert all(int(r["sums_enumerated"]) > 0 for r in rows)
+    empty = tmp_path / "empty.csv"  # an empty range of n is a domain error, and writes nothing
+    code, lines, err = _run(capsys, "bench", "--alg", "mim", "--n-from", "5", "--n-to", "3", "--csv", str(empty))
+    assert (code, lines) == (1, []) and "--n-from" in err and not empty.exists()
 
 
 def test_tables_call_through_the_module(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -145,19 +144,15 @@ def test_check_udcp_rejects_colliding_pair():
     assert not check_udcp(pair)
 
 
-def test_check_udcp_deduplicates_once():
+def test_check_udcp_deduplicates_once(traced):
     # A = {01, 10} and B = {10, 01}: 01 + 10 = 10 + 01 is the one collision, between A's two
     # rows. A pair's sums are sorted once, in place, whether or not they collide: 2,000 x 100
     # of them are never held twice, at 8 bytes each with int64
     assert not check_udcp(UdcpPair(a_masks=(1, 2), b_masks=(2, 1), n=2))
     assert check_udcp(udcp_from_instance(gen_random_density(8, 2.0, RandomSource(4))))
     pair = UdcpPair(tuple(range(2000)), tuple((j << 12) | (1 << 19) for j in range(100)), 20)
-    tracemalloc.start()
-    try:
-        assert check_udcp(pair)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced(check_udcp, pair)
+    assert out
     assert peak < 2 * 8 * 2000 * 100
 
 
@@ -215,7 +210,7 @@ def test_udcp_memory_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [20, 39, 40, 64])
-def test_check_udcp_peak_stays_under_its_charge(charges, n):
+def test_check_udcp_peak_stays_under_its_charge(charges, traced, n):
     # decodable pairs, so every pair sum starts its own run: the larger set's masks in the
     # low 12 coordinates and the other's above them, with the top one set, in shapes of
     # 2,000 x 100, 4,000 x 1, 1 x 4,000, 9 x 4 and 100 x 82, just past numpy's buffers of 8,192
@@ -225,25 +220,12 @@ def test_check_udcp_peak_stays_under_its_charge(charges, n):
         high = tuple((j << 12) | (1 << (n - 1)) for j in range(min(na, nb)))
         pair = UdcpPair(*((low, high) if na >= nb else (high, low)), n)
         charges.clear()
-        tracemalloc.start()
-        try:
-            assert check_udcp(pair)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced(check_udcp, pair)
+        assert out
         assert peak <= charges[0], (na, nb)
 
 
-def _traced_extraction(inst):
-    tracemalloc.start()
-    try:
-        udcp_from_instance(inst)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
+def test_udcp_extraction_charges_its_masks(monkeypatch, charges, traced):
     # the sort of 2^16 dense sums is charged 30 bytes a subset, 1,966,080, before it is made;
     # then the order and each bin's start, length and mask: 532,504 bytes for the one bin of
     # 16 zero weights, and 2,105,344 for the 2^16 bins of 16 super-increasing weights
@@ -261,12 +243,12 @@ def test_udcp_extraction_charges_its_masks(monkeypatch, charges):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "3")
     for inst in (zeros, rich):
         charges.clear()
-        assert _traced_extraction(inst) <= max(charges)
+        assert traced(udcp_from_instance, inst)[1] <= max(charges)
 
 
 @pytest.mark.parametrize("case", ["equal16", "zeros14", "zeros16", "superinc14", "superinc16", "dense16",
                                   "wide63", "wide200", "wide1000"])
-def test_udcp_extraction_peak_stays_under_its_charges(monkeypatch, charges, case):
+def test_udcp_extraction_peak_stays_under_its_charges(monkeypatch, charges, traced, case):
     # a big modal bin (all-equal, all-zero weights) as well as many distinct sums, with
     # int64 sums and Python-int ones
     if case.startswith("wide"):
@@ -277,7 +259,7 @@ def test_udcp_extraction_peak_stays_under_its_charges(monkeypatch, charges, case
                 "superinc": gen_super_increasing,
                 "dense": lambda n: gen_random_density(n, 1.0, RandomSource(n))}[case[:-2]](n)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
-    assert _traced_extraction(inst) <= max(charges)
+    assert traced(udcp_from_instance, inst)[1] <= max(charges)
 
 
 def test_bin_l2_subset_restriction():
@@ -294,7 +276,7 @@ def test_bin_l2_past_int64_is_exact():
         assert bin_l2(gen_all_equal(n)) == math.comb(2 * n, n)
 
 
-def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):
+def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges, traced):
     # a 1.0-density half has a distinct key per vector, 42 B each with int64 keys:
     # the 2 x 3^9 vectors of n = 18 are refused under 1 MB before either half is
     # built, and the 3^6 + 3^7 of n = 13 fit under it; with 1000-bit weights a
@@ -305,16 +287,9 @@ def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):
     cases.append((Instance(tuple((1 << 1000) + w for w in wide.weights), 1), True))
     for inst, refused in cases:
         charges.clear()
-        tracemalloc.start()
-        try:
-            counts = zero_ternary_counts_by_l1(inst)
-        except CapacityError:
-            counts = None
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+        counts, peak = traced(zero_ternary_counts_by_l1, inst, refusal=True)
         assert peak <= min(charges[0], 1 << 20)
-        assert (counts is None) == refused
+        assert isinstance(counts, CapacityError) == refused
     # wherever the count runs, its peak is at or under its charge
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
     for bits in (0, 200, 1000):
@@ -322,10 +297,4 @@ def test_ternary_halves_are_charged_their_bytes(monkeypatch, charges):
             inst = gen_random_density(n, 1.0, RandomSource(n))
             inst = Instance(tuple((1 << bits) - 1 + w for w in inst.weights), 1)
             charges.clear()
-            tracemalloc.start()
-            try:
-                zero_ternary_counts_by_l1(inst)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= charges[0]
+            assert traced(zero_ternary_counts_by_l1, inst)[1] <= charges[0]

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +29,7 @@ from sslab import (
 
 from sslab.classic import _mim_bytes
 from sslab.core import memory_limit_bytes
+from sslab.dispatch import measured_gamma
 
 from _corpus import block_table, rich_no_instance
 
@@ -173,6 +173,15 @@ def test_classify_frozen_super_increasing():
     assert rep.small_bin and rep.small_bin_epsilon == 0.5
 
 
+def test_classify_and_gamma_at_their_edges():
+    # classify needs an item; gamma of an empty block is 0, and of a sum-rich one 1
+    with pytest.raises(ValueError):
+        classify(Instance(weights=(), target=0))
+    inst = gen_super_increasing(12)
+    assert measured_gamma(inst, 0) == 0.0
+    assert measured_gamma(inst, (1 << 12) - 1) == 1.0
+
+
 def test_solve_large_bin_matches_brute():
     rng = RandomSource(76)
     for k in range(30):
@@ -213,18 +222,13 @@ def test_all_equal_past_26_items():
     assert out.found and mask_sum(inst.weights, out.witness) == inst.target
 
 
-def test_refused_classify_stays_under_the_limit(monkeypatch):
+def test_refused_classify_stays_under_the_limit(monkeypatch, traced):
     # 2^22 distinct sums: the table's merge to 2^17 rows would peak past 4 MB, and
     # classify's windows of 2^16 pair sums past 2 MB, so each is refused first
     for limit_mb, refused in ((4, block_table), (2, classify)):
         monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError):
-                refused(gen_super_increasing(22))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced(refused, gen_super_increasing(22), refusal=True)
+        assert isinstance(out, CapacityError)
         assert peak <= limit_mb << 20
 
 
@@ -289,15 +293,10 @@ def test_solve_auto_joins_when_the_memory_limit_skips_every_list(monkeypatch):
     assert _same_outcome(out, meet_in_middle(inst))
 
 
-def test_solve_auto_both_steps_stay_under_the_limit(monkeypatch):
+def test_solve_auto_both_steps_stay_under_the_limit(monkeypatch, traced):
     # at 1 MB auto runs ss, and the whole run, choice and join, peaks under 1 MB
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     inst, _ = gen_planted(30, 30, RandomSource(1030))
-    tracemalloc.start()
-    try:
-        out = solve_auto(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced(solve_auto, inst)
     assert out.branch == "ss" and out.found
     assert peak <= 1 << 20

@@ -25,6 +25,8 @@ def test_not_applicable_cases():
     ok = Instance(weights=(9, 9, 9, 9), target=20)
     with pytest.raises(ValueError):
         reduce_bitlength(ok, 1, RandomSource(0))  # bin budget below 2
+    with pytest.raises(ValueError):
+        reduce_bitlength(Instance(weights=(), target=20), 64, RandomSource(0))  # no item
 
 
 def test_reduced_values_meet_output_bound():
@@ -133,13 +135,14 @@ def test_report_reads_its_bins_from_one_sort(monkeypatch):
     assert builds == []
 
 
-def test_report_charges_its_sort(monkeypatch):
-    # 2^16 dense sums are charged 786,432 bytes and their sort 2,097,152: under 1 MB the
-    # sums alone fit, and the check is refused before it sorts them
+def test_report_charges_its_sort(monkeypatch, charges):
+    # 2^16 dense sums are charged 786,432 bytes and their sort 2,097,152, before them: under
+    # 1 MB the sums alone fit, and the check is refused before it sorts them
     rng = RandomSource(47)
     inst = gen_random_density(16, 1.0, rng)
     record = reduce_bitlength(inst, 1 << 12, rng.split("r"))
     want = check_reduction_properties(inst, record)
+    assert charges == [2_097_152, 786_432] * 2  # the original's, then the reduced instance's
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
     assert all_subset_sums(inst).size == 1 << 16
     with pytest.raises(CapacityError, match="sort of 65536 dense sums"):

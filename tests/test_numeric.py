@@ -69,6 +69,9 @@ def test_is_prime_small_and_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(561)       # Carmichael
     assert not is_prime(2**61 + 1)
+    # past 2^64 the rounds are pseudorandom: a Mersenne prime, and a product of two
+    assert is_prime(2**89 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
     with pytest.raises(ValueError):
         is_prime(1)
 

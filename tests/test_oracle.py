@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -166,7 +165,7 @@ def test_brute_solve_short_circuits():
     assert zero.found and zero.witness == 0
 
 
-def test_brute_solve_memory_cap(monkeypatch):
+def test_brute_solve_memory_cap(monkeypatch, traced):
     # at 1 MB the scan's blocks shrink from 2^20 rows (12 MB of int64, 52 MB of
     # 70-bit Python ints) to what fits; the witness and the count stay the same
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "1")
@@ -174,12 +173,7 @@ def test_brute_solve_memory_cap(monkeypatch):
     for bits in (30, 70):
         weights = tuple(rng.getrandbits(bits) | 1 for _ in range(22))
         inst = Instance(weights, sum(weights))  # only the last mask hits
-        tracemalloc.start()
-        try:
-            out = brute_solve(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced(brute_solve, inst)
         assert out.witness == (1 << 22) - 1
         assert out.cost["sums_enumerated"] == 1 << 22
         assert peak < 1 << 20
@@ -195,7 +189,7 @@ def test_all_subset_sums_indexing():
         assert int(sums[mask]) == mask_sum(inst.weights, mask)
 
 
-def test_all_subset_sums_memory_cap(monkeypatch):
+def test_all_subset_sums_memory_cap(monkeypatch, traced):
     # 70-bit weights: a row is charged 52 bytes (an 8-byte slot, its int and 4
     # bytes of slack), so under 2 MB n = 15 fits and n = 16 does not
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "2")
@@ -203,15 +197,10 @@ def test_all_subset_sums_memory_cap(monkeypatch):
     refused = []
     for n in (14, 15, 16, 17):
         inst = Instance(tuple(rng.getrandbits(70) | 1 << 69 for _ in range(n)), 1)
-        tracemalloc.start()
-        try:
-            all_subset_sums(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        except CapacityError:
+        out, peak = traced(all_subset_sums, inst, refusal=True)
+        if isinstance(out, CapacityError):
             refused.append(n)
             continue
-        finally:
-            tracemalloc.stop()
         assert peak <= 2 << 20
     assert refused == [16, 17]
 
@@ -261,16 +250,7 @@ def _wide_super_increasing(n, bits):
     return Instance(tuple((1 << bits) + (1 << i) for i in range(n)), 1)
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_table_check_counts_merge_peak(monkeypatch, charges):
+def test_table_check_counts_merge_peak(monkeypatch, charges, traced):
     # 2^18 distinct sums: the table is 6 MB (24 bytes a row), but the last
     # merge peaks at 14 MB (56 bytes a row), so 10 MB must refuse it
     inst = gen_super_increasing(18)
@@ -280,17 +260,17 @@ def test_table_check_counts_merge_peak(monkeypatch, charges):
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "15")
     assert block_table(inst).sums.size == 1 << 18
     # the charge covers what the merge really allocates
-    peak = _traced_peak(block_table, gen_super_increasing(16))
+    peak = traced(block_table, gen_super_increasing(16))[1]
     assert peak <= 56 * (1 << 16) + (64 << 10)
     # also when its sums are Python ints of about 63, 200 and 1000 bits
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
     for bits in (63, 200, 1000):
         charges.clear()
-        peak = _traced_peak(block_table, _wide_super_increasing(16, bits))
+        peak = traced(block_table, _wide_super_increasing(16, bits))[1]
         assert peak <= max(charges)
 
 
-def test_sum_table_charges_its_dense_start(monkeypatch, charges):
+def test_sum_table_charges_its_dense_start(monkeypatch, charges, traced):
     # a table of at most 12 items is built densely, with no merge after it:
     # its dense rows are charged before they are built
     inst = _wide_super_increasing(12, 1000)
@@ -299,7 +279,7 @@ def test_sum_table_charges_its_dense_start(monkeypatch, charges):
         distinct_sums(inst)
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", "64")
     charges.clear()
-    assert _traced_peak(distinct_sums, inst) <= max(charges)
+    assert traced(distinct_sums, inst)[1] <= max(charges)
 
 
 def test_counts_past_int64_are_exact():
@@ -334,7 +314,7 @@ def test_bin_stats_match_the_table_on_the_verify_corpus(monkeypatch, window_rows
     for name, inst in _verify_corpus(18, RandomSource(0)):
         folds.clear()
         assert _bin_stats(inst) == _table_stats(inst), name
-        assert bool(folds) == oracle._sweeps(inst.weights, range(inst.n), np.int64), name
+        assert bool(folds) == oracle._sweeps(inst.weights, np.int64), name
         small += bool(folds) and inst.n <= 14
     assert small == {8: 77, 64: 44}[window_rows]
 
@@ -348,6 +328,9 @@ def test_bin_stats_match_the_table_on_subset_masks(monkeypatch):
     for inst, subset in cases:  # dense sums, one table or windows, as the rule picks
         assert _bin_stats(inst, subset) == _table_stats(inst, subset)
     assert _bin_stats(gen_random_density(8, 1, rng), 0) == (1, 1, 1)  # the empty block
+    for outside in (1 << 8, -1):  # a mask past the instance's items, or a negative one
+        with pytest.raises(ValueError, match="subset mask"):
+            _bin_stats(gen_random_density(8, 1, rng), outside)
     folds = _sweep_every_block(monkeypatch)
     for inst, subset in cases:
         folds.clear()
@@ -397,7 +380,7 @@ def test_dense_stats_match_the_table():
 
 
 @pytest.mark.parametrize("bits", [0, 63, 200, 1000])
-def test_dense_stats_peak_stays_under_its_charge(monkeypatch, charges, bits):
+def test_dense_stats_peak_stays_under_its_charge(monkeypatch, charges, traced, bits):
     # the splits verify batches at n = 9 and 10, the 924 halves of n = 12, and one row of
     # h = 2-14 items, as `_bin_stats` reads a block, with int64 sums and with Python ints,
     # whose charge grows with the widest row's sum
@@ -413,7 +396,7 @@ def test_dense_stats_peak_stays_under_its_charge(monkeypatch, charges, bits):
             cases += [(inst, [range(h)]) for h in range(2, 15)]
     for inst, rows in cases:
         charges.clear()
-        assert _traced_peak(oracle._dense_stats, inst.weights, rows) <= charges[0]
+        assert traced(oracle._dense_stats, inst.weights, rows)[1] <= charges[0]
 
 
 def test_bin_stats_read_small_int64_blocks_off_dense_sums(monkeypatch):
@@ -431,6 +414,24 @@ def test_bin_stats_read_small_int64_blocks_off_dense_sums(monkeypatch):
         size = 1 << (inst.n if subset is None else 14)
         assert _bin_stats(inst, subset) == (1, size, size)
         assert len(builds) == tables
+
+
+def test_bin_stats_pick_their_dtype_from_the_block_alone(monkeypatch):
+    # items 60-79 of 80: 20 density-1 weights are swept, 20 density-4 ones make one table, and
+    # either runs on int64 however far past bit 62 the items sit, as the block on its own does;
+    # items 60-75 whose 2^62 + i weights put their sums past int64 still run on Python ints
+    dtypes, build = [], oracle._sum_table
+    monkeypatch.setattr(oracle, "_sum_table", lambda *args: dtypes.append(args[2]) or build(*args))
+    block = ((1 << 20) - 1) << 60
+    for d in (1, 4):
+        tail = gen_random_density(20, d, RandomSource(60 + d)).weights
+        dtypes.clear()
+        assert _bin_stats(Instance((1,) * 60 + tail, 1), block) == _bin_stats(Instance(tail, 1))
+        assert dtypes and set(dtypes) == {np.int64}, d
+    tail = tuple((1 << 62) + i for i in range(16))
+    dtypes.clear()
+    assert _bin_stats(Instance((1,) * 60 + tail, 1), ((1 << 16) - 1) << 60) == _table_stats(Instance(tail, 1))
+    assert set(dtypes) == {object}
 
 
 def test_bin_stats_skip_the_norm_unless_asked(monkeypatch):
@@ -451,7 +452,7 @@ def test_sum_poor_blocks_keep_their_table():
     # and 2^38 pairs. The rule reads the weights alone, before anything is built.
     for n in (48, 60):
         inst = gen_random_density(n, 4, RandomSource(n))
-        assert not oracle._sweeps(inst.weights, range(n), np.int64), n
+        assert not oracle._sweeps(inst.weights, np.int64), n
     assert _bin_stats(inst := gen_random_density(48, 4, RandomSource(48))) == _table_stats(inst)
 
 
@@ -459,12 +460,11 @@ def test_a_table_past_the_limit_is_swept(monkeypatch):
     # density 1.5, n = 22: 2^22 pairs and at most about 2.9 * 10^5 sums, so the table
     # does less work; under a limit its last merge would pass, the windows run instead
     inst = gen_random_density(22, 1.5, RandomSource(22))
-    idx = list(range(22))
-    assert not oracle._sweeps(inst.weights, idx, np.int64)
+    assert not oracle._sweeps(inst.weights, np.int64)
     want = _table_stats(inst)
     table = oracle._FIXED_BYTES + 2 * oracle._sums_bound(inst.weights) * 57
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(table >> 20))
-    assert oracle._sweeps(inst.weights, idx, np.int64)
+    assert oracle._sweeps(inst.weights, np.int64)
     assert _bin_stats(inst) == want
     # 17 multiples of 1000 may have 2^17 sums by the weights, but have 154, from two halves of
     # 37 and 100: the sweep's windows hold its 3,700 pairs, not 2^16, so 1 MB admits it
@@ -500,26 +500,21 @@ def _bin_stats_case(kind, n):
 
 @pytest.mark.parametrize("kind, n", [("superinc", 18), ("superinc", 20), ("superinc", 22), ("geometric", 22),
                                      ("multiples", 17), (63, 18), (63, 20), (200, 18), (1000, 18)])
-def test_bin_stats_peak_stays_under_its_charge(monkeypatch, charges, kind, n):
+def test_bin_stats_peak_stays_under_its_charge(monkeypatch, charges, traced, kind, n):
     inst = _bin_stats_case(kind, n)
-    assert _traced_peak(_bin_stats, inst) <= max(charges)
+    assert traced(_bin_stats, inst)[1] <= max(charges)
 
 
 @pytest.mark.parametrize("kind", ["superinc", 63, 1000])
-def test_bin_stats_refuse_before_their_windows(monkeypatch, charges, kind):
+def test_bin_stats_refuse_before_their_windows(monkeypatch, charges, traced, kind):
     # the windows are charged before the first one is made: a byte under that charge
     # refuses the sweep, and what was allocated until then stays under the limit
     inst = _bin_stats_case(kind, 18)
     _bin_stats(inst)
     sweep = charges[-1]
     monkeypatch.setattr("sslab.core.memory_limit_bytes", lambda: sweep - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="windows of"):
-            _bin_stats(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced(_bin_stats, inst, refusal=True)
+    assert isinstance(out, CapacityError) and "windows of" in str(out)
     assert peak < sweep
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -168,23 +167,16 @@ def test_build_filtered_list_capacity_guard():
         build_filtered_list(wide, side, m_mask, 1, 2, 0)
 
 
-def test_filtered_list_is_charged_its_bytes(monkeypatch):
+def test_filtered_list_is_charged_its_bytes(monkeypatch, traced):
     # a one-item M, s_i = 0 and p = 3 keep about a third of 2^18 entries, charged
     # with the dictionary and scan halves at 336 B an entry: about 30 MB
     inst = gen_random_density(19, 1.0, RandomSource(61))
     side, m_mask = mask_from_indices(range(18)), 1 << 18
     for limit in (8, 64):
         monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit))
-        tracemalloc.start()
-        try:
-            out = build_filtered_list(inst, side, m_mask, 0, 3, 0)
-        except CapacityError:
-            out = None
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+        out, peak = traced(build_filtered_list, inst, side, m_mask, 0, 3, 0, refusal=True)
         assert peak <= limit << 20
-        assert (out is None) == (limit == 8)
+        assert isinstance(out, CapacityError) == (limit == 8)
     assert len(out) == 87384
 
 
@@ -374,20 +366,15 @@ def test_kept_buckets_take_room():
         assert rooms[2] == rooms[1] - swap and rooms[4] == rooms[3] - swap and rooms[5] == rooms[4]
 
 
-def test_meeting_split_peaks_inside_its_charge(charges):
+def test_meeting_split_peaks_inside_its_charge(charges, traced):
     # the split of this attempt whose sums meet walks its (mask, sum) lists: it must hold
     # them without its sums lists, since both copies together pass its largest charge
     inst = gen_planted(34, 34, RandomSource(34))[0]
-    tracemalloc.start()
-    try:
-        representation_attempt(inst, mask_from_indices([0]), 0.5, 1, inst.target, RandomSource(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced(representation_attempt, inst, mask_from_indices([0]), 0.5, 1, inst.target, RandomSource(1))
     assert peak <= max(charges)
 
 
-def test_solve_keeps_tables_inside_the_limit(monkeypatch):
+def test_solve_keeps_tables_inside_the_limit(monkeypatch, traced):
     # what a solve keeps takes only the room its largest list leaves of the limit,
     # so the kept tables and buckets and an attempt's lists fit in it together; on
     # 1000-bit weights each entry is charged its wider sums too
@@ -397,13 +384,8 @@ def test_solve_keeps_tables_inside_the_limit(monkeypatch):
     for n, bits, budget in ((24, 48, 500_000), (24, 1000, 500_000), (26, 52, 2_000_000)):
         inst, _ = gen_planted(n, bits, RandomSource(n))
         inst = Instance(weights=inst.weights, target=inst.target + 1)
-        tracemalloc.start()
-        try:
-            out = solve_many_sums(inst, mask_from_indices(range(6)), 1.0, RandomSource(1),
-                                  step_budget=budget)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced(solve_many_sums, inst, mask_from_indices(range(6)), 1.0, RandomSource(1),
+                           step_budget=budget)
         assert out.exhausted and not out.found
         assert peak <= 1 << 20
 
@@ -585,20 +567,14 @@ def test_solve_few_sums_validation():
 
 
 @pytest.mark.parametrize("n, bits", [(28, 28), (32, 32), (28, 200)])
-def test_split_join_peaks_inside_its_charge(n, bits, charges):
+def test_split_join_peaks_inside_its_charge(n, bits, charges, traced):
     # the right table is built while the left one is held, and the join holds both
     # tables and its own arrays: what it holds is charged, on a yes and a no target
     inst = gen_planted(n, bits, RandomSource(n))[0]
     m_mask = mask_from_indices(range(n // 2))
     for target in (inst.target, inst.target + 1):
         charges.clear()
-        tracemalloc.start()
-        try:
-            solve_few_sums(Instance(inst.weights, target), m_mask, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= max(charges)
+        assert traced(solve_few_sums, Instance(inst.weights, target), m_mask, 1.0)[1] <= max(charges)
 
 
 def _every_right_row_meets(n, bits):
@@ -611,19 +587,14 @@ def _every_right_row_meets(n, bits):
     pytest.param(lambda: gen_planted(32, 32, RandomSource(32))[0], 4, id="int64-planted"),
     pytest.param(lambda: _every_right_row_meets(28, 1000), 10, id="1000-bit-every-row-meets"),
 ])
-def test_split_join_refuses_before_it_passes_the_limit(monkeypatch, case, limit_mb):
+def test_split_join_refuses_before_it_passes_the_limit(monkeypatch, traced, case, limit_mb):
     # under a limit below its peak, the split join is refused before it holds more than the
     # limit: at int64 n = 32 while building the right table beside the left one, and at
     # 1000 bits, where every need meets, before the join itself
     inst = case()
     monkeypatch.setenv("SSLAB_MEM_LIMIT_MB", str(limit_mb))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            solve_few_sums(inst, mask_from_indices(range(inst.n // 2)), 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced(solve_few_sums, inst, mask_from_indices(range(inst.n // 2)), 1.0, refusal=True)
+    assert isinstance(out, CapacityError)
     assert peak <= limit_mb << 20
 
 
